@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .numerics import SUPPORTED_PSK_ORDERS
 
@@ -28,21 +26,6 @@ F44_MEAN = 2.0
 def _check_order(psk_order: int) -> None:
     if psk_order not in SUPPORTED_PSK_ORDERS:
         raise ValueError(f"unsupported PSK order {psk_order}; expected one of {SUPPORTED_PSK_ORDERS}")
-
-
-def interference_power(alpha_beta_sq: float, lambda_sq: float, mirror_lambda_sq: float) -> float:
-    """Image-leakage power term |alpha*beta|^2 * |lambda|^2 * |lambda_bar|^2."""
-    return alpha_beta_sq * lambda_sq * mirror_lambda_sq
-
-
-def signal_power(alpha_sq: float, lambda_sq: float) -> float:
-    """Desired-signal power term 0.5 * (|alpha|^2 * |lambda|^2)^2."""
-    return 0.5 * (alpha_sq * lambda_sq) ** 2
-
-
-def noise_power(alpha_sq: float, lambda_sq: float, noise_var: float) -> float:
-    """Channel-coupled noise power term 2 * |alpha|^4 * |lambda|^2 * sigma^2."""
-    return 2.0 * alpha_sq**2 * lambda_sq * noise_var
 
 
 def sinr_differential(
@@ -85,6 +68,9 @@ def f44_pdf(x) -> np.ndarray:
 
 def _psk_symbol_error(snr: np.ndarray, psk_order: int) -> np.ndarray:
     """erfc bound on the M-PSK bit error rate at a given post-detection SNR."""
+    # scipy is imported where it is used: it would be most of the package's import time
+    from scipy.special import erfc
+
     return erfc(np.sqrt(snr) * math.sin(math.pi / psk_order)) / math.log2(psk_order)
 
 
@@ -95,6 +81,8 @@ def ber_floor(psk_order: int, rho: float) -> float:
     the F(4,4) law of X with adaptive quadrature (relative tolerance 1e-6,
     upper limit chosen where the integrand falls below 1e-16 of its peak).
     """
+    from scipy.integrate import quad
+
     _check_order(psk_order)
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")

@@ -18,8 +18,7 @@ import numpy as np
 
 from .iqi import IqiParams
 from .numerics import PskConstellation
-from .ofdm import SubcarrierObservation
-from .stbc import AlamoutiMatrix, ml_differential_detect_indices
+from .stbc import ml_differential_detect_indices
 
 DEFAULT_STEP_SIZE = 0.005
 
@@ -38,53 +37,68 @@ class CompensatorState:
     updates: int = 0
 
 
-def compensate_observation(obs: SubcarrierObservation, gamma: complex) -> SubcarrierObservation:
-    """Apply the widely-linear correction to both blocks of an observation."""
-    gamma_c = complex(gamma).conjugate()
-    return SubcarrierObservation(
-        subcarrier=obs.subcarrier,
-        z_k=obs.z_k + obs.zbar_k.diag_mul(gamma),
-        z_next=obs.z_next + obs.zbar_next.diag_mul(gamma),
-        zbar_k=obs.zbar_k + obs.z_k.diag_mul(gamma_c),
-        zbar_next=obs.zbar_next + obs.z_next.diag_mul(gamma_c),
+def compensate_observation(values: tuple, gamma: complex) -> tuple:
+    """Apply the widely-linear correction to both blocks of an observation.
+
+    ``values`` is the 8-tuple ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a,
+    zbar_k.b, zbar_next.a, zbar_next.b)`` of the Alamouti top rows of blocks
+    k and k+1 at the desired subcarrier and of the elementwise-conjugated
+    image subcarrier; the result has the same layout.
+    """
+    zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+    gamma_c = gamma.conjugate()
+    return (
+        zk_a + gamma * bk_a,
+        zk_b + gamma * bk_b,
+        zn_a + gamma * bn_a,
+        zn_b + gamma * bn_b,
+        bk_a + gamma_c * zk_a,
+        bk_b + gamma_c * zk_b,
+        bn_a + gamma_c * zn_a,
+        bn_b + gamma_c * zn_b,
     )
 
 
 def build_residuals(
-    obs: SubcarrierObservation,
-    info: AlamoutiMatrix,
+    values: tuple,
+    u1: complex,
+    u2: complex,
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """Scalar LMS sample pairs from the raw (uncompensated) observation.
 
-    ``info`` must be the block-to-block ratio actually transmitted (the
+    ``values`` has the layout of ``compensate_observation``.  ``(u1, u2)``
+    is the top row of the block-to-block ratio actually transmitted (the
     detected info matrix including any unitarity scaling).  With
     ``Xi = Z'_next - Z'_k @ U`` and ``Delta = Zbar'_next - Zbar'_k @ U``
     the two usable equations linear in gamma are the (1,1) entries and the
     conjugated (2,1) entries: ``(Xi[0,0], Delta[0,0])`` and
     ``(conj(Xi[1,0]), conj(Delta[1,0]))``.
     """
-    xi = obs.z_next - obs.z_k @ info
-    delta = obs.zbar_next - obs.zbar_k @ info
-    return ((xi.a, delta.a), (-xi.b, -delta.b))
+    zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+    u1_c = u1.conjugate()
+    u2_c = u2.conjugate()
+    return (
+        (zn_a - (zk_a * u1 - zk_b * u2_c), bn_a - (bk_a * u1 - bk_b * u2_c)),
+        (-(zn_b - (zk_a * u2 + zk_b * u1_c)), -(bn_b - (bk_a * u2 + bk_b * u1_c))),
+    )
 
 
-def lms_step(state: CompensatorState, xi: complex, delta: complex) -> CompensatorState:
+def lms_step(gamma: complex, step_size: float, xi: complex, delta: complex) -> complex:
     """One stochastic-gradient descent step on |xi + gamma*delta|^2."""
-    error = xi + state.gamma * delta
-    gamma = state.gamma - state.step_size * error * complex(delta).conjugate()
-    return CompensatorState(gamma=gamma, step_size=state.step_size, updates=state.updates + 1)
+    return gamma - step_size * (xi + gamma * delta) * delta.conjugate()
 
 
 def decision_directed_pass(
-    block_pair_stream,
+    observations,
     state: CompensatorState,
     constellation: PskConstellation,
 ) -> tuple[np.ndarray, CompensatorState, np.ndarray]:
-    """Compensate, detect and adapt across a stream of block-pair observations.
+    """Compensate, detect and adapt across a stream of pair observations.
 
-    ``block_pair_stream`` yields, per block pair, the observations of the
-    lower-index member of each active (n, mirror) pair in ascending order.
-    Each observation is processed once: compensate with the current gamma,
+    ``observations`` yields one 8-tuple per pair observation, in the layout
+    of ``compensate_observation``, for the lower-index member of each active
+    (n, mirror) pair in ascending order, block pair after block pair.  Each
+    observation is processed once: compensate with the current gamma,
     detect the info matrices of both the desired and the image subcarrier,
     then run two LMS updates from the decision-directed residuals.
 
@@ -92,34 +106,33 @@ def decision_directed_pass(
     symbol pair then image-subcarrier symbol pair, MSB first), the final
     compensator state and the gamma value after every update.
     """
-    points = constellation.points_list
-    bits_of_index = constellation.bits_of_index
-    bps = constellation.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
+    order = constellation.order
+    # the transmit chain scales each info matrix by 1/sqrt(2) to keep
+    # blocks unitary, so the block-to-block ratio carries that factor
+    ratios = [p * _INV_SQRT2 for p in constellation.points_list]
+    step_size = state.step_size
+    gamma = complex(state.gamma)
     indices: list[int] = []
     trajectory: list[complex] = []
-    for pair_observations in block_pair_stream:
-        for obs in pair_observations:
-            comp = compensate_observation(obs, state.gamma)
-            i1, i2 = ml_differential_detect_indices(comp.z_k, comp.z_next, constellation)
-            # conjugating the compensated mirror pair turns its differential
-            # relation back into the direct form, so the same detector applies
-            m1, m2 = ml_differential_detect_indices(
-                comp.zbar_k.conjugate(), comp.zbar_next.conjugate(), constellation
-            )
-            # the transmit chain scales each info matrix by 1/sqrt(2) to keep
-            # blocks unitary, so the block-to-block ratio carries that factor
-            info = AlamoutiMatrix(points[i1] * _INV_SQRT2, points[i2] * _INV_SQRT2)
-            (xi1, delta1), (xi2, delta2) = build_residuals(obs, info)
-            state = lms_step(state, xi1, delta1)
-            trajectory.append(state.gamma)
-            state = lms_step(state, xi2, delta2)
-            trajectory.append(state.gamma)
-            indices.extend((i1, i2, m1, m2))
-    index_arr = np.asarray(indices, dtype=np.int64).reshape(-1) if indices else np.empty(0, dtype=np.int64)
-    values = bits_of_index[index_arr]
-    bits = ((values[:, None] >> shifts) & 1).astype(np.int8).reshape(-1)
-    return bits, state, np.asarray(trajectory, dtype=np.complex128)
+    for values in observations:
+        zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = compensate_observation(values, gamma)
+        i1, i2 = ml_differential_detect_indices(zk_a, zk_b, zn_a, zn_b, order)
+        # conjugating the compensated mirror pair turns its differential
+        # relation back into the direct form, so the same detector applies
+        m1, m2 = ml_differential_detect_indices(
+            bk_a.conjugate(), bk_b.conjugate(), bn_a.conjugate(), bn_b.conjugate(), order
+        )
+        (xi1, delta1), (xi2, delta2) = build_residuals(values, ratios[i1], ratios[i2])
+        gamma = lms_step(gamma, step_size, xi1, delta1)
+        trajectory.append(gamma)
+        gamma = lms_step(gamma, step_size, xi2, delta2)
+        trajectory.append(gamma)
+        indices += (i1, i2, m1, m2)
+    bps = constellation.bits_per_symbol
+    values_arr = constellation.bits_of_index[np.asarray(indices, dtype=np.int64)]
+    bits = ((values_arr[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8).reshape(-1)
+    final = CompensatorState(gamma=gamma, step_size=step_size, updates=state.updates + len(trajectory))
+    return bits, final, np.asarray(trajectory, dtype=np.complex128)
 
 
 def save_gamma_trajectory(path, trajectory: np.ndarray) -> None:

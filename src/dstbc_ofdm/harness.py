@@ -34,8 +34,7 @@ from .channel import (
 from .compensator import CompensatorState, decision_directed_pass, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import SUPPORTED_PSK_ORDERS, psk_constellation
-from .ofdm import OfdmConfig, SubcarrierObservation
-from .stbc import AlamoutiMatrix
+from .ofdm import OfdmConfig
 
 DETECTION_MODES = ("differential", "coherent")
 COMPENSATION_MODES = ("off", "genie_gamma", "lms")
@@ -97,13 +96,14 @@ class SimConfig:
             raise ConfigError(f"lms_step_size must be positive, got {self.lms_step_size}")
         if self.compensation != "off" and self.detection != "differential":
             raise ConfigError("compensation modes require differential detection")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
         for value in self.snr_grid_db:
             if math.isnan(value):
                 raise ConfigError("snr_grid_db values must not be NaN")
+            _snr_key(value)
         try:
             profile = resolve_profile(self)
             positions, _ = _merged_tap_grid(profile, self.sample_period)
@@ -146,15 +146,18 @@ class BerRecord:
     elapsed_s: float = field(compare=False, default=0.0)
 
 
+def _snr_key(snr_db: float) -> int:
+    """Non-negative integer naming an SNR value: +inf, or finite within 1000 dB."""
+    if math.isinf(snr_db) and snr_db > 0:
+        return 1 << 41
+    if abs(snr_db) <= 1000.0:
+        return int(round(snr_db * 1e6)) + (1 << 40)
+    raise ConfigError(f"snr_db {snr_db} out of supported range")
+
+
 def _point_rng(seed: int, snr_db: float) -> np.random.Generator:
     """Per-point generator keyed by (seed, SNR value) so grid order is irrelevant."""
-    if math.isinf(snr_db) and snr_db > 0:
-        key = 1 << 41
-    elif abs(snr_db) <= 1000.0:
-        key = int(round(snr_db * 1e6)) + (1 << 40)
-    else:
-        raise ConfigError(f"snr_db {snr_db} out of supported range")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), _snr_key(snr_db)]))
 
 
 def _apply_channel(
@@ -233,8 +236,6 @@ class _PointEngine:
         is_differential = cfg.detection == "differential"
         self.n_blocks = cfg.blocks_per_frame
         self.n_symbols = 2 * self.n_blocks + (2 if is_differential else 0)
-        if cfg.compensation != "off" and not is_differential:
-            raise ConfigError("compensation modes require differential detection")
 
     # ---- per-frame steps -------------------------------------------------
 
@@ -310,29 +311,20 @@ class _PointEngine:
         return self._count_index_errors(det1, det2, idx1, idx2)
 
     def _frame_observations(self, z: np.ndarray):
-        """Block-pair observation stream over the lower-index pair members."""
-        zl = z.tolist()
-        low = self.low0.tolist()
-        mir = self.mir0.tolist()
-        for j in range(1, self.n_blocks + 1):
-            prev_a = zl[2 * j - 2]
-            prev_b = zl[2 * j - 1]
-            cur_a = zl[2 * j]
-            cur_b = zl[2 * j + 1]
-            yield [
-                SubcarrierObservation(
-                    subcarrier=m + 1,
-                    z_k=AlamoutiMatrix(prev_a[m], prev_b[m]),
-                    z_next=AlamoutiMatrix(cur_a[m], cur_b[m]),
-                    zbar_k=AlamoutiMatrix(
-                        prev_a[mm].conjugate(), prev_b[mm].conjugate()
-                    ),
-                    zbar_next=AlamoutiMatrix(
-                        cur_a[mm].conjugate(), cur_b[mm].conjugate()
-                    ),
-                )
-                for m, mm in zip(low, mir)
-            ]
+        """Pair observations over the lower-index pair members, as 8-tuples.
+
+        Per block pair and lower subcarrier, in ascending order, the tuple is
+        ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a, zbar_k.b, zbar_next.a,
+        zbar_next.b)``: the subcarrier's values in the four OFDM symbols of
+        blocks k and k+1, then the conjugated values of its mirror.
+        """
+        low = z[:, self.low0].tolist()
+        mirror = np.conj(z[:, self.mir0]).tolist()
+        for j in range(2, 2 * self.n_blocks + 1, 2):
+            yield from zip(
+                low[j - 2], low[j - 1], low[j], low[j + 1],
+                mirror[j - 2], mirror[j - 1], mirror[j], mirror[j + 1],
+            )
 
     def _detect_lms(self, z: np.ndarray, bits: np.ndarray, collect_trace: bool) -> int:
         det_bits, self.comp_state, trace = decision_directed_pass(
@@ -340,7 +332,8 @@ class _PointEngine:
         )
         if collect_trace:
             self.gamma_trace.append(trace)
-        bps = self.constellation.bits_per_symbol
+        # per (block, pair) the stream carries the lower subcarrier's two
+        # symbols then the mirror's two symbols
         true_bits = np.concatenate(
             [
                 bits[:, self.low_pos],
@@ -348,8 +341,6 @@ class _PointEngine:
             ],
             axis=2,
         ).reshape(-1)
-        # layout check: per (block, pair) the stream carries the lower
-        # subcarrier's two symbols then the mirror's two symbols
         return int(np.count_nonzero(det_bits != true_bits))
 
     def run(self, collect_trace: bool = False) -> BerRecord:

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -171,3 +172,8 @@ def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
     step = 2.0 * np.pi / order
     raw = np.floor(np.angle(values) / step + 0.5).astype(np.int64)
     return np.mod(raw, order)
+
+
+def nearest_psk_index(value: complex, order: int) -> int:
+    """Scalar form of ``nearest_psk_indices``, the same rounding in angle."""
+    return math.floor(math.atan2(value.imag, value.real) / (2.0 * math.pi / order) + 0.5) % order

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PskConstellation
+from .numerics import PskConstellation, nearest_psk_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,34 +80,27 @@ def differential_encode(previous: AlamoutiMatrix, info: AlamoutiMatrix) -> Alamo
     return previous @ info
 
 
-def _best_index(d: complex, points: tuple) -> int:
-    """argmax over points of Re(conj(p) * d); first maximum wins."""
-    best_i = 0
-    best_m = points[0].real * d.real + points[0].imag * d.imag
-    for i in range(1, len(points)):
-        p = points[i]
-        m = p.real * d.real + p.imag * d.imag
-        if m > best_m:
-            best_m = m
-            best_i = i
-    return best_i
-
-
 def ml_differential_detect_indices(
-    z_k: AlamoutiMatrix,
-    z_next: AlamoutiMatrix,
-    constellation: PskConstellation,
+    k_a: complex,
+    k_b: complex,
+    n_a: complex,
+    n_b: complex,
+    order: int,
 ) -> tuple[int, int]:
     """Phase indices of the info pair maximising Re(trace(U^H Z_k^H Z_next)).
 
-    The trace metric splits into two independent PSK decisions on the top row
-    of ``Z_k^H @ Z_next``, so the decoupled argmax equals the exhaustive
-    search over all M^2 candidates; ties resolve to the lexicographically
-    smallest index pair.
+    ``(k_a, k_b)`` and ``(n_a, n_b)`` are the top rows of the received
+    blocks ``Z_k`` and ``Z_next``.  The trace metric splits into two
+    independent PSK decisions on the top row of ``Z_k^H @ Z_next``, so the
+    decoupled decision equals the exhaustive search over all M^2 candidates.
+    Both decisions round in angle as ``nearest_psk_indices`` does, so a
+    value on an exact decision boundary goes to the larger phase.
     """
-    d = z_k.hermitian() @ z_next
-    points = constellation.points_list
-    return _best_index(d.a, points), _best_index(d.b, points)
+    k_a_c = k_a.conjugate()
+    return (
+        nearest_psk_index(k_a_c * n_a + k_b * n_b.conjugate(), order),
+        nearest_psk_index(k_a_c * n_b - k_b * n_a.conjugate(), order),
+    )
 
 
 def ml_differential_detect(
@@ -116,7 +109,7 @@ def ml_differential_detect(
     constellation: PskConstellation,
 ) -> AlamoutiMatrix:
     """Most likely information matrix given two consecutive received blocks."""
-    i1, i2 = ml_differential_detect_indices(z_k, z_next, constellation)
+    i1, i2 = ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, constellation.order)
     points = constellation.points_list
     return alamouti_encode(points[i1], points[i2])
 
@@ -128,8 +121,7 @@ def coherent_detect_indices(
 ) -> tuple[int, int]:
     """Phase indices maximising Re(trace(U^H Lambda^H Z)) with known channel."""
     g = channel.hermitian() @ z_obs
-    points = constellation.points_list
-    return _best_index(g.a, points), _best_index(g.b, points)
+    return nearest_psk_index(g.a, constellation.order), nearest_psk_index(g.b, constellation.order)
 
 
 def coherent_detect(

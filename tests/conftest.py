@@ -52,10 +52,12 @@ def distort_pair(desired, mirror_conj, params):
 def synthetic_observation(rng, params, order=8, indices=None):
     """Noiseless two-block observation with known channels and info symbols.
 
-    Returns the observation plus the transmitted block-ratio matrices of the
+    Returns the observation, as the 8-tuple ``(z_k.a, z_k.b, z_next.a,
+    z_next.b, zbar_k.a, zbar_k.b, zbar_next.a, zbar_next.b)`` that the
+    compensator reads, plus the transmitted block-ratio matrices of the
     desired and mirror subcarriers and the four drawn symbol indices.
     """
-    from dstbc_ofdm import SubcarrierObservation, alamouti_encode, psk_constellation
+    from dstbc_ofdm import alamouti_encode, psk_constellation
 
     c = psk_constellation(order)
     if indices is None:
@@ -73,9 +75,7 @@ def synthetic_observation(rng, params, order=8, indices=None):
 
     zp_k, zbp_k = distort_pair(z_k, zbar_k, params)
     zp_next, zbp_next = distort_pair(z_next, zbar_next, params)
-    obs = SubcarrierObservation(
-        subcarrier=2, z_k=zp_k, z_next=zp_next, zbar_k=zbp_k, zbar_next=zbp_next
-    )
+    obs = (zp_k.a, zp_k.b, zp_next.a, zp_next.b, zbp_k.a, zbp_k.b, zbp_next.a, zbp_next.b)
     return obs, ratio, mirror_ratio, indices
 
 

@@ -329,7 +329,7 @@ def test_detectors_match_exhaustive_search():
         if t % 2 == 0:
             z_k = (channel @ random_unitary_alamouti(rng)) + random_alamouti(rng, 0.35)
             z_next = (z_k @ ratio) + random_alamouti(rng, 0.35)
-            fast = ml_differential_detect_indices(z_k, z_next, c)
+            fast = ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, c.order)
             best = min(
                 candidates, key=lambda cand: (z_next - z_k @ cand[2]).frobenius()
             )
@@ -357,7 +357,7 @@ def test_compensator_nulls_and_converges():
         )
         target = gamma_true(params)
         obs, ratio, _, _ = synthetic_observation(rng, params)
-        for xi, delta in build_residuals(obs, ratio):
+        for xi, delta in build_residuals(obs, ratio.a, ratio.b):
             worst = max(worst, abs(xi + target * delta))
     nulls_ok = worst <= 1e-10
 

@@ -1,5 +1,7 @@
 """Unit tests for SINR expressions, the fading power-ratio law and BER models."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,3 +111,13 @@ def test_floor_onset_offsets():
     onset, ideal = floor_onset_and_ideal_snr(17.44)
     assert onset == pytest.approx(27.44)
     assert ideal == pytest.approx(17.44)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, dstbc_ofdm, dstbc_ofdm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

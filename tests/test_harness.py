@@ -15,6 +15,7 @@ from dstbc_ofdm import (
     run_sweep,
     write_records_csv,
 )
+from dstbc_ofdm import harness
 from dstbc_ofdm.harness import resolve_profile
 
 
@@ -47,6 +48,9 @@ def test_default_config_is_valid():
         dict(seed=-1),
         dict(snr_grid_db=()),
         dict(snr_grid_db=(10.0, math.nan)),
+        dict(snr_grid_db=(10.0, 2000.0)),
+        dict(snr_grid_db=(10.0, -math.inf)),
+        dict(seed=True),
         dict(detection="coherent", compensation="lms"),
         dict(channel="custom"),
         dict(cp_len=10),  # ITU-PB spreads over 19 samples
@@ -55,6 +59,16 @@ def test_default_config_is_valid():
 def test_validation_rejects_bad_configs(overrides):
     with pytest.raises(ConfigError):
         SimConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("grid", [(10.0, 2000.0), (10.0, -math.inf)])
+def test_sweep_rejects_unkeyable_snr_before_any_frame(monkeypatch, grid):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was simulated")
+
+    monkeypatch.setattr(harness, "realize_fading", no_frames)
+    with pytest.raises(ConfigError):
+        run_sweep(small_cfg(snr_grid_db=grid))
 
 
 def test_custom_channel_profile_resolution():

@@ -17,6 +17,7 @@ from dstbc_ofdm import (
     psk_demodulate,
     psk_modulate,
 )
+from dstbc_ofdm.numerics import nearest_psk_index
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
@@ -119,10 +120,12 @@ def test_modulate_demodulate_round_trip(order, rng):
 @pytest.mark.parametrize("order", [2, 4, 8, 16])
 def test_nearest_indices_agree_with_demodulate(order, rng):
     values = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    indices = nearest_psk_indices(values, order)
     np.testing.assert_array_equal(
-        indices_to_bits(nearest_psk_indices(values, order), order),
+        indices_to_bits(indices, order),
         psk_demodulate(values, order),
     )
+    assert [nearest_psk_index(v, order) for v in values.tolist()] == indices.tolist()
 
 
 def test_nearest_indices_scale_invariant():

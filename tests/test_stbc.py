@@ -94,7 +94,7 @@ def test_differential_detect_recovers_noiseless_info(order, rng):
         info = alamouti_encode(c.points[i1], c.points[i2])
         z_k = channel @ s_k
         z_next = z_k @ info.scaled(1.0 / _SQRT2)
-        assert ml_differential_detect_indices(z_k, z_next, c) == (i1, i2)
+        assert ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, order) == (i1, i2)
         detected = ml_differential_detect(z_k, z_next, c)
         np.testing.assert_allclose(detected.matrix, info.matrix, atol=1e-12)
 
@@ -114,7 +114,7 @@ def test_coherent_detect_recovers_noiseless_info(order, rng):
 def test_detect_tie_breaks_to_first_index():
     c = psk_constellation(8)
     zero = AlamoutiMatrix(0.0, 0.0)
-    assert ml_differential_detect_indices(zero, zero, c) == (0, 0)
+    assert ml_differential_detect_indices(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
     assert coherent_detect_indices(zero, zero, c) == (0, 0)
 
 
@@ -123,5 +123,6 @@ def test_detection_invariant_to_positive_scaling(rng):
     for _ in range(50):
         z_k = random_alamouti(rng)
         z_next = random_alamouti(rng)
-        base = ml_differential_detect_indices(z_k, z_next, c)
-        assert ml_differential_detect_indices(z_k.scaled(7.5), z_next.scaled(7.5), c) == base
+        base = ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, c.order)
+        k, n = z_k.scaled(7.5), z_next.scaled(7.5)
+        assert ml_differential_detect_indices(k.a, k.b, n.a, n.b, c.order) == base
