@@ -5,7 +5,7 @@ Modules
 numerics     PSK constellations, Gray labels, unitary DFT helpers.
 stbc         2x2 Alamouti algebra, differential encoding and ML detection.
 channel      Tapped-delay-line profiles and Jakes-spectrum Rayleigh fading.
-ofdm         Subcarrier layout, cyclic-prefix modem, pair observations.
+ofdm         Subcarrier layout and cyclic-prefix modem.
 iqi          Receiver I/Q imbalance parameters and distortion.
 compensator  Decision-directed LMS image-leakage compensation.
 analysis     SINR, error floors and closed-form BER approximations.
@@ -66,8 +66,6 @@ from .numerics import (
 )
 from .ofdm import (
     OfdmConfig,
-    SubcarrierObservation,
-    build_observation,
     mirror_index,
     ofdm_demodulate,
     ofdm_modulate,
@@ -94,13 +92,11 @@ __all__ = [
     "OfdmConfig",
     "PskConstellation",
     "SimConfig",
-    "SubcarrierObservation",
     "alamouti_encode",
     "apply_rx_iqi",
     "ber_closed_form",
     "ber_floor",
     "bits_to_indices",
-    "build_observation",
     "build_residuals",
     "coherent_detect",
     "compensate_observation",

@@ -11,6 +11,7 @@ autocorrelation ``J0(2*pi*f_d*tau)`` over the oscillator ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,30 @@ def custom_profile(
     )
 
 
+def _draw_oscillators(rng: np.random.Generator, draws: np.ndarray) -> None:
+    """Fill one tap's ``draws``, shape (3, n_oscillators), from ``rng``.
+
+    In this order: the uniform variates of the arrival angles, the real
+    parts of the weights and their imaginary parts.
+    """
+    rng.random(out=draws[0])
+    rng.standard_normal(out=draws[1])
+    rng.standard_normal(out=draws[2])
+
+
+def _oscillators(mean_power, doppler_hz: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angular rates and complex weights from draws of shape (..., 3, n_oscillators).
+
+    ``mean_power`` broadcasts against the leading axes.  Angles are uniform
+    on [0, 2*pi), and the weights circular Gaussian with total power
+    ``mean_power``.
+    """
+    angles = 2.0 * np.pi * draws[..., 0, :]
+    scale = np.sqrt(mean_power / (2.0 * draws.shape[-1]))
+    weights = scale * (draws[..., 1, :] + 1j * draws[..., 2, :])
+    return 2.0 * np.pi * doppler_hz * np.cos(angles), weights
+
+
 class JakesFadingProcess:
     """One time-correlated Rayleigh tap: sum of Doppler-shifted oscillators.
 
@@ -110,12 +135,9 @@ class JakesFadingProcess:
             raise ValueError("mean_power must be positive")
         if n_oscillators < DEFAULT_OSCILLATORS:
             raise ValueError(f"need at least {DEFAULT_OSCILLATORS} oscillators, got {n_oscillators}")
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=n_oscillators)
-        scale = np.sqrt(mean_power / (2.0 * n_oscillators))
-        self._weights = scale * (
-            rng.standard_normal(n_oscillators) + 1j * rng.standard_normal(n_oscillators)
-        )
-        self._rates = 2.0 * np.pi * doppler_hz * np.cos(angles)
+        draws = np.empty((3, n_oscillators))
+        _draw_oscillators(rng, draws)
+        self._rates, self._weights = _oscillators(mean_power, doppler_hz, draws)
         self.mean_power = mean_power
         self.doppler_hz = doppler_hz
 
@@ -130,7 +152,8 @@ class FadingRealization:
 
     ``taps[s, i, l]`` is tap ``l`` of antenna ``i`` during OFDM symbol ``s``,
     already merged onto the sample grid (``tap_sample_delays`` holds the
-    sample indices; ``channel_length`` is the largest one).
+    sample indices; ``channel_length`` is the largest one).  A draw of
+    several frames puts the frame first: ``taps[f, s, i, l]``.
     """
 
     profile: ChannelProfile
@@ -140,15 +163,19 @@ class FadingRealization:
 
     @property
     def n_symbols(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.shape[-3]
 
     @property
     def channel_length(self) -> int:
         return int(self.tap_sample_delays[-1])
 
 
+@lru_cache(maxsize=16)
 def _merged_tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Round delays to the sample grid (half-up) and merge collisions by power."""
+    """Round delays to the sample grid (half-up) and merge collisions by power.
+
+    Cached per (profile, sample period); the returned arrays are read-only.
+    """
     delays = np.asarray(profile.tap_delays_s, dtype=float)
     positions = np.floor(delays / sample_period + 0.5).astype(np.int64)
     powers = profile.tap_powers_linear
@@ -156,6 +183,8 @@ def _merged_tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.
     merged = np.zeros(unique.shape[0])
     for pos, pwr in zip(positions, powers):
         merged[np.searchsorted(unique, pos)] += pwr
+    unique.flags.writeable = False
+    merged.flags.writeable = False
     return unique, merged
 
 
@@ -168,11 +197,20 @@ def realize_fading(
     samples_per_symbol: int,
     cp_len: int | None = None,
     n_oscillators: int = DEFAULT_OSCILLATORS,
+    frames: int | None = None,
 ) -> FadingRealization:
-    """Draw one fading realization sampled at OFDM-symbol midpoints.
+    """Draw fading sampled at OFDM-symbol midpoints, for one frame or several.
 
-    The two antennas use disjoint RNG substreams.  When ``cp_len`` is given,
-    a merged delay spread longer than the cyclic prefix is rejected.
+    Each frame spawns two child generators from ``rng``, one per antenna,
+    and draws every tap's oscillators from its antenna's child in the order
+    ``JakesFadingProcess`` does.  Spawning never advances ``rng``'s own
+    stream.  With ``frames=F`` the frames are drawn in turn, so frame ``f``
+    equals what the ``f``-th of F single-frame calls on the same generator
+    would return, and ``taps`` gets a leading frame axis.  All taps of all
+    frames are then evaluated by one ``exp`` and one stacked matrix-vector
+    product, each slice of which is the product ``JakesFadingProcess.sample``
+    computes.  When ``cp_len`` is given, a merged delay spread longer than
+    the cyclic prefix is rejected.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
@@ -180,6 +218,8 @@ def realize_fading(
         raise ValueError("need at least one OFDM symbol")
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be positive")
+    if frames is not None and frames < 1:
+        raise ValueError(f"frames must be positive, got {frames}")
     positions, powers = _merged_tap_grid(profile, sample_period)
     if cp_len is not None and positions[-1] > cp_len:
         raise ValueError(
@@ -187,27 +227,36 @@ def realize_fading(
             f"(worst tap delay {profile.tap_delays_s[-1]:.3e} s)"
         )
     rng = np.random.default_rng(rng)
-    antenna_rngs = rng.spawn(N_TX_ANTENNAS)
+    n_frames = 1 if frames is None else frames
+    n_taps = powers.shape[0]
+    draws = np.empty((n_frames, N_TX_ANTENNAS, n_taps, 3, n_oscillators))
+    for f in range(n_frames):
+        for i, antenna_rng in enumerate(rng.spawn(N_TX_ANTENNAS)):
+            for l in range(n_taps):
+                _draw_oscillators(antenna_rng, draws[f, i, l])
+    rates, weights = _oscillators(powers[:, None], profile.doppler_hz, draws)
     symbol_period = samples_per_symbol * sample_period
     times = (np.arange(n_ofdm_symbols) + 0.5) * symbol_period
-    taps = np.empty((n_ofdm_symbols, N_TX_ANTENNAS, positions.shape[0]), dtype=np.complex128)
-    for i, antenna_rng in enumerate(antenna_rngs):
-        for l, power in enumerate(powers):
-            process = JakesFadingProcess(power, profile.doppler_hz, antenna_rng, n_oscillators)
-            taps[:, i, l] = process.sample(times)
+    # exp(1j * time * rate), built in place to keep one array of this size
+    phases = np.zeros(rates.shape[:-1] + (n_ofdm_symbols, n_oscillators), dtype=np.complex128)
+    np.multiply(times[:, None], rates[..., None, :], out=phases.imag)
+    np.exp(phases, out=phases)
+    # (frame, antenna, tap, symbol) -> (frame, symbol, antenna, tap)
+    taps = np.ascontiguousarray((phases @ weights[..., None])[..., 0].transpose(0, 3, 1, 2))
     realization = FadingRealization(
         profile=profile,
         sample_period=sample_period,
         tap_sample_delays=positions,
-        taps=taps,
+        taps=taps[0] if frames is None else taps,
     )
-    realization.tap_sample_delays.flags.writeable = False
     realization.taps.flags.writeable = False
     return realization
 
 
 def _dense_taps(realization: FadingRealization, symbol_index: int, length: int) -> np.ndarray:
     """Taps of one symbol scattered onto a dense (2, length) impulse response."""
+    if realization.taps.ndim != 3:
+        raise ValueError("need the realization of a single frame")
     dense = np.zeros((N_TX_ANTENNAS, length), dtype=np.complex128)
     dense[:, realization.tap_sample_delays] = realization.taps[symbol_index]
     return dense

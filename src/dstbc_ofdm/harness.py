@@ -9,6 +9,13 @@ convolution with memory across symbols; the cyclic prefix restores
 circularity), summed, hit with AWGN and then with the receiver I/Q
 imbalance, and demodulated.
 
+Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
+samples (or one frame, if that is longer), each stage running once per chunk
+over a leading frame axis.  The point's
+generator still makes every frame's draws in frame order (its two fading
+substreams, then its bits, then its noise), so records do not depend on the
+chunk size.
+
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
 variance per complex sample, both taken before the imbalance stage.
@@ -40,6 +47,15 @@ DETECTION_MODES = ("differential", "coherent")
 COMPENSATION_MODES = ("off", "genie_gamma", "lms")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Time-domain samples per chunk of frames: one default differential frame,
+# 42 OFDM symbols (2 * 20 information symbols plus the reference block) of
+# 64 + 20 samples.  Shorter frames are batched max(1, _CHUNK_SAMPLES //
+# frame samples) at a time; on the default grid that is 42 // n_symbols.  A
+# chunk of several frames thus stays below numpy's 256 KiB threshold for
+# reusing temporaries in place, whose loops round differently in the last
+# bit, so chunks give the same bits as frame-by-frame simulation.
+_CHUNK_SAMPLES = 42 * 84
 
 
 class ConfigError(ValueError):
@@ -160,22 +176,31 @@ def _point_rng(seed: int, snr_db: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), _snr_key(snr_db)]))
 
 
+def _frame_count(min_bits: int, bits_per_frame: int, max_blocks: int, blocks_per_frame: int) -> int:
+    """Frames a point simulates: until ``min_bits`` are counted or ``max_blocks`` are sent."""
+    return min(-(-min_bits // bits_per_frame), -(-max_blocks // blocks_per_frame))
+
+
 def _apply_channel(
     streams: np.ndarray,
     fading: FadingRealization,
     samples_per_symbol: int,
 ) -> np.ndarray:
-    """Sum of per-antenna linear convolutions with symbol-rate tap updates."""
-    n_antennas, total = streams.shape
-    received = np.zeros(total, dtype=np.complex128)
+    """Per frame, the sum of per-antenna linear convolutions with symbol-rate tap updates.
+
+    ``streams`` is (frame, antenna, sample); ``fading.taps`` has the same
+    leading frame axis.
+    """
+    n_frames, n_antennas, total = streams.shape
+    received = np.zeros((n_frames, total), dtype=np.complex128)
     positions = fading.tap_sample_delays
     for l, pos in enumerate(positions):
-        gains = np.repeat(fading.taps[:, :, l], samples_per_symbol, axis=0)
+        gains = np.repeat(fading.taps[..., l], samples_per_symbol, axis=1)
         for ant in range(n_antennas):
             if pos == 0:
-                received += gains[:, ant] * streams[ant]
+                received += gains[..., ant] * streams[:, ant]
             else:
-                received[pos:] += gains[pos:, ant] * streams[ant, : total - pos]
+                received[:, pos:] += gains[:, pos:, ant] * streams[:, ant, : total - pos]
     return received
 
 
@@ -185,20 +210,25 @@ def _frame_spectra(
     cp_len: int,
     sigma: float,
     iqi_params,
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
-    """Transmit, propagate, distort and demodulate one frame of OFDM symbols."""
-    n_sym, _, n_sub = freq_symbols.shape
+    """Transmit, propagate, distort and demodulate a chunk of frames.
+
+    ``freq_symbols`` is (frame, antenna, symbol, subcarrier).  ``noise``
+    holds each frame's complex samples with standard normal real and
+    imaginary parts, or is None when there is no noise.
+    """
+    n_frames, _, n_sym, n_sub = freq_symbols.shape
     time_domain = np.fft.ifft(freq_symbols, axis=-1, norm="ortho")
-    with_cp = np.concatenate([time_domain[..., n_sub - cp_len:], time_domain], axis=-1)
     samples_per_symbol = n_sub + cp_len
-    streams = with_cp.transpose(1, 0, 2).reshape(2, n_sym * samples_per_symbol)
+    streams = np.concatenate([time_domain[..., n_sub - cp_len:], time_domain], axis=-1).reshape(
+        n_frames, 2, n_sym * samples_per_symbol
+    )
     received = _apply_channel(streams, fading, samples_per_symbol)
-    if sigma > 0.0:
-        noise = rng.standard_normal(2 * received.shape[0])
-        received = received + (sigma * _INV_SQRT2) * (noise[0::2] + 1j * noise[1::2])
+    if noise is not None:
+        received = received + (sigma * _INV_SQRT2) * noise
     received = apply_rx_iqi(received, iqi_params)
-    blocks = received.reshape(n_sym, samples_per_symbol)[:, cp_len:]
+    blocks = received.reshape(n_frames, n_sym, samples_per_symbol)[..., cp_len:]
     return np.fft.fft(blocks, axis=-1, norm="ortho")
 
 
@@ -207,7 +237,7 @@ def _popcount_table(order: int) -> np.ndarray:
 
 
 class _PointEngine:
-    """Shared state for simulating one (config, SNR) point frame by frame."""
+    """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
     def __init__(self, cfg: SimConfig, snr_db: float, seed: int):
         cfg.validate()
@@ -237,44 +267,63 @@ class _PointEngine:
         self.n_blocks = cfg.blocks_per_frame
         self.n_symbols = 2 * self.n_blocks + (2 if is_differential else 0)
 
-    # ---- per-frame steps -------------------------------------------------
+    # ---- per-chunk steps; arrays carry a leading frame axis -------------
 
-    def _draw_true_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _draw_bits_and_noise(self, n_frames: int, samples: int, noisy: bool):
+        """Each frame's bits, then its noise, frame after frame.
+
+        Returns the bits, (frame, block, subcarrier, antenna, bit), and the
+        noise, (frame, sample) or None: complex samples whose real and
+        imaginary parts are consecutive standard normal draws.
+        """
         bps = self.constellation.bits_per_symbol
-        n_active = self.act0.shape[0]
-        bits = self.rng.integers(
-            0, 2, size=(self.n_blocks, n_active, 2, bps), dtype=np.int8
-        )
+        shape = (self.n_blocks, self.act0.shape[0], 2, bps)
+        bits = np.empty((n_frames,) + shape, dtype=np.int8)
+        noise = np.empty((n_frames, samples), dtype=np.complex128) if noisy else None
+        for k in range(n_frames):
+            bits[k] = self.rng.integers(0, 2, size=shape, dtype=np.int8)
+            if noisy:
+                self.rng.standard_normal(out=noise[k].view(np.float64))
+        return bits, noise
+
+    def _true_indices(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bps = self.constellation.bits_per_symbol
         weights = (1 << np.arange(bps - 1, -1, -1)).astype(np.int64)
         values = bits.astype(np.int64) @ weights
         indices = self.constellation.index_of_bits[values]
-        return bits, indices[..., 0], indices[..., 1]
+        return indices[..., 0], indices[..., 1]
 
     def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
-        """Frequency-domain antenna symbols for one frame (rows = antennas)."""
+        """Frequency-domain antenna symbols, (frame, antenna, symbol, subcarrier)."""
         cfg = self.cfg
         points = self.constellation.points
         x1 = points[idx1]
         x2 = points[idx2]
-        n_active = self.act0.shape[0]
-        freq = np.zeros((self.n_symbols, 2, cfg.n_subcarriers), dtype=np.complex128)
+        n_frames, _, n_active = idx1.shape
+        freq = np.zeros((n_frames, 2, self.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
         if cfg.detection == "differential":
-            s_a = np.empty((self.n_blocks + 1, n_active), dtype=np.complex128)
+            # block-major, so that each step of the recursion reads and
+            # writes whole (frame, subcarrier) planes
+            u_a = (x1 * _INV_SQRT2).transpose(1, 0, 2)
+            u_b = (x2 * _INV_SQRT2).transpose(1, 0, 2)
+            cu_a = np.conj(u_a)
+            cu_b = np.conj(u_b)
+            s_a = np.empty((self.n_blocks + 1, n_frames, n_active), dtype=np.complex128)
             s_b = np.empty_like(s_a)
             s_a[0] = 1.0
             s_b[0] = 0.0
             for j in range(1, self.n_blocks + 1):
-                u_a = x1[j - 1] * _INV_SQRT2
-                u_b = x2[j - 1] * _INV_SQRT2
-                s_a[j] = s_a[j - 1] * u_a - s_b[j - 1] * np.conj(u_b)
-                s_b[j] = s_a[j - 1] * u_b + s_b[j - 1] * np.conj(u_a)
+                np.subtract(s_a[j - 1] * u_a[j - 1], s_b[j - 1] * cu_b[j - 1], out=s_a[j])
+                np.add(s_a[j - 1] * u_b[j - 1], s_b[j - 1] * cu_a[j - 1], out=s_b[j])
+            s_a = s_a.transpose(1, 0, 2)
+            s_b = s_b.transpose(1, 0, 2)
         else:
             s_a = x1 * _INV_SQRT2
             s_b = x2 * _INV_SQRT2
-        freq[0::2, 0, self.act0] = s_a
-        freq[0::2, 1, self.act0] = -np.conj(s_b)
-        freq[1::2, 0, self.act0] = s_b
-        freq[1::2, 1, self.act0] = np.conj(s_a)
+        freq[:, 0, 0::2][..., self.act0] = s_a
+        freq[:, 1, 0::2][..., self.act0] = -np.conj(s_b)
+        freq[:, 0, 1::2][..., self.act0] = s_b
+        freq[:, 1, 1::2][..., self.act0] = np.conj(s_a)
         return freq
 
     def _count_index_errors(self, det1, det2, idx1, idx2) -> int:
@@ -285,10 +334,10 @@ class _PointEngine:
     def _detect_differential(self, z: np.ndarray, idx1, idx2) -> int:
         from .numerics import nearest_psk_indices
 
-        za = z[0::2][:, self.act0]
-        zb = z[1::2][:, self.act0]
-        d_a = np.conj(za[:-1]) * za[1:] + zb[:-1] * np.conj(zb[1:])
-        d_b = np.conj(za[:-1]) * zb[1:] - zb[:-1] * np.conj(za[1:])
+        za = z[:, 0::2][..., self.act0]
+        zb = z[:, 1::2][..., self.act0]
+        d_a = np.conj(za[:, :-1]) * za[:, 1:] + zb[:, :-1] * np.conj(zb[:, 1:])
+        d_b = np.conj(za[:, :-1]) * zb[:, 1:] - zb[:, :-1] * np.conj(za[:, 1:])
         det1 = nearest_psk_indices(d_a, self.cfg.psk_order)
         det2 = nearest_psk_indices(d_b, self.cfg.psk_order)
         return self._count_index_errors(det1, det2, idx1, idx2)
@@ -296,14 +345,15 @@ class _PointEngine:
     def _detect_coherent(self, z: np.ndarray, fading: FadingRealization, idx1, idx2) -> int:
         from .numerics import nearest_psk_indices
 
-        n = self.cfg.n_subcarriers
-        dense = np.zeros((self.n_symbols, 2, n), dtype=np.complex128)
-        dense[:, :, fading.tap_sample_delays] = fading.taps
-        gains = np.fft.fft(dense, axis=-1)[0::2]
-        lam1 = gains[:, 0][:, self.act0]
-        lam2 = gains[:, 1][:, self.act0]
-        za = z[0::2][:, self.act0]
-        zb = z[1::2][:, self.act0]
+        # gains of the first symbol of each block only
+        taps = fading.taps[:, 0::2]
+        dense = np.zeros(taps.shape[:3] + (self.cfg.n_subcarriers,), dtype=np.complex128)
+        dense[..., fading.tap_sample_delays] = taps
+        gains = np.fft.fft(dense, axis=-1)
+        lam1 = gains[:, :, 0][..., self.act0]
+        lam2 = gains[:, :, 1][..., self.act0]
+        za = z[:, 0::2][..., self.act0]
+        zb = z[:, 1::2][..., self.act0]
         g_a = np.conj(lam1) * za + lam2 * np.conj(zb)
         g_b = np.conj(lam1) * zb - lam2 * np.conj(za)
         det1 = nearest_psk_indices(g_a, self.cfg.psk_order)
@@ -327,6 +377,7 @@ class _PointEngine:
             )
 
     def _detect_lms(self, z: np.ndarray, bits: np.ndarray, collect_trace: bool) -> int:
+        """Errors of one frame through the LMS pass; ``z`` and ``bits`` have no frame axis."""
         det_bits, self.comp_state, trace = decision_directed_pass(
             self._frame_observations(z), self.comp_state, self.constellation
         )
@@ -348,34 +399,40 @@ class _PointEngine:
         start = time.perf_counter()
         bps = self.constellation.bits_per_symbol
         bits_per_frame = self.n_blocks * self.act0.shape[0] * 2 * bps
+        n_frames = _frame_count(cfg.min_bits, bits_per_frame, cfg.max_block_pairs, self.n_blocks)
+        samples_per_symbol = cfg.n_subcarriers + cfg.cp_len
+        chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * samples_per_symbol))
         sigma = math.sqrt(self.sigma_sq)
         gamma = gamma_true(self.iqi) if cfg.compensation == "genie_gamma" else None
-        total_bits = 0
         total_errors = 0
-        total_blocks = 0
-        while total_bits < cfg.min_bits and total_blocks < cfg.max_block_pairs:
+        for first in range(0, n_frames, chunk):
+            n = min(chunk, n_frames - first)
             fading = realize_fading(
                 self.profile,
                 cfg.sample_period,
                 self.n_symbols,
                 self.rng,
-                samples_per_symbol=cfg.n_subcarriers + cfg.cp_len,
+                samples_per_symbol=samples_per_symbol,
                 cp_len=cfg.cp_len,
+                frames=n,
             )
-            bits, idx1, idx2 = self._draw_true_indices()
+            bits, noise = self._draw_bits_and_noise(
+                n, self.n_symbols * samples_per_symbol, sigma > 0.0
+            )
+            idx1, idx2 = self._true_indices(bits)
             freq = self._transmit_symbols(idx1, idx2)
-            z = _frame_spectra(freq, fading, cfg.cp_len, sigma, self.iqi, self.rng)
+            z = _frame_spectra(freq, fading, cfg.cp_len, sigma, self.iqi, noise)
             if cfg.compensation == "lms":
-                total_errors += self._detect_lms(z, bits, collect_trace)
+                for k in range(n):
+                    total_errors += self._detect_lms(z[k], bits[k], collect_trace)
             else:
                 if gamma is not None:
-                    z = z + gamma * np.conj(z[:, self.mirror_perm])
+                    z = z + gamma * np.conj(z[..., self.mirror_perm])
                 if cfg.detection == "differential":
                     total_errors += self._detect_differential(z, idx1, idx2)
                 else:
                     total_errors += self._detect_coherent(z, fading, idx1, idx2)
-            total_bits += bits_per_frame
-            total_blocks += self.n_blocks
+        total_bits = n_frames * bits_per_frame
         elapsed = time.perf_counter() - start
         return BerRecord(
             snr_db=self.snr_db,

@@ -94,9 +94,8 @@ class PskConstellation:
         return self.order.bit_length() - 1
 
     def nearest_index(self, value: complex) -> int:
-        """Phase index of the closest point; ties go to the smaller index."""
-        distances = np.abs(self.points - value)
-        return int(np.argmin(distances))
+        """Phase index of the closest point, by ``nearest_psk_index``."""
+        return nearest_psk_index(complex(value), self.order)
 
 
 @lru_cache(maxsize=None)
@@ -152,20 +151,18 @@ def psk_modulate(bits: np.ndarray, order: int) -> np.ndarray:
 def psk_demodulate(symbols: np.ndarray, order: int) -> np.ndarray:
     """Hard-decide symbols to the nearest constellation point and emit bits.
 
-    Distance ties resolve toward the smaller phase index.
+    Decides by ``nearest_psk_indices``.
     """
-    const = psk_constellation(order)
     symbols = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
-    distances = np.abs(symbols[:, None] - const.points[None, :])
-    indices = np.argmin(distances, axis=1)
-    return indices_to_bits(indices, order)
+    return indices_to_bits(nearest_psk_indices(symbols, order), order)
 
 
 def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
-    """Vectorised phase-rounding decision used in array hot paths.
+    """Index of the nearest M-PSK point to each value, by rounding its phase.
 
-    Equivalent to per-element ``nearest_index`` away from exact decision
-    boundaries; boundary values round half-up in angle.
+    ``floor(angle / (2*pi/M) + 0.5) mod M``: the package's one PSK decision
+    rule.  A value exactly on a decision boundary rounds half up in angle,
+    to the larger phase.
     """
     if order not in SUPPORTED_PSK_ORDERS:
         raise ValueError(f"unsupported PSK order {order}")

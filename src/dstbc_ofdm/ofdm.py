@@ -1,4 +1,4 @@
-"""CP-OFDM symbol processing and image-subcarrier observation packing.
+"""CP-OFDM symbol processing and the subcarrier layout.
 
 Subcarriers are numbered 1..N.  Subcarrier 1 (DC) and N/2+1 (Nyquist) stay
 empty; the remaining N-2 are active.  Under receiver I/Q imbalance the
@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import dft, idft
-from .stbc import AlamoutiMatrix
 
 
 @dataclass(frozen=True)
@@ -87,40 +86,3 @@ def ofdm_demodulate(samples: np.ndarray, config: OfdmConfig) -> np.ndarray:
     if samples.shape != (expected,):
         raise ValueError(f"expected {expected} samples, got {samples.shape}")
     return dft(samples[config.cp_len:])
-
-
-@dataclass(frozen=True)
-class SubcarrierObservation:
-    """Alamouti-packed receive blocks k and k+1 at subcarrier n and its image.
-
-    The mirror matrices hold elementwise conjugates of the image-subcarrier
-    entries, which is the form the widely-linear imbalance model couples to
-    the desired subcarrier.
-    """
-
-    subcarrier: int
-    z_k: AlamoutiMatrix
-    z_next: AlamoutiMatrix
-    zbar_k: AlamoutiMatrix
-    zbar_next: AlamoutiMatrix
-
-
-def build_observation(rx_spectra, n: int, config: OfdmConfig) -> SubcarrierObservation:
-    """Pack four consecutive demodulated spectra into one pair observation.
-
-    ``rx_spectra`` holds the spectra of OFDM symbols 2k+1, 2k+2, 2k+3, 2k+4
-    (two consecutive space-time blocks).
-    """
-    if len(rx_spectra) != 4:
-        raise ValueError(f"need 4 consecutive spectra, got {len(rx_spectra)}")
-    s1, s2, s3, s4 = (np.asarray(s, dtype=np.complex128) for s in rx_spectra)
-    m = mirror_index(n, config.n_subcarriers)
-    i = n - 1
-    j = m - 1
-    return SubcarrierObservation(
-        subcarrier=n,
-        z_k=AlamoutiMatrix(s1[i], s2[i]),
-        z_next=AlamoutiMatrix(s3[i], s4[i]),
-        zbar_k=AlamoutiMatrix(np.conj(s1[j]), np.conj(s2[j])),
-        zbar_next=AlamoutiMatrix(np.conj(s3[j]), np.conj(s4[j])),
-    )

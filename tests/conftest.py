@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -82,3 +83,15 @@ def synthetic_observation(rng, params, order=8, indices=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a child interpreter that imports the package from
+    where this process found it, which may be a sys.path entry that pytest
+    added rather than PYTHONPATH."""
+    import dstbc_ofdm
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dstbc_ofdm.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

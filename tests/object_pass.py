@@ -2,18 +2,57 @@
 
 This is the compensator loop as it was written on ``AlamoutiMatrix`` and
 ``SubcarrierObservation`` values, with its per-point argmax PSK decision
-(ties go to the first maximum).  ``tests/test_lms_pass.py`` checks that the
-package's scalar recurrence gives the same bits and gamma trajectory.
+(ties go to the first maximum), and the observation packing it read.
+``tests/test_lms_pass.py`` checks that the package's scalar recurrence gives
+the same bits and gamma trajectory.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dstbc_ofdm import AlamoutiMatrix, CompensatorState, PskConstellation, SubcarrierObservation
+from dstbc_ofdm import AlamoutiMatrix, CompensatorState, OfdmConfig, PskConstellation, mirror_index
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class SubcarrierObservation:
+    """Alamouti-packed receive blocks k and k+1 at subcarrier n and its image.
+
+    The mirror matrices hold elementwise conjugates of the image-subcarrier
+    entries, which is the form the widely-linear imbalance model couples to
+    the desired subcarrier.
+    """
+
+    subcarrier: int
+    z_k: AlamoutiMatrix
+    z_next: AlamoutiMatrix
+    zbar_k: AlamoutiMatrix
+    zbar_next: AlamoutiMatrix
+
+
+def build_observation(rx_spectra, n: int, config: OfdmConfig) -> SubcarrierObservation:
+    """Pack four consecutive demodulated spectra into one pair observation.
+
+    ``rx_spectra`` holds the spectra of OFDM symbols 2k+1, 2k+2, 2k+3, 2k+4
+    (two consecutive space-time blocks).
+    """
+    if len(rx_spectra) != 4:
+        raise ValueError(f"need 4 consecutive spectra, got {len(rx_spectra)}")
+    s1, s2, s3, s4 = (np.asarray(s, dtype=np.complex128) for s in rx_spectra)
+    m = mirror_index(n, config.n_subcarriers)
+    i = n - 1
+    j = m - 1
+    return SubcarrierObservation(
+        subcarrier=n,
+        z_k=AlamoutiMatrix(s1[i], s2[i]),
+        z_next=AlamoutiMatrix(s3[i], s4[i]),
+        zbar_k=AlamoutiMatrix(np.conj(s1[j]), np.conj(s2[j])),
+        zbar_next=AlamoutiMatrix(np.conj(s3[j]), np.conj(s4[j])),
+    )
 
 
 def observation_of(values: tuple) -> SubcarrierObservation:

@@ -113,11 +113,11 @@ def test_floor_onset_offsets():
     assert ideal == pytest.approx(17.44)
 
 
-def test_package_import_leaves_scipy_unloaded():
+def test_package_import_leaves_scipy_unloaded(package_env):
     code = (
         "import sys, dstbc_ofdm, dstbc_ofdm.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -95,6 +95,61 @@ def test_realization_shape_and_determinism():
     assert not np.allclose(fading_a.taps[:, 0], fading_a.taps[:, 1])
 
 
+def test_jakes_process_draw_order():
+    # the tap's generator gives the angles, then the real parts of the
+    # weights, then their imaginary parts
+    times = np.linspace(0.0, 0.05, 9)
+    rng = np.random.default_rng(17)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=32)
+    weights = np.sqrt(0.3 / 64) * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    expected = np.exp(1j * np.outer(times, 2.0 * np.pi * 40.0 * np.cos(angles))) @ weights
+    actual = JakesFadingProcess(0.3, 40.0, np.random.default_rng(17)).sample(times)
+    assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize(
+    "name, doppler, n_sym, frames",
+    [("itu-pb", 11.6, 42, 1), ("itu-va", 463.0, 8, 5), ("flat", 30.0, 6, 7)],
+)
+def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, frames):
+    # frame f of a batch is, bit for bit, what JakesFadingProcess draws from
+    # the f-th pair of antenna generators spawned off the same generator
+    prof = load_profile(name, doppler)
+    _, powers = _merged_tap_grid(prof, SAMPLE_PERIOD)
+    batch = realize_fading(
+        prof, SAMPLE_PERIOD, n_sym, np.random.default_rng(8), samples_per_symbol=84, frames=frames
+    )
+    assert batch.taps.shape == (frames, n_sym, 2, powers.shape[0])
+    assert batch.n_symbols == n_sym
+    rng = np.random.default_rng(8)
+    times = (np.arange(n_sym) + 0.5) * (84 * SAMPLE_PERIOD)
+    for f in range(frames):
+        expected = np.empty((n_sym, 2, powers.shape[0]), dtype=complex)
+        for i, antenna_rng in enumerate(rng.spawn(2)):
+            for l, power in enumerate(powers):
+                expected[:, i, l] = JakesFadingProcess(power, doppler, antenna_rng).sample(times)
+        assert np.array_equal(batch.taps[f], expected)
+
+
+def test_batch_equals_successive_single_draws():
+    prof = load_profile("itu-pb", 11.6)
+    rng_batch = np.random.default_rng(3)
+    rng_single = np.random.default_rng(3)
+    batch = realize_fading(prof, SAMPLE_PERIOD, 8, rng_batch, samples_per_symbol=84, frames=4)
+    singles = [
+        realize_fading(prof, SAMPLE_PERIOD, 8, rng_single, samples_per_symbol=84).taps
+        for _ in range(4)
+    ]
+    assert np.array_equal(batch.taps, np.stack(singles))
+    assert not batch.taps.flags.writeable
+    # spawning the antenna substreams leaves the generator's own stream alone
+    assert rng_batch.random() == rng_single.random() == np.random.default_rng(3).random()
+    with pytest.raises(ValueError):
+        realize_fading(prof, SAMPLE_PERIOD, 8, 0, samples_per_symbol=84, frames=0)
+    with pytest.raises(ValueError):
+        subcarrier_gains(batch, 0, 64)
+
+
 def test_realization_rejects_delay_spread_beyond_cp():
     prof = load_profile("itu-pb", 11.6)
     with pytest.raises(ValueError):

@@ -183,11 +183,12 @@ def test_compare_rejects_missing_file(tmp_path):
     assert main(["compare", "--results", str(tmp_path / "none.csv")]) == 2
 
 
-def test_console_script_runs():
+def test_console_script_runs(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "dstbc_ofdm.cli", "analytic", "--kappa-db", "2"],
         capture_output=True,
         text=True,
+        env=package_env,
     )
     assert proc.returncode == 0
     assert "irr_db" in proc.stdout

@@ -157,6 +157,92 @@ def test_block_pair_budget_stops_run():
     assert r.bits == 20 * 62 * 2 * 3  # one frame of 8-PSK blocks
 
 
+def test_frame_count_matches_frame_by_frame_loop():
+    def loop(min_bits, bits_per_frame, max_blocks, blocks_per_frame):
+        frames = bits = blocks = 0
+        while bits < min_bits and blocks < max_blocks:
+            frames += 1
+            bits += bits_per_frame
+            blocks += blocks_per_frame
+        return frames
+
+    for min_bits in (1, 743, 744, 745, 5000, 10**6):
+        for max_blocks in (1, 7, 20, 25, 10**6):
+            for blocks_per_frame in (1, 3, 10, 20):
+                assert harness._frame_count(min_bits, 744, max_blocks, blocks_per_frame) == loop(
+                    min_bits, 744, max_blocks, blocks_per_frame
+                )
+    # 25 blocks is two and a half frames of 10; the third frame still runs
+    r = run_point(small_cfg(min_bits=10**9, max_block_pairs=25, blocks_per_frame=10), 10.0)
+    assert r.bits == 3 * 10 * 62 * 2 * 3
+
+
+@pytest.mark.parametrize(
+    "overrides, snr_db, bits, bit_errors",
+    [
+        (dict(blocks_per_frame=2), 15.0, 30504, 1746),
+        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1052),
+        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2201),
+    ],
+)
+def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_errors):
+    # recorded from the frame-by-frame engine before frames were chunked;
+    # these frames are short enough that every chunk holds several of them
+    cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=30_000, seed=31337, **overrides)
+    r = run_point(cfg, snr_db)
+    assert (r.bits, r.bit_errors) == (bits, bit_errors)
+
+
+def record_chunk_sizes(monkeypatch) -> list:
+    """The frame count of every chunk the engine simulates from now on."""
+    sizes = []
+    real_fading = harness.realize_fading
+
+    def recording(*args, **kwargs):
+        sizes.append(kwargs["frames"])
+        return real_fading(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "realize_fading", recording)
+    return sizes
+
+
+def test_chunks_hold_one_default_frame_of_samples(monkeypatch):
+    # 6-symbol frames go seven to a chunk on the default 64 + 20 sample grid,
+    # but one at a time at 1024 + 40, where a chunk of several would pass
+    # numpy's 256 KiB threshold for reusing temporaries in place
+    chunk_sizes = record_chunk_sizes(monkeypatch)
+    run_point(small_cfg(blocks_per_frame=2, min_bits=8 * 744), 20.0)
+    assert chunk_sizes == [7, 1]
+    chunk_sizes.clear()
+    run_point(small_cfg(blocks_per_frame=2, n_subcarriers=1024, cp_len=40, min_bits=30_000), 20.0)
+    assert chunk_sizes == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(blocks_per_frame=2),
+        dict(blocks_per_frame=3, compensation="genie_gamma"),
+        dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0),
+        dict(blocks_per_frame=2, compensation="lms"),
+    ],
+)
+def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides):
+    cfg = small_cfg(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=15_000, **overrides)
+    chunk_sizes = record_chunk_sizes(monkeypatch)
+    chunked, chunked_trace = run_point_with_trace(cfg, 20.0)
+    assert max(chunk_sizes) > 1
+    chunk_sizes.clear()
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 1)
+    single, single_trace = run_point_with_trace(cfg, 20.0)
+    assert set(chunk_sizes) == {1}
+    assert chunked == single
+    assert chunked_trace.shape == single_trace.shape
+    if cfg.compensation == "lms":
+        assert chunked_trace.shape[0] > 0
+        assert np.max(np.abs(chunked_trace - single_trace)) <= 1e-12
+
+
 def test_trace_empty_without_lms():
     _, trace = run_point_with_trace(small_cfg(), 15.0)
     assert trace.shape == (0,)

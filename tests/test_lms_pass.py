@@ -1,5 +1,6 @@
 """The scalar decision-directed pass against its object-based oracle,
-a golden run of the LMS link and the pass's kernel calls."""
+a golden run of the LMS link, the pass's kernel calls and the oracle's
+observation packing."""
 import importlib
 import sys
 from importlib import resources
@@ -7,7 +8,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dstbc_ofdm import SimConfig, harness, psk_constellation, run_point_with_trace
+from dstbc_ofdm import (
+    AlamoutiMatrix,
+    OfdmConfig,
+    SimConfig,
+    harness,
+    mirror_index,
+    psk_constellation,
+    run_point_with_trace,
+)
 from dstbc_ofdm.cli import load_config_file
 
 import object_pass
@@ -118,3 +127,21 @@ def test_pass_calls_each_kernel_per_observation(monkeypatch):
         "build_residuals": observations,
         "lms_step": 2 * observations,
     }
+
+
+def test_observation_packing(rng):
+    cfg = OfdmConfig()
+    spectra = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    n = 5
+    m = mirror_index(n, 64)
+    obs = object_pass.build_observation(spectra, n, cfg)
+    assert obs.subcarrier == n
+    assert obs.z_k == AlamoutiMatrix(spectra[0, n - 1], spectra[1, n - 1])
+    assert obs.z_next == AlamoutiMatrix(spectra[2, n - 1], spectra[3, n - 1])
+    # image entries enter conjugated
+    assert obs.zbar_k == AlamoutiMatrix(
+        spectra[0, m - 1].conjugate(), spectra[1, m - 1].conjugate()
+    )
+    assert obs.zbar_next == AlamoutiMatrix(
+        spectra[2, m - 1].conjugate(), spectra[3, m - 1].conjugate()
+    )

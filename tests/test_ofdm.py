@@ -3,9 +3,7 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    AlamoutiMatrix,
     OfdmConfig,
-    build_observation,
     mirror_index,
     ofdm_demodulate,
     ofdm_modulate,
@@ -89,21 +87,3 @@ def test_demodulate_length_check(rng):
     cfg = OfdmConfig()
     with pytest.raises(ValueError):
         ofdm_demodulate(np.zeros(83, dtype=complex), cfg)
-
-
-def test_observation_packing(rng):
-    cfg = OfdmConfig()
-    spectra = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
-    n = 5
-    m = mirror_index(n, 64)
-    obs = build_observation(spectra, n, cfg)
-    assert obs.subcarrier == n
-    assert obs.z_k == AlamoutiMatrix(spectra[0, n - 1], spectra[1, n - 1])
-    assert obs.z_next == AlamoutiMatrix(spectra[2, n - 1], spectra[3, n - 1])
-    # image entries enter conjugated
-    assert obs.zbar_k == AlamoutiMatrix(
-        spectra[0, m - 1].conjugate(), spectra[1, m - 1].conjugate()
-    )
-    assert obs.zbar_next == AlamoutiMatrix(
-        spectra[2, m - 1].conjugate(), spectra[3, m - 1].conjugate()
-    )
