@@ -2,10 +2,10 @@
 
 Modules
 -------
-numerics     PSK constellations, Gray labels, unitary DFT helpers.
-stbc         2x2 Alamouti algebra, differential encoding and ML detection.
-channel      Tapped-delay-line profiles and Jakes-spectrum Rayleigh fading.
-ofdm         Subcarrier layout and cyclic-prefix modem.
+numerics     PSK constellations, Gray labels and the PSK decision rule.
+stbc         Differential Alamouti encoding and ML detection on top rows.
+channel      Tapped-delay-line profiles, Jakes fading, subcarrier gains.
+ofdm         Subcarrier layout and the unitary cyclic-prefix modem.
 iqi          Receiver I/Q imbalance parameters and distortion.
 compensator  Decision-directed LMS image-leakage compensation.
 analysis     SINR, error floors and closed-form BER approximations.
@@ -26,7 +26,6 @@ from .channel import (
     FadingRealization,
     JakesFadingProcess,
     custom_profile,
-    freq_response,
     load_profile,
     realize_fading,
     subcarrier_gains,
@@ -53,35 +52,25 @@ from .iqi import IqiParams, apply_rx_iqi, derive_iqi_params
 from .numerics import (
     PskConstellation,
     bits_to_indices,
-    dft,
-    dft_matrix,
     gray_decode,
     gray_encode,
-    idft,
     indices_to_bits,
     nearest_psk_indices,
     psk_constellation,
     psk_demodulate,
     psk_modulate,
 )
-from .ofdm import (
-    OfdmConfig,
-    mirror_index,
-    ofdm_demodulate,
-    ofdm_modulate,
-)
+from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
 from .stbc import (
-    AlamoutiMatrix,
-    alamouti_encode,
     coherent_detect,
+    differential_detect,
     differential_encode,
-    ml_differential_detect,
+    ml_differential_detect_indices,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlamoutiMatrix",
     "BerRecord",
     "ChannelProfile",
     "CompensatorState",
@@ -89,10 +78,9 @@ __all__ = [
     "FadingRealization",
     "IqiParams",
     "JakesFadingProcess",
-    "OfdmConfig",
     "PskConstellation",
     "SimConfig",
-    "alamouti_encode",
+    "active_indices",
     "apply_rx_iqi",
     "ber_closed_form",
     "ber_floor",
@@ -103,22 +91,19 @@ __all__ = [
     "custom_profile",
     "decision_directed_pass",
     "derive_iqi_params",
-    "dft",
-    "dft_matrix",
+    "differential_detect",
     "differential_encode",
     "equivalent_snr",
     "f44_pdf",
     "floor_onset_and_ideal_snr",
-    "freq_response",
     "gamma_true",
     "gray_decode",
     "gray_encode",
-    "idft",
     "indices_to_bits",
     "lms_step",
     "load_profile",
-    "mirror_index",
-    "ml_differential_detect",
+    "mirror_permutation",
+    "ml_differential_detect_indices",
     "nearest_psk_indices",
     "ofdm_demodulate",
     "ofdm_modulate",

@@ -152,8 +152,8 @@ class FadingRealization:
 
     ``taps[s, i, l]`` is tap ``l`` of antenna ``i`` during OFDM symbol ``s``,
     already merged onto the sample grid (``tap_sample_delays`` holds the
-    sample indices; ``channel_length`` is the largest one).  A draw of
-    several frames puts the frame first: ``taps[f, s, i, l]``.
+    sample indices).  A draw of several frames puts the frame first:
+    ``taps[f, s, i, l]``.
     """
 
     profile: ChannelProfile
@@ -161,17 +161,9 @@ class FadingRealization:
     tap_sample_delays: np.ndarray
     taps: np.ndarray
 
-    @property
-    def n_symbols(self) -> int:
-        return self.taps.shape[-3]
-
-    @property
-    def channel_length(self) -> int:
-        return int(self.tap_sample_delays[-1])
-
 
 @lru_cache(maxsize=16)
-def _merged_tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
+def tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
     """Round delays to the sample grid (half-up) and merge collisions by power.
 
     Cached per (profile, sample period); the returned arrays are read-only.
@@ -195,7 +187,6 @@ def realize_fading(
     rng,
     *,
     samples_per_symbol: int,
-    cp_len: int | None = None,
     n_oscillators: int = DEFAULT_OSCILLATORS,
     frames: int | None = None,
 ) -> FadingRealization:
@@ -209,8 +200,7 @@ def realize_fading(
     would return, and ``taps`` gets a leading frame axis.  All taps of all
     frames are then evaluated by one ``exp`` and one stacked matrix-vector
     product, each slice of which is the product ``JakesFadingProcess.sample``
-    computes.  When ``cp_len`` is given, a merged delay spread longer than
-    the cyclic prefix is rejected.
+    computes.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
@@ -220,12 +210,7 @@ def realize_fading(
         raise ValueError("samples_per_symbol must be positive")
     if frames is not None and frames < 1:
         raise ValueError(f"frames must be positive, got {frames}")
-    positions, powers = _merged_tap_grid(profile, sample_period)
-    if cp_len is not None and positions[-1] > cp_len:
-        raise ValueError(
-            f"delay spread {positions[-1]} samples exceeds cyclic prefix {cp_len} "
-            f"(worst tap delay {profile.tap_delays_s[-1]:.3e} s)"
-        )
+    positions, powers = tap_grid(profile, sample_period)
     rng = np.random.default_rng(rng)
     n_frames = 1 if frames is None else frames
     n_taps = powers.shape[0]
@@ -253,51 +238,13 @@ def realize_fading(
     return realization
 
 
-def _dense_taps(realization: FadingRealization, symbol_index: int, length: int) -> np.ndarray:
-    """Taps of one symbol scattered onto a dense (2, length) impulse response."""
-    if realization.taps.ndim != 3:
-        raise ValueError("need the realization of a single frame")
-    dense = np.zeros((N_TX_ANTENNAS, length), dtype=np.complex128)
-    dense[:, realization.tap_sample_delays] = realization.taps[symbol_index]
-    return dense
-
-
-def freq_response(
-    realization: FadingRealization,
-    antenna: int,
-    symbol_index: int,
-    n_subcarriers: int,
-) -> np.ndarray:
-    """Documented-convention response: lambda(n) = sum_l h_l * exp(+2j*pi*n*l/N).
-
-    This is ``sqrt(N) * F^H @ [h; 0]`` with the unitary DFT matrix F.  Note
-    the positive exponent: the response a causal circular channel presents to
-    demodulated subcarrier ``n`` is this vector evaluated at ``(N - n) % N``
-    (see ``subcarrier_gains``).
-    """
-    if antenna not in (1, 2):
-        raise ValueError(f"antenna must be 1 or 2, got {antenna}")
-    if n_subcarriers < realization.channel_length + 1:
-        raise ValueError(
-            f"need n_subcarriers >= {realization.channel_length + 1}, got {n_subcarriers}"
-        )
-    dense = _dense_taps(realization, symbol_index, n_subcarriers)
-    return np.fft.ifft(dense[antenna - 1]) * n_subcarriers
-
-
-def subcarrier_gains(
-    realization: FadingRealization,
-    symbol_index: int,
-    n_subcarriers: int,
-) -> np.ndarray:
+def subcarrier_gains(taps: np.ndarray, tap_sample_delays: np.ndarray, n: int) -> np.ndarray:
     """Per-subcarrier gains seen after causal convolution and CP removal.
 
-    Returns shape (2, N): ``gains[i, n] = sum_l h_l(i) * exp(-2j*pi*n*l/N)``,
-    i.e. ``freq_response`` read at the reflected index ``(N - n) % N``.
+    ``taps`` holds tap gains on its last axis, at the sample delays
+    ``tap_sample_delays``, with any leading axes.  The result replaces that
+    axis by N bins: ``gains[..., k] = sum_l h_l * exp(-2j*pi*k*d_l/N)``.
     """
-    if n_subcarriers < realization.channel_length + 1:
-        raise ValueError(
-            f"need n_subcarriers >= {realization.channel_length + 1}, got {n_subcarriers}"
-        )
-    dense = _dense_taps(realization, symbol_index, n_subcarriers)
+    dense = np.zeros(taps.shape[:-1] + (n,), dtype=np.complex128)
+    dense[..., tap_sample_delays] = taps
     return np.fft.fft(dense, axis=-1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iqi import IqiParams
-from .numerics import PskConstellation
+from .numerics import PskConstellation, indices_to_bits
 from .stbc import ml_differential_detect_indices
 
 DEFAULT_STEP_SIZE = 0.005
@@ -128,9 +128,7 @@ def decision_directed_pass(
         gamma = lms_step(gamma, step_size, xi2, delta2)
         trajectory.append(gamma)
         indices += (i1, i2, m1, m2)
-    bps = constellation.bits_per_symbol
-    values_arr = constellation.bits_of_index[np.asarray(indices, dtype=np.int64)]
-    bits = ((values_arr[:, None] >> np.arange(bps - 1, -1, -1)) & 1).astype(np.int8).reshape(-1)
+    bits = indices_to_bits(indices, order)
     final = CompensatorState(gamma=gamma, step_size=step_size, updates=state.updates + len(trajectory))
     return bits, final, np.asarray(trajectory, dtype=np.complex128)
 

@@ -33,15 +33,17 @@ from .channel import (
     ChannelProfile,
     FadingRealization,
     PROFILE_NAMES,
-    _merged_tap_grid,
     custom_profile,
     load_profile,
     realize_fading,
+    subcarrier_gains,
+    tap_grid,
 )
 from .compensator import CompensatorState, decision_directed_pass, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
-from .numerics import SUPPORTED_PSK_ORDERS, psk_constellation
-from .ofdm import OfdmConfig
+from .numerics import SUPPORTED_PSK_ORDERS, bits_to_indices, psk_constellation
+from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
+from .stbc import coherent_detect, differential_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
 COMPENSATION_MODES = ("off", "genie_gamma", "lms")
@@ -122,7 +124,7 @@ class SimConfig:
             _snr_key(value)
         try:
             profile = resolve_profile(self)
-            positions, _ = _merged_tap_grid(profile, self.sample_period)
+            positions, _ = tap_grid(profile, self.sample_period)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if positions[-1] > self.cp_len:
@@ -219,17 +221,13 @@ def _frame_spectra(
     imaginary parts, or is None when there is no noise.
     """
     n_frames, _, n_sym, n_sub = freq_symbols.shape
-    time_domain = np.fft.ifft(freq_symbols, axis=-1, norm="ortho")
     samples_per_symbol = n_sub + cp_len
-    streams = np.concatenate([time_domain[..., n_sub - cp_len:], time_domain], axis=-1).reshape(
-        n_frames, 2, n_sym * samples_per_symbol
-    )
+    streams = ofdm_modulate(freq_symbols, cp_len).reshape(n_frames, 2, n_sym * samples_per_symbol)
     received = _apply_channel(streams, fading, samples_per_symbol)
     if noise is not None:
         received = received + (sigma * _INV_SQRT2) * noise
     received = apply_rx_iqi(received, iqi_params)
-    blocks = received.reshape(n_frames, n_sym, samples_per_symbol)[..., cp_len:]
-    return np.fft.fft(blocks, axis=-1, norm="ortho")
+    return ofdm_demodulate(received.reshape(n_frames, n_sym, samples_per_symbol), cp_len)
 
 
 def _popcount_table(order: int) -> np.ndarray:
@@ -245,20 +243,19 @@ class _PointEngine:
         self.snr_db = float(snr_db)
         self.seed = int(seed)
         self.profile = resolve_profile(cfg)
-        self.ofdm = OfdmConfig(cfg.n_subcarriers, cfg.cp_len)
         self.constellation = psk_constellation(cfg.psk_order)
         self.iqi = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
         self.rng = _point_rng(seed, snr_db)
         self.sigma_sq = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
-        self.act0 = self.ofdm.active_indices0
         n = cfg.n_subcarriers
+        self.act0 = active_indices(n)
+        self.mirror_perm = mirror_permutation(n)
         self.low0 = np.arange(1, n // 2, dtype=np.int64)
-        self.mir0 = n - self.low0
+        self.mir0 = self.mirror_perm[self.low0]
         act_pos = np.full(n, -1, dtype=np.int64)
         act_pos[self.act0] = np.arange(self.act0.shape[0])
         self.low_pos = act_pos[self.low0]
         self.mir_pos = act_pos[self.mir0]
-        self.mirror_perm = (n - np.arange(n)) % n
         self.popcount = _popcount_table(cfg.psk_order)
         self.labels = self.constellation.bits_of_index
         self.comp_state = CompensatorState(0.0 + 0.0j, cfg.lms_step_size, 0)
@@ -287,10 +284,7 @@ class _PointEngine:
         return bits, noise
 
     def _true_indices(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bps = self.constellation.bits_per_symbol
-        weights = (1 << np.arange(bps - 1, -1, -1)).astype(np.int64)
-        values = bits.astype(np.int64) @ weights
-        indices = self.constellation.index_of_bits[values]
+        indices = bits_to_indices(bits, self.cfg.psk_order).reshape(bits.shape[:-1])
         return indices[..., 0], indices[..., 1]
 
     def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
@@ -299,22 +293,14 @@ class _PointEngine:
         points = self.constellation.points
         x1 = points[idx1]
         x2 = points[idx2]
-        n_frames, _, n_active = idx1.shape
+        n_frames = idx1.shape[0]
         freq = np.zeros((n_frames, 2, self.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
         if cfg.detection == "differential":
             # block-major, so that each step of the recursion reads and
             # writes whole (frame, subcarrier) planes
-            u_a = (x1 * _INV_SQRT2).transpose(1, 0, 2)
-            u_b = (x2 * _INV_SQRT2).transpose(1, 0, 2)
-            cu_a = np.conj(u_a)
-            cu_b = np.conj(u_b)
-            s_a = np.empty((self.n_blocks + 1, n_frames, n_active), dtype=np.complex128)
-            s_b = np.empty_like(s_a)
-            s_a[0] = 1.0
-            s_b[0] = 0.0
-            for j in range(1, self.n_blocks + 1):
-                np.subtract(s_a[j - 1] * u_a[j - 1], s_b[j - 1] * cu_b[j - 1], out=s_a[j])
-                np.add(s_a[j - 1] * u_b[j - 1], s_b[j - 1] * cu_a[j - 1], out=s_b[j])
+            s_a, s_b = differential_encode(
+                (x1 * _INV_SQRT2).transpose(1, 0, 2), (x2 * _INV_SQRT2).transpose(1, 0, 2)
+            )
             s_a = s_a.transpose(1, 0, 2)
             s_b = s_b.transpose(1, 0, 2)
         else:
@@ -332,32 +318,23 @@ class _PointEngine:
         return int(e1 + e2)
 
     def _detect_differential(self, z: np.ndarray, idx1, idx2) -> int:
-        from .numerics import nearest_psk_indices
-
         za = z[:, 0::2][..., self.act0]
         zb = z[:, 1::2][..., self.act0]
-        d_a = np.conj(za[:, :-1]) * za[:, 1:] + zb[:, :-1] * np.conj(zb[:, 1:])
-        d_b = np.conj(za[:, :-1]) * zb[:, 1:] - zb[:, :-1] * np.conj(za[:, 1:])
-        det1 = nearest_psk_indices(d_a, self.cfg.psk_order)
-        det2 = nearest_psk_indices(d_b, self.cfg.psk_order)
+        det1, det2 = differential_detect(
+            za[:, :-1], zb[:, :-1], za[:, 1:], zb[:, 1:], self.cfg.psk_order
+        )
         return self._count_index_errors(det1, det2, idx1, idx2)
 
     def _detect_coherent(self, z: np.ndarray, fading: FadingRealization, idx1, idx2) -> int:
-        from .numerics import nearest_psk_indices
-
         # gains of the first symbol of each block only
-        taps = fading.taps[:, 0::2]
-        dense = np.zeros(taps.shape[:3] + (self.cfg.n_subcarriers,), dtype=np.complex128)
-        dense[..., fading.tap_sample_delays] = taps
-        gains = np.fft.fft(dense, axis=-1)
+        gains = subcarrier_gains(
+            fading.taps[:, 0::2], fading.tap_sample_delays, self.cfg.n_subcarriers
+        )
         lam1 = gains[:, :, 0][..., self.act0]
         lam2 = gains[:, :, 1][..., self.act0]
         za = z[:, 0::2][..., self.act0]
         zb = z[:, 1::2][..., self.act0]
-        g_a = np.conj(lam1) * za + lam2 * np.conj(zb)
-        g_b = np.conj(lam1) * zb - lam2 * np.conj(za)
-        det1 = nearest_psk_indices(g_a, self.cfg.psk_order)
-        det2 = nearest_psk_indices(g_b, self.cfg.psk_order)
+        det1, det2 = coherent_detect(za, zb, lam1, lam2, self.cfg.psk_order)
         return self._count_index_errors(det1, det2, idx1, idx2)
 
     def _frame_observations(self, z: np.ndarray):
@@ -413,7 +390,6 @@ class _PointEngine:
                 self.n_symbols,
                 self.rng,
                 samples_per_symbol=samples_per_symbol,
-                cp_len=cfg.cp_len,
                 frames=n,
             )
             bits, noise = self._draw_bits_and_noise(

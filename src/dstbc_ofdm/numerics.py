@@ -1,9 +1,7 @@
-"""Unitary DFT helpers and Gray-coded PSK mapping.
+"""Gray-coded PSK mapping and the PSK decision rule.
 
 Conventions used throughout the package:
 
-* DFT matrix entries are ``exp(-2j*pi*m*n/N) / sqrt(N)`` so both transform
-  directions preserve power.
 * PSK phase index ``g`` carries the bit pattern whose position in the
   binary-reflected Gray sequence is ``g``; neighbouring points on the circle
   therefore differ in exactly one bit.
@@ -18,46 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 SUPPORTED_PSK_ORDERS = (2, 4, 8, 16)
-
-# Direct matrix evaluation below this size so results match the defining
-# matrix product exactly; larger sizes go through the FFT.
-_MATRIX_DFT_MAX = 8
-
-
-def _require_power_of_two(n: int) -> None:
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"transform length must be a power of two >= 2, got {n}")
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix of size n."""
-    _require_power_of_two(n)
-    grid = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * grid / n) / np.sqrt(n)
-
-
-def dft(x: np.ndarray) -> np.ndarray:
-    """Unitary DFT of a 1-D complex vector."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError("dft expects a 1-D vector")
-    n = x.shape[0]
-    _require_power_of_two(n)
-    if n <= _MATRIX_DFT_MAX:
-        return dft_matrix(n) @ x
-    return np.fft.fft(x) / np.sqrt(n)
-
-
-def idft(x: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT of a 1-D complex vector."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError("idft expects a 1-D vector")
-    n = x.shape[0]
-    _require_power_of_two(n)
-    if n <= _MATRIX_DFT_MAX:
-        return np.conj(dft_matrix(n)) @ x
-    return np.fft.ifft(x) * np.sqrt(n)
 
 
 def gray_encode(value: int) -> int:
@@ -92,10 +50,6 @@ class PskConstellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    def nearest_index(self, value: complex) -> int:
-        """Phase index of the closest point, by ``nearest_psk_index``."""
-        return nearest_psk_index(complex(value), self.order)
 
 
 @lru_cache(maxsize=None)

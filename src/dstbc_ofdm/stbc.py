@@ -1,83 +1,60 @@
-"""Alamouti space-time block algebra and maximum-likelihood detection.
+"""Differential Alamouti space-time blocks: encoding and ML detection.
 
 A 2x2 Alamouti-structured matrix ``[[a, b], [-conj(b), conj(a)]]`` is closed
 under matrix product, Hermitian transpose, elementwise conjugation, addition
 and multiplication by ``diag(c, conj(c))``, so the whole transmit/receive
-chain can be tracked by the pair ``(a, b)``.
+chain can be tracked by its top row ``(a, b)``.  The functions here take and
+return top rows: arrays of ``a`` and of ``b`` for the link engine, which
+broadcast elementwise, and plain complex numbers for the LMS pass's
+per-observation detector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import PskConstellation, nearest_psk_index
+from .numerics import nearest_psk_index, nearest_psk_indices
 
 
-@dataclass(frozen=True, slots=True)
-class AlamoutiMatrix:
-    """The matrix [[a, b], [-conj(b), conj(a)]] stored by its top row."""
+def differential_encode(u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transmitted blocks of the differential chain ``S_j = S_{j-1} @ U_j``.
 
-    a: complex
-    b: complex
-
-    @classmethod
-    def identity(cls) -> "AlamoutiMatrix":
-        return cls(1.0 + 0.0j, 0.0 + 0.0j)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [-np.conj(self.b), np.conj(self.a)]],
-            dtype=np.complex128,
-        )
-
-    def __matmul__(self, other: "AlamoutiMatrix") -> "AlamoutiMatrix":
-        a1, b1 = self.a, self.b
-        a2, b2 = other.a, other.b
-        return AlamoutiMatrix(
-            a1 * a2 - b1 * b2.conjugate(),
-            a1 * b2 + b1 * a2.conjugate(),
-        )
-
-    def __add__(self, other: "AlamoutiMatrix") -> "AlamoutiMatrix":
-        return AlamoutiMatrix(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "AlamoutiMatrix") -> "AlamoutiMatrix":
-        return AlamoutiMatrix(self.a - other.a, self.b - other.b)
-
-    def hermitian(self) -> "AlamoutiMatrix":
-        return AlamoutiMatrix(self.a.conjugate(), -self.b)
-
-    def conjugate(self) -> "AlamoutiMatrix":
-        return AlamoutiMatrix(self.a.conjugate(), self.b.conjugate())
-
-    def scaled(self, factor: float) -> "AlamoutiMatrix":
-        """Multiply by a real scalar (a complex one would break the structure)."""
-        if isinstance(factor, complex):
-            raise TypeError("scaled() takes a real factor; use diag_mul for diag(c, conj(c))")
-        return AlamoutiMatrix(self.a * factor, self.b * factor)
-
-    def diag_mul(self, c: complex) -> "AlamoutiMatrix":
-        """Left-multiply by diag(c, conj(c)), which preserves the structure."""
-        return AlamoutiMatrix(c * self.a, c * self.b)
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(2.0 * (abs(self.a) ** 2 + abs(self.b) ** 2)))
-
-
-def alamouti_encode(x1: complex, x2: complex) -> AlamoutiMatrix:
-    """Pack an information symbol pair into [[x1, x2], [-conj(x2), conj(x1)]]."""
-    return AlamoutiMatrix(complex(x1), complex(x2))
-
-
-def differential_encode(previous: AlamoutiMatrix, info: AlamoutiMatrix) -> AlamoutiMatrix:
-    """Raw differential chain step: the matrix product previous @ info.
-
-    The caller is responsible for power normalisation (the link engine feeds
-    info matrices scaled by 1/sqrt(2) so the chain stays unitary).
+    ``(u_a, u_b)`` are the top rows of the information matrices, block
+    first: shape (block, ...).  The chain starts from the identity
+    reference block, so the result has shape (block + 1, ...) with the
+    reference first.  The caller is responsible for power normalisation
+    (the link engine feeds info matrices scaled by 1/sqrt(2) so the chain
+    stays unitary).
     """
-    return previous @ info
+    cu_a = np.conj(u_a)
+    cu_b = np.conj(u_b)
+    n_blocks = u_a.shape[0]
+    s_a = np.empty((n_blocks + 1,) + u_a.shape[1:], dtype=np.complex128)
+    s_b = np.empty_like(s_a)
+    s_a[0] = 1.0
+    s_b[0] = 0.0
+    for j in range(1, n_blocks + 1):
+        np.subtract(s_a[j - 1] * u_a[j - 1], s_b[j - 1] * cu_b[j - 1], out=s_a[j, ...])
+        np.add(s_a[j - 1] * u_b[j - 1], s_b[j - 1] * cu_a[j - 1], out=s_b[j, ...])
+    return s_a, s_b
+
+
+def differential_detect(k_a, k_b, n_a, n_b, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``ml_differential_detect_indices``, elementwise."""
+    d_a = np.conj(k_a) * n_a + k_b * np.conj(n_b)
+    d_b = np.conj(k_a) * n_b - k_b * np.conj(n_a)
+    return nearest_psk_indices(d_a, order), nearest_psk_indices(d_b, order)
+
+
+def coherent_detect(z_a, z_b, lam_a, lam_b, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase indices maximising Re(trace(U^H Lambda^H Z)) with known channel.
+
+    ``(z_a, z_b)`` is the top row of the received block ``Z`` and
+    ``(lam_a, lam_b)`` that of the channel matrix ``Lambda``; the two PSK
+    decisions are taken on the top row of ``Lambda^H @ Z``, elementwise.
+    """
+    g_a = np.conj(lam_a) * z_a + lam_b * np.conj(z_b)
+    g_b = np.conj(lam_a) * z_b - lam_b * np.conj(z_a)
+    return nearest_psk_indices(g_a, order), nearest_psk_indices(g_b, order)
 
 
 def ml_differential_detect_indices(
@@ -101,35 +78,3 @@ def ml_differential_detect_indices(
         nearest_psk_index(k_a_c * n_a + k_b * n_b.conjugate(), order),
         nearest_psk_index(k_a_c * n_b - k_b * n_a.conjugate(), order),
     )
-
-
-def ml_differential_detect(
-    z_k: AlamoutiMatrix,
-    z_next: AlamoutiMatrix,
-    constellation: PskConstellation,
-) -> AlamoutiMatrix:
-    """Most likely information matrix given two consecutive received blocks."""
-    i1, i2 = ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, constellation.order)
-    points = constellation.points_list
-    return alamouti_encode(points[i1], points[i2])
-
-
-def coherent_detect_indices(
-    z_obs: AlamoutiMatrix,
-    channel: AlamoutiMatrix,
-    constellation: PskConstellation,
-) -> tuple[int, int]:
-    """Phase indices maximising Re(trace(U^H Lambda^H Z)) with known channel."""
-    g = channel.hermitian() @ z_obs
-    return nearest_psk_index(g.a, constellation.order), nearest_psk_index(g.b, constellation.order)
-
-
-def coherent_detect(
-    z_obs: AlamoutiMatrix,
-    channel: AlamoutiMatrix,
-    constellation: PskConstellation,
-) -> AlamoutiMatrix:
-    """Most likely information matrix for one block with genie channel knowledge."""
-    i1, i2 = coherent_detect_indices(z_obs, channel, constellation)
-    points = constellation.points_list
-    return alamouti_encode(points[i1], points[i2])

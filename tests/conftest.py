@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from alamouti import AlamoutiMatrix, alamouti_encode
+
 
 def interpolate_snr_at_ber(snr_db, ber, target):
     """SNR where a monotone-sampled BER curve first crosses ``target``.
@@ -26,8 +28,6 @@ def interpolate_snr_at_ber(snr_db, ber, target):
 
 def random_unitary_alamouti(rng):
     """Random 2x2 Alamouti matrix with S @ S^H = I."""
-    from dstbc_ofdm import AlamoutiMatrix
-
     v = rng.standard_normal(4)
     a = v[0] + 1j * v[1]
     b = v[2] + 1j * v[3]
@@ -36,8 +36,6 @@ def random_unitary_alamouti(rng):
 
 
 def random_alamouti(rng, scale=1.0):
-    from dstbc_ofdm import AlamoutiMatrix
-
     v = scale * rng.standard_normal(4)
     return AlamoutiMatrix(v[0] + 1j * v[1], v[2] + 1j * v[3])
 
@@ -58,7 +56,7 @@ def synthetic_observation(rng, params, order=8, indices=None):
     compensator reads, plus the transmitted block-ratio matrices of the
     desired and mirror subcarriers and the four drawn symbol indices.
     """
-    from dstbc_ofdm import alamouti_encode, psk_constellation
+    from dstbc_ofdm import psk_constellation
 
     c = psk_constellation(order)
     if indices is None:

@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dstbc_ofdm import AlamoutiMatrix, CompensatorState, OfdmConfig, PskConstellation, mirror_index
+from dstbc_ofdm import CompensatorState, PskConstellation, mirror_permutation
+
+from alamouti import AlamoutiMatrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class SubcarrierObservation:
-    """Alamouti-packed receive blocks k and k+1 at subcarrier n and its image.
+    """Alamouti-packed receive blocks k and k+1 at a subcarrier bin and its image.
 
     The mirror matrices hold elementwise conjugates of the image-subcarrier
     entries, which is the form the widely-linear imbalance model couples to
@@ -34,8 +36,8 @@ class SubcarrierObservation:
     zbar_next: AlamoutiMatrix
 
 
-def build_observation(rx_spectra, n: int, config: OfdmConfig) -> SubcarrierObservation:
-    """Pack four consecutive demodulated spectra into one pair observation.
+def build_observation(rx_spectra, i: int) -> SubcarrierObservation:
+    """Pack four consecutive demodulated spectra into the observation at bin ``i``.
 
     ``rx_spectra`` holds the spectra of OFDM symbols 2k+1, 2k+2, 2k+3, 2k+4
     (two consecutive space-time blocks).
@@ -43,11 +45,9 @@ def build_observation(rx_spectra, n: int, config: OfdmConfig) -> SubcarrierObser
     if len(rx_spectra) != 4:
         raise ValueError(f"need 4 consecutive spectra, got {len(rx_spectra)}")
     s1, s2, s3, s4 = (np.asarray(s, dtype=np.complex128) for s in rx_spectra)
-    m = mirror_index(n, config.n_subcarriers)
-    i = n - 1
-    j = m - 1
+    j = mirror_permutation(s1.shape[0])[i]
     return SubcarrierObservation(
-        subcarrier=n,
+        subcarrier=i,
         z_k=AlamoutiMatrix(s1[i], s2[i]),
         z_next=AlamoutiMatrix(s3[i], s4[i]),
         zbar_k=AlamoutiMatrix(np.conj(s1[j]), np.conj(s2[j])),

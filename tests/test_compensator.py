@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    AlamoutiMatrix,
     CompensatorState,
     build_residuals,
     compensate_observation,
@@ -16,6 +15,7 @@ from dstbc_ofdm import (
     psk_constellation,
 )
 
+from alamouti import AlamoutiMatrix
 from conftest import synthetic_observation
 
 

@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    AlamoutiMatrix,
-    OfdmConfig,
     SimConfig,
     harness,
-    mirror_index,
     psk_constellation,
     run_point_with_trace,
 )
 from dstbc_ofdm.cli import load_config_file
 
 import object_pass
+from alamouti import AlamoutiMatrix
 
 # 20 blocks x 62 active subcarriers x 2 symbols x 3 bits
 FRAME_BITS = 7440
@@ -130,18 +128,16 @@ def test_pass_calls_each_kernel_per_observation(monkeypatch):
 
 
 def test_observation_packing(rng):
-    cfg = OfdmConfig()
     spectra = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
-    n = 5
-    m = mirror_index(n, 64)
-    obs = object_pass.build_observation(spectra, n, cfg)
-    assert obs.subcarrier == n
-    assert obs.z_k == AlamoutiMatrix(spectra[0, n - 1], spectra[1, n - 1])
-    assert obs.z_next == AlamoutiMatrix(spectra[2, n - 1], spectra[3, n - 1])
+    i, m = 4, 60
+    obs = object_pass.build_observation(spectra, i)
+    assert obs.subcarrier == i
+    assert obs.z_k == AlamoutiMatrix(spectra[0, i], spectra[1, i])
+    assert obs.z_next == AlamoutiMatrix(spectra[2, i], spectra[3, i])
     # image entries enter conjugated
     assert obs.zbar_k == AlamoutiMatrix(
-        spectra[0, m - 1].conjugate(), spectra[1, m - 1].conjugate()
+        spectra[0, m].conjugate(), spectra[1, m].conjugate()
     )
     assert obs.zbar_next == AlamoutiMatrix(
-        spectra[2, m - 1].conjugate(), spectra[3, m - 1].conjugate()
+        spectra[2, m].conjugate(), spectra[3, m].conjugate()
     )

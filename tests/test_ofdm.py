@@ -1,89 +1,85 @@
 """Unit tests for the cyclic-prefix modem and subcarrier pairing."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 from dstbc_ofdm import (
-    OfdmConfig,
-    mirror_index,
+    active_indices,
+    mirror_permutation,
     ofdm_demodulate,
     ofdm_modulate,
 )
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OfdmConfig(n_subcarriers=48, cp_len=10)
-    with pytest.raises(ValueError):
-        OfdmConfig(n_subcarriers=64, cp_len=64)
-    with pytest.raises(ValueError):
-        OfdmConfig(n_subcarriers=64, cp_len=0)
-
-
 def test_active_subcarriers_default_grid():
-    cfg = OfdmConfig()
-    active = cfg.active_subcarriers
-    assert cfg.n_active == 62
+    active = active_indices(64)
     assert len(active) == 62
-    assert 1 not in active and 33 not in active
-    assert active[0] == 2 and active[-1] == 64
-    assert cfg.active_indices0.tolist() == [n - 1 for n in active]
-    assert list(cfg.lower_pair_subcarriers) == list(range(2, 33))
+    assert 0 not in active and 32 not in active
+    assert active[0] == 1 and active[-1] == 63
+    assert active.tolist() == sorted(active.tolist())
+    assert list(active[:31]) == list(range(1, 32))
 
 
 def test_mirror_index_pairing():
-    assert mirror_index(2, 64) == 64
-    assert mirror_index(64, 64) == 2
-    assert mirror_index(17, 64) == 49
-    assert mirror_index(32, 64) == 34
-    for n in OfdmConfig().active_subcarriers:
-        assert mirror_index(mirror_index(n, 64), 64) == n
+    mirror = mirror_permutation(64)
+    assert mirror[1] == 63
+    assert mirror[63] == 1
+    assert mirror[16] == 48
+    assert mirror[31] == 33
+    # the empty DC and Nyquist bins are their own images
+    assert mirror[0] == 0 and mirror[32] == 32
+    for k in active_indices(64):
+        assert mirror[mirror[k]] == k
 
 
-def test_mirror_index_rejects_guards():
-    for bad in (1, 33, 0, 65):
-        with pytest.raises(ValueError):
-            mirror_index(bad, 64)
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
+def test_modem_is_unitary(n):
+    # without a prefix, demodulating the unit vectors gives the DFT matrix
+    w = ofdm_demodulate(np.eye(n, dtype=complex), 0)
+    grid = np.outer(np.arange(n), np.arange(n))
+    np.testing.assert_allclose(w, np.exp(-2j * np.pi * grid / n) / np.sqrt(n), atol=1e-12)
+    np.testing.assert_allclose(w @ w.conj().T, np.eye(n), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stn.integers(min_value=1, max_value=7), stn.integers(min_value=0, max_value=2**31 - 1))
+def test_modem_round_trip_and_parseval(log2n, seed):
+    n = 2**log2n
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = ofdm_demodulate(x, 0)
+    np.testing.assert_allclose(ofdm_modulate(y, 0), x, atol=1e-10)
+    # unitary scaling preserves energy
+    assert np.sum(np.abs(y) ** 2) == pytest.approx(np.sum(np.abs(x) ** 2), rel=1e-10)
 
 
 def test_modulate_inserts_cp_and_nulls_guards(rng):
-    cfg = OfdmConfig()
     freq = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     freq[0] = 0.0
     freq[32] = 0.0
-    samples = ofdm_modulate(freq, cfg)
+    samples = ofdm_modulate(freq, 20)
     assert samples.shape == (84,)
     np.testing.assert_array_equal(samples[:20], samples[64:])
-
-
-def test_modulate_rejects_loaded_guard_bins(rng):
-    cfg = OfdmConfig()
-    freq = np.zeros(64, dtype=complex)
-    freq[0] = 1.0
-    with pytest.raises(ValueError):
-        ofdm_modulate(freq, cfg)
+    # over leading axes, each row is modulated on its own
+    rows = ofdm_modulate(np.stack([freq, 2.0 * freq]), 20)
+    assert rows.shape == (2, 84)
+    np.testing.assert_array_equal(rows[0], samples)
 
 
 def test_round_trip(rng):
-    cfg = OfdmConfig()
     freq = np.zeros(64, dtype=complex)
-    freq[cfg.active_indices0] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
-    np.testing.assert_allclose(ofdm_demodulate(ofdm_modulate(freq, cfg), cfg), freq, atol=1e-12)
+    freq[active_indices(64)] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
+    np.testing.assert_allclose(ofdm_demodulate(ofdm_modulate(freq, 20), 20), freq, atol=1e-12)
 
 
 def test_cp_turns_linear_convolution_circular(rng):
     # linear channel convolution across the CP boundary must look circular
-    cfg = OfdmConfig()
     h = np.zeros(21, dtype=complex)
     h[[0, 3, 20]] = [1.0, 0.4 - 0.2j, -0.1j]
     freq = np.zeros(64, dtype=complex)
-    freq[cfg.active_indices0] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
-    tx = ofdm_modulate(freq, cfg)
+    freq[active_indices(64)] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
+    tx = ofdm_modulate(freq, 20)
     rx = np.convolve(tx, h)[: tx.shape[0]]
-    demod = ofdm_demodulate(rx, cfg)
+    demod = ofdm_demodulate(rx, 20)
     np.testing.assert_allclose(demod, freq * np.fft.fft(h, 64), atol=1e-10)
-
-
-def test_demodulate_length_check(rng):
-    cfg = OfdmConfig()
-    with pytest.raises(ValueError):
-        ofdm_demodulate(np.zeros(83, dtype=complex), cfg)

@@ -1,19 +1,18 @@
-"""Unit tests for the 2x2 Alamouti algebra and block detection."""
+"""Unit tests for the 2x2 Alamouti reference algebra and the block kernels."""
 import math
 
 import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    AlamoutiMatrix,
-    alamouti_encode,
     coherent_detect,
+    differential_detect,
     differential_encode,
-    ml_differential_detect,
+    ml_differential_detect_indices,
     psk_constellation,
 )
-from dstbc_ofdm.stbc import coherent_detect_indices, ml_differential_detect_indices
 
+from alamouti import AlamoutiMatrix, alamouti_encode
 from conftest import random_alamouti, random_unitary_alamouti
 
 _SQRT2 = math.sqrt(2.0)
@@ -65,22 +64,24 @@ def test_encode_is_plain_packing():
 
 
 def test_differential_encode_is_raw_product(rng):
+    # the chain starts from the identity, so its second block is prev
     prev = random_unitary_alamouti(rng)
     info = alamouti_encode(1j, -1.0)
+    s_a, s_b = differential_encode(np.array([prev.a, info.a]), np.array([prev.b, info.b]))
+    assert s_a.shape == s_b.shape == (3,)
+    assert (s_a[0], s_b[0]) == (1.0, 0.0)
     np.testing.assert_allclose(
-        differential_encode(prev, info).matrix, prev.matrix @ info.matrix, atol=1e-12
+        AlamoutiMatrix(s_a[2], s_b[2]).matrix, prev.matrix @ info.matrix, atol=1e-12
     )
 
 
 def test_differential_chain_stays_unitary(rng):
     order = 8
     c = psk_constellation(order)
-    s = AlamoutiMatrix.identity()
-    for _ in range(100):
-        info = alamouti_encode(
-            c.points[rng.integers(order)], c.points[rng.integers(order)]
-        )
-        s = differential_encode(s, info).scaled(1.0 / _SQRT2)
+    pairs = [(c.points[rng.integers(order)], c.points[rng.integers(order)]) for _ in range(100)]
+    u = np.array(pairs).T / _SQRT2
+    s_a, s_b = differential_encode(u[0], u[1])
+    s = AlamoutiMatrix(s_a[-1], s_b[-1])
     np.testing.assert_allclose((s @ s.hermitian()).matrix, np.eye(2), atol=1e-10)
 
 
@@ -95,8 +96,7 @@ def test_differential_detect_recovers_noiseless_info(order, rng):
         z_k = channel @ s_k
         z_next = z_k @ info.scaled(1.0 / _SQRT2)
         assert ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, order) == (i1, i2)
-        detected = ml_differential_detect(z_k, z_next, c)
-        np.testing.assert_allclose(detected.matrix, info.matrix, atol=1e-12)
+        assert differential_detect(z_k.a, z_k.b, z_next.a, z_next.b, order) == (i1, i2)
 
 
 @pytest.mark.parametrize("order", [2, 4, 8, 16])
@@ -107,15 +107,15 @@ def test_coherent_detect_recovers_noiseless_info(order, rng):
         i1, i2 = rng.integers(order), rng.integers(order)
         info = alamouti_encode(c.points[i1], c.points[i2])
         z = channel @ info.scaled(1.0 / _SQRT2)
-        assert coherent_detect_indices(z, channel, c) == (i1, i2)
-        np.testing.assert_allclose(coherent_detect(z, channel, c).matrix, info.matrix, atol=1e-12)
+        assert coherent_detect(z.a, z.b, channel.a, channel.b, order) == (i1, i2)
 
 
 def test_detect_tie_breaks_to_first_index():
     c = psk_constellation(8)
     zero = AlamoutiMatrix(0.0, 0.0)
     assert ml_differential_detect_indices(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
-    assert coherent_detect_indices(zero, zero, c) == (0, 0)
+    assert differential_detect(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
+    assert coherent_detect(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
 
 
 def test_detection_invariant_to_positive_scaling(rng):
@@ -126,3 +126,19 @@ def test_detection_invariant_to_positive_scaling(rng):
         base = ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, c.order)
         k, n = z_k.scaled(7.5), z_next.scaled(7.5)
         assert ml_differential_detect_indices(k.a, k.b, n.a, n.b, c.order) == base
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_array_differential_detect_matches_scalar(order, rng):
+    # random blocks over two leading axes; the last block pair is all zero
+    k_a, k_b, n_a, n_b = rng.standard_normal((4, 3, 40)) + 1j * rng.standard_normal((4, 3, 40))
+    for values in (k_a, k_b, n_a, n_b):
+        values[-1, -1] = 0.0
+    det1, det2 = differential_detect(k_a, k_b, n_a, n_b, order)
+    assert det1.shape == det2.shape == (3, 40)
+    expected = [
+        ml_differential_detect_indices(*values, order)
+        for values in zip(k_a.flat, k_b.flat, n_a.flat, n_b.flat)
+    ]
+    assert list(zip(det1.flat, det2.flat)) == expected
+    assert (det1[-1, -1], det2[-1, -1]) == (0, 0)
