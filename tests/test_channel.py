@@ -4,7 +4,9 @@ import pytest
 from scipy.special import j0
 
 from dstbc_ofdm import (
+    ConfigError,
     JakesFadingProcess,
+    SimConfig,
     custom_profile,
     load_profile,
     realize_fading,
@@ -143,6 +145,15 @@ def test_batch_equals_successive_single_draws():
     assert rng_batch.random() == rng_single.random() == np.random.default_rng(3).random()
     with pytest.raises(ValueError):
         realize_fading(prof, SAMPLE_PERIOD, 8, 0, samples_per_symbol=84, frames=0)
+
+
+def test_realization_rejects_delay_spread_beyond_cp():
+    # ITU-PB's last tap lands on sample 19; a shorter prefix is refused
+    # before any frame is drawn, and a prefix that just covers it is accepted
+    for cp_len in (10, 18):
+        with pytest.raises(ConfigError, match="delay spread 19 samples exceeds cp_len"):
+            SimConfig(channel="itu-pb", doppler_hz=11.6, cp_len=cp_len).validate()
+    SimConfig(channel="itu-pb", doppler_hz=11.6, cp_len=19).validate()
 
 
 def test_tap_powers_match_profile_when_pooled():

@@ -5,11 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as stn
 
 from dstbc_ofdm import (
+    ConfigError,
+    SimConfig,
     active_indices,
     mirror_permutation,
     ofdm_demodulate,
     ofdm_modulate,
 )
+
+
+def test_config_validation():
+    # the modem takes any grid; the simulation config bounds it
+    with pytest.raises(ConfigError, match="power of two"):
+        SimConfig(n_subcarriers=48, cp_len=10).validate()
+    with pytest.raises(ConfigError, match="cp_len must lie"):
+        SimConfig(n_subcarriers=64, cp_len=64).validate()
+    with pytest.raises(ConfigError, match="cp_len must lie"):
+        SimConfig(n_subcarriers=64, cp_len=0).validate()
+    SimConfig(n_subcarriers=64, cp_len=63).validate()
 
 
 def test_active_subcarriers_default_grid():
