@@ -52,13 +52,9 @@ from .iqi import IqiParams, apply_rx_iqi, derive_iqi_params
 from .numerics import (
     PskConstellation,
     bits_to_indices,
-    gray_decode,
-    gray_encode,
     indices_to_bits,
     nearest_psk_indices,
     psk_constellation,
-    psk_demodulate,
-    psk_modulate,
 )
 from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
 from .stbc import (
@@ -97,8 +93,6 @@ __all__ = [
     "f44_pdf",
     "floor_onset_and_ideal_snr",
     "gamma_true",
-    "gray_decode",
-    "gray_encode",
     "indices_to_bits",
     "lms_step",
     "load_profile",
@@ -108,8 +102,6 @@ __all__ = [
     "ofdm_demodulate",
     "ofdm_modulate",
     "psk_constellation",
-    "psk_demodulate",
-    "psk_modulate",
     "realize_fading",
     "run_point",
     "run_point_with_trace",

@@ -120,8 +120,13 @@ def ber_closed_form(psk_order: int, snr_eq: float) -> float:
 def floor_onset_and_ideal_snr(irr_db: float) -> tuple[float, float]:
     """(SNR where the floor sets in, ideal-system SNR matching the floor).
 
-    The floor emerges once the leakage power is ten times the noise power
-    (IRR + 10 dB); the floor value equals the leakage-free BER at an SNR
-    of IRR dB.
+    The onset marker IRR + 10 dB is where the leakage power is ten times
+    the noise power.  There the equivalent SNR ``1/(1/snr + rho)`` lies
+    within 0.41 dB (10*log10(1.1)) of its floor value ``1/rho``.  It is not
+    the SNR where the BER first comes within 2x of its floor, which lies
+    well below it: for a 2 dB / 8 degree front end (IRR 17.4 dB) the
+    simulated curve gets there at about 20.2 dB and ``ber_closed_form`` at
+    about 18 dB.  The floor value equals the leakage-free BER at an SNR of
+    IRR dB.
     """
     return irr_db + 10.0, irr_db

@@ -18,7 +18,7 @@ import numpy as np
 
 from .iqi import IqiParams
 from .numerics import PskConstellation, indices_to_bits
-from .stbc import ml_differential_detect_indices
+from .stbc import differential_detect, ml_differential_detect_indices
 
 DEFAULT_STEP_SIZE = 0.005
 
@@ -43,7 +43,8 @@ def compensate_observation(values: tuple, gamma: complex) -> tuple:
     ``values`` is the 8-tuple ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a,
     zbar_k.b, zbar_next.a, zbar_next.b)`` of the Alamouti top rows of blocks
     k and k+1 at the desired subcarrier and of the elementwise-conjugated
-    image subcarrier; the result has the same layout.
+    image subcarrier; the result has the same layout.  The entries may be
+    arrays of one shape, with ``gamma`` a scalar or an array of that shape.
     """
     zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
     gamma_c = gamma.conjugate()
@@ -89,18 +90,23 @@ def lms_step(gamma: complex, step_size: float, xi: complex, delta: complex) -> c
 
 
 def decision_directed_pass(
-    observations,
+    low: np.ndarray,
+    image: np.ndarray,
     state: CompensatorState,
     constellation: PskConstellation,
 ) -> tuple[np.ndarray, CompensatorState, np.ndarray]:
-    """Compensate, detect and adapt across a stream of pair observations.
+    """Compensate, detect and adapt across one frame of pair observations.
 
-    ``observations`` yields one 8-tuple per pair observation, in the layout
-    of ``compensate_observation``, for the lower-index member of each active
-    (n, mirror) pair in ascending order, block pair after block pair.  Each
-    observation is processed once: compensate with the current gamma,
-    detect the info matrices of both the desired and the image subcarrier,
-    then run two LMS updates from the decision-directed residuals.
+    ``low`` holds the received values at the lower-index member of each
+    active (n, mirror) pair and ``image`` the conjugated values at its
+    mirror, both of shape (OFDM symbol, pair); symbols 2k and 2k+1 carry
+    block k.  Observations run pair after pair in ascending order, block
+    pair after block pair, each in the layout of ``compensate_observation``.
+    Gamma depends only on the desired-subcarrier decisions, so the serial
+    loop compensates the desired values with the current gamma, detects
+    their info matrix and runs two LMS updates from the decision-directed
+    residuals.  The mirror values are then compensated with the gamma each
+    observation saw and detected for the whole frame at once.
 
     Returns the detected bit stream (per observation: desired-subcarrier
     symbol pair then image-subcarrier symbol pair, MSB first), the final
@@ -112,22 +118,40 @@ def decision_directed_pass(
     ratios = [p * _INV_SQRT2 for p in constellation.points_list]
     step_size = state.step_size
     gamma = complex(state.gamma)
-    indices: list[int] = []
+    # local names for the kernels, looked up once per pass, not per observation
+    detect = ml_differential_detect_indices
+    residuals = build_residuals
+    step = lms_step
+    low_rows = low.tolist()
+    image_rows = image.tolist()
+    desired: list[int] = []
     trajectory: list[complex] = []
-    for values in observations:
-        zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = compensate_observation(values, gamma)
-        i1, i2 = ml_differential_detect_indices(zk_a, zk_b, zn_a, zn_b, order)
-        # conjugating the compensated mirror pair turns its differential
-        # relation back into the direct form, so the same detector applies
-        m1, m2 = ml_differential_detect_indices(
-            bk_a.conjugate(), bk_b.conjugate(), bn_a.conjugate(), bn_b.conjugate(), order
-        )
-        (xi1, delta1), (xi2, delta2) = build_residuals(values, ratios[i1], ratios[i2])
-        gamma = lms_step(gamma, step_size, xi1, delta1)
-        trajectory.append(gamma)
-        gamma = lms_step(gamma, step_size, xi2, delta2)
-        trajectory.append(gamma)
-        indices += (i1, i2, m1, m2)
+    for j in range(2, low.shape[0] - 1, 2):
+        for values in zip(
+            low_rows[j - 2], low_rows[j - 1], low_rows[j], low_rows[j + 1],
+            image_rows[j - 2], image_rows[j - 1], image_rows[j], image_rows[j + 1],
+        ):
+            zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+            i1, i2 = detect(
+                zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
+                order,
+            )
+            (xi1, delta1), (xi2, delta2) = residuals(values, ratios[i1], ratios[i2])
+            gamma = step(gamma, step_size, xi1, delta1)
+            trajectory.append(gamma)
+            gamma = step(gamma, step_size, xi2, delta2)
+            trajectory.append(gamma)
+            desired += (i1, i2)
+    za, zb, ba, bb = low[0::2], low[1::2], image[0::2], image[1::2]
+    planes = (za[:-1], zb[:-1], za[1:], zb[1:], ba[:-1], bb[:-1], ba[1:], bb[1:])
+    # each observation saw the input gamma, or the one after the previous
+    # observation's second update
+    seen = np.array(([complex(state.gamma)] + trajectory)[:-1:2])
+    *_, bk_a, bk_b, bn_a, bn_b = compensate_observation(planes, seen.reshape(planes[0].shape))
+    # conjugating the compensated mirror pair turns its differential
+    # relation back into the direct form, so the same detector applies
+    m1, m2 = differential_detect(np.conj(bk_a), np.conj(bk_b), np.conj(bn_a), np.conj(bn_b), order)
+    indices = np.column_stack([np.reshape(desired, (-1, 2)), m1.reshape(-1), m2.reshape(-1)])
     bits = indices_to_bits(indices, order)
     final = CompensatorState(gamma=gamma, step_size=step_size, updates=state.updates + len(trajectory))
     return bits, final, np.asarray(trajectory, dtype=np.complex128)

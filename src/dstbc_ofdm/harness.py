@@ -337,26 +337,10 @@ class _PointEngine:
         det1, det2 = coherent_detect(za, zb, lam1, lam2, self.cfg.psk_order)
         return self._count_index_errors(det1, det2, idx1, idx2)
 
-    def _frame_observations(self, z: np.ndarray):
-        """Pair observations over the lower-index pair members, as 8-tuples.
-
-        Per block pair and lower subcarrier, in ascending order, the tuple is
-        ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a, zbar_k.b, zbar_next.a,
-        zbar_next.b)``: the subcarrier's values in the four OFDM symbols of
-        blocks k and k+1, then the conjugated values of its mirror.
-        """
-        low = z[:, self.low0].tolist()
-        mirror = np.conj(z[:, self.mir0]).tolist()
-        for j in range(2, 2 * self.n_blocks + 1, 2):
-            yield from zip(
-                low[j - 2], low[j - 1], low[j], low[j + 1],
-                mirror[j - 2], mirror[j - 1], mirror[j], mirror[j + 1],
-            )
-
     def _detect_lms(self, z: np.ndarray, bits: np.ndarray, collect_trace: bool) -> int:
         """Errors of one frame through the LMS pass; ``z`` and ``bits`` have no frame axis."""
         det_bits, self.comp_state, trace = decision_directed_pass(
-            self._frame_observations(z), self.comp_state, self.constellation
+            z[:, self.low0], np.conj(z[:, self.mir0]), self.comp_state, self.constellation
         )
         if collect_trace:
             self.gamma_trace.append(trace)

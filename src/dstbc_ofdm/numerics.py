@@ -18,20 +18,6 @@ import numpy as np
 SUPPORTED_PSK_ORDERS = (2, 4, 8, 16)
 
 
-def gray_encode(value: int) -> int:
-    """Bit pattern at position ``value`` of the binary-reflected Gray sequence."""
-    return value ^ (value >> 1)
-
-
-def gray_decode(code: int) -> int:
-    """Position of bit pattern ``code`` in the binary-reflected Gray sequence."""
-    value = 0
-    while code:
-        value ^= code
-        code >>= 1
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class PskConstellation:
     """Unit-circle M-PSK constellation with Gray bit labelling.
@@ -94,21 +80,6 @@ def indices_to_bits(indices: np.ndarray, order: int) -> np.ndarray:
     values = const.bits_of_index[np.asarray(indices, dtype=np.int64)]
     shifts = np.arange(bps - 1, -1, -1)
     return ((values[..., None] >> shifts) & 1).astype(np.int8).reshape(-1)
-
-
-def psk_modulate(bits: np.ndarray, order: int) -> np.ndarray:
-    """Gray-map a bit stream onto M-PSK symbols."""
-    const = psk_constellation(order)
-    return const.points[bits_to_indices(bits, order)]
-
-
-def psk_demodulate(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Hard-decide symbols to the nearest constellation point and emit bits.
-
-    Decides by ``nearest_psk_indices``.
-    """
-    symbols = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
-    return indices_to_bits(nearest_psk_indices(symbols, order), order)
 
 
 def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:

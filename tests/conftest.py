@@ -78,6 +78,12 @@ def synthetic_observation(rng, params, order=8, indices=None):
     return obs, ratio, mirror_ratio, indices
 
 
+def as_planes(observations):
+    """``(low, image)`` arrays of one block pair, one pair per 8-tuple observation."""
+    values = np.array(observations, dtype=np.complex128).T
+    return values[:4], values[4:]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -55,6 +55,23 @@ def build_observation(rx_spectra, i: int) -> SubcarrierObservation:
     )
 
 
+def observation_tuples(low, image):
+    """The pair observations of one frame, as the 8-tuples ``observation_of`` reads.
+
+    ``low`` and ``image`` are the arrays ``decision_directed_pass`` takes,
+    shape (OFDM symbol, pair).  Per block pair and lower subcarrier, in
+    ascending order, the tuple is ``(z_k.a, z_k.b, z_next.a, z_next.b,
+    zbar_k.a, zbar_k.b, zbar_next.a, zbar_next.b)``.
+    """
+    low = low.tolist()
+    image = image.tolist()
+    for j in range(2, len(low) - 1, 2):
+        yield from zip(
+            low[j - 2], low[j - 1], low[j], low[j + 1],
+            image[j - 2], image[j - 1], image[j], image[j + 1],
+        )
+
+
 def observation_of(values: tuple) -> SubcarrierObservation:
     """The observation object of one 8-tuple in the scalar pass's layout."""
     zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values

@@ -16,7 +16,7 @@ from dstbc_ofdm import (
 )
 
 from alamouti import AlamoutiMatrix
-from conftest import synthetic_observation
+from conftest import as_planes, synthetic_observation
 
 
 def test_gamma_true_value():
@@ -78,7 +78,7 @@ def test_pass_recovers_bits_without_imbalance(rng):
         stream.append(obs)
         for idx in indices:
             expected.extend(int(b) for b in f"{c.bits_of_index[idx]:03b}")
-    bits, state, trajectory = decision_directed_pass(stream, CompensatorState(), c)
+    bits, state, trajectory = decision_directed_pass(*as_planes(stream), CompensatorState(), c)
     np.testing.assert_array_equal(bits, np.array(expected, dtype=np.int8))
     assert state.updates == 2 * 50
     assert trajectory.shape == (100,)
@@ -91,7 +91,7 @@ def test_pass_converges_toward_true_gamma(rng):
     target = gamma_true(params)
     stream = [synthetic_observation(rng, params)[0] for _ in range(40 * 20)]
     bits, state, trajectory = decision_directed_pass(
-        stream, CompensatorState(step_size=0.01), psk_constellation(8)
+        *as_planes(stream), CompensatorState(step_size=0.01), psk_constellation(8)
     )
     assert abs(trajectory[-1] - target) < 0.02
     errors = np.abs(trajectory - target)
@@ -102,9 +102,9 @@ def test_state_threads_across_calls(rng):
     params = derive_iqi_params(1.0, 4.0)
     c = psk_constellation(8)
     stream = [synthetic_observation(rng, params)[0] for _ in range(4)]
-    _, state, _ = decision_directed_pass(stream, CompensatorState(), c)
+    _, state, _ = decision_directed_pass(*as_planes(stream), CompensatorState(), c)
     assert state.updates == 8
-    _, state, _ = decision_directed_pass(stream, state, c)
+    _, state, _ = decision_directed_pass(*as_planes(stream), state, c)
     assert state.updates == 16
 
 

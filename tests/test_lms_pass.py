@@ -37,14 +37,13 @@ def bundled_lms_config(**overrides) -> SimConfig:
 
 
 def record_frames(monkeypatch, cfg, snr_db):
-    """(observations, input state, pass output) of every frame of one point."""
+    """(low, image, input state, pass output) of every frame of one point."""
     frames = []
     real_pass = harness.decision_directed_pass
 
-    def recording(observations, state, constellation):
-        observations = list(observations)
-        result = real_pass(observations, state, constellation)
-        frames.append((observations, state, result))
+    def recording(low, image, state, constellation):
+        result = real_pass(low, image, state, constellation)
+        frames.append((low, image, state, result))
         return result
 
     with monkeypatch.context() as patch:
@@ -53,14 +52,10 @@ def record_frames(monkeypatch, cfg, snr_db):
     return frames
 
 
-@pytest.mark.parametrize("snr_db", [20.0, 30.0])
-def test_scalar_pass_matches_object_oracle(monkeypatch, snr_db):
-    cfg = bundled_lms_config(min_bits=8 * FRAME_BITS)
-    frames = record_frames(monkeypatch, cfg, snr_db)
-    assert len(frames) == 8
-    constellation = psk_constellation(cfg.psk_order)
-    state = frames[0][1]
-    for observations, _, (bits, new_state, trajectory) in frames:
+def assert_frames_match_oracle(frames, constellation):
+    state = frames[0][2]
+    for low, image, _, (bits, new_state, trajectory) in frames:
+        observations = list(object_pass.observation_tuples(low, image))
         oracle_stream = [[object_pass.observation_of(v) for v in observations]]
         oracle_bits, state, oracle_trajectory = object_pass.decision_directed_pass(
             oracle_stream, state, constellation
@@ -70,6 +65,26 @@ def test_scalar_pass_matches_object_oracle(monkeypatch, snr_db):
         assert np.max(np.abs(trajectory - oracle_trajectory)) <= 1e-12
         assert new_state.updates == state.updates
         assert abs(new_state.gamma - state.gamma) <= 1e-12
+
+
+@pytest.mark.parametrize("snr_db", [20.0, 30.0])
+def test_scalar_pass_matches_object_oracle(monkeypatch, snr_db):
+    cfg = bundled_lms_config(min_bits=8 * FRAME_BITS)
+    frames = record_frames(monkeypatch, cfg, snr_db)
+    assert len(frames) == 8
+    assert_frames_match_oracle(frames, psk_constellation(cfg.psk_order))
+
+
+def test_large_frame_matches_object_oracle(monkeypatch):
+    # 511 pairs x 40 blocks: each plane of the frame-wide mirror step holds
+    # more than 16,384 complex values (256 KiB), numpy's size for reusing
+    # temporaries in place
+    cfg = bundled_lms_config(n_subcarriers=1024, cp_len=64, blocks_per_frame=40, min_bits=1)
+    frames = record_frames(monkeypatch, cfg, 20.0)
+    assert len(frames) == 1
+    low = frames[0][0]
+    assert (low.shape[0] // 2 - 1) * low.shape[1] == 20440 > 16384
+    assert_frames_match_oracle(frames, psk_constellation(cfg.psk_order))
 
 
 @pytest.mark.parametrize(
@@ -119,9 +134,11 @@ def test_pass_calls_each_kernel_per_observation(monkeypatch):
     _, trace = run_point_with_trace(cfg, 25.0)
     observations = 5 * 31
     assert trace.shape == (2 * observations,)
+    # one frame: the desired decisions run per observation and the mirror
+    # half is compensated once per pass
     assert calls == {
-        "ml_differential_detect_indices": 2 * observations,
-        "compensate_observation": observations,
+        "ml_differential_detect_indices": observations,
+        "compensate_observation": 1,
         "build_residuals": observations,
         "lms_step": 2 * observations,
     }
