@@ -20,8 +20,6 @@ import numpy as np
 
 from .numerics import SUPPORTED_PSK_ORDERS
 
-F44_MEAN = 2.0
-
 
 def _check_order(psk_order: int) -> None:
     if psk_order not in SUPPORTED_PSK_ORDERS:
@@ -106,7 +104,8 @@ def equivalent_snr(snr_linear: float, rho: float) -> float:
         raise ValueError("snr_linear must be positive")
     if rho < 0:
         raise ValueError("rho must be non-negative")
-    return 1.0 / (1.0 / snr_linear + rho)
+    denominator = 1.0 / snr_linear + rho
+    return math.inf if denominator == 0 else 1.0 / denominator
 
 
 def ber_closed_form(psk_order: int, snr_eq: float) -> float:

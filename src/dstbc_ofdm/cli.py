@@ -19,7 +19,6 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import fields, replace
 
 from .analysis import ber_closed_form, ber_floor, equivalent_snr, floor_onset_and_ideal_snr
 from .compensator import gamma_true, save_gamma_trajectory
@@ -32,7 +31,8 @@ from .harness import (
     run_sweep,
     write_records_csv,
 )
-from .iqi import derive_iqi_params
+from .iqi import IqiParams, derive_iqi_params
+from .numerics import SUPPORTED_PSK_ORDERS
 
 
 def parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -46,6 +46,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"bad SNR range {text!r}") from exc
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ConfigError(f"SNR range needs finite start, stop and step, got {text!r}")
         if step <= 0 or stop < start:
             raise ConfigError(f"SNR range needs step > 0 and stop >= start, got {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -59,77 +61,83 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-_INT_KEYS = {
-    "n_subcarriers",
-    "cp_len",
-    "psk_order",
-    "min_bits",
-    "max_block_pairs",
-    "blocks_per_frame",
-    "seed",
+# Parser of an INI value or a simulate flag, by the SimConfig field's annotation.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str.strip,
+    "tuple[float, ...]": parse_snr_grid,
+    "tuple[float, ...] | None": lambda text: tuple(float(p) for p in text.split(",") if p.strip()),
 }
-_FLOAT_KEYS = {
-    "bandwidth_hz",
-    "carrier_hz",
-    "doppler_hz",
-    "iqi_kappa_db",
-    "iqi_phi_deg",
-    "lms_step_size",
+
+
+def _key(section: str, alias: str | None = None, flag: str | None = None, **flag_options):
+    return section, alias, flag, flag_options
+
+
+# The config schema, one row per SimConfig field in field order: INI section,
+# short INI name (the field name is always accepted too), simulate flag and
+# any further add_argument keywords of that flag.
+_SCHEMA = {
+    "n_subcarriers": _key("system", flag="--n-subcarriers"),
+    "cp_len": _key("system", flag="--cp-len"),
+    "psk_order": _key("system", flag="--psk-order"),
+    "bandwidth_hz": _key("system"),
+    "carrier_hz": _key("system"),
+    "channel": _key("channel", "profile", "--channel", help="itu-pb, itu-va, flat or custom"),
+    "doppler_hz": _key("channel", flag="--doppler-hz"),
+    "custom_delays_ns": _key("channel"),
+    "custom_powers_db": _key("channel"),
+    "iqi_kappa_db": _key("iqi", "kappa_db", "--kappa-db", help="receiver gain imbalance in dB"),
+    "iqi_phi_deg": _key("iqi", "phi_deg", "--phi-deg", help="receiver phase imbalance in degrees"),
+    "detection": _key("run", flag="--detection", choices=DETECTION_MODES),
+    "compensation": _key("run", flag="--compensation", choices=COMPENSATION_MODES),
+    "snr_grid_db": _key("run", "snr_db", "--snr", help="SNR grid in dB: start:stop:step or comma list"),
+    "min_bits": _key("run", flag="--min-bits"),
+    "max_block_pairs": _key("run", flag="--max-block-pairs"),
+    "blocks_per_frame": _key("run", flag="--blocks-per-frame"),
+    "lms_step_size": _key("run", "step_size", "--lms-step"),
+    "seed": _key("run", flag="--seed"),
 }
-_SECTION_OF_KEY = {
-    "n_subcarriers": "system",
-    "cp_len": "system",
-    "psk_order": "system",
-    "bandwidth_hz": "system",
-    "carrier_hz": "system",
-    "channel": "channel",
-    "doppler_hz": "channel",
-    "custom_delays_ns": "channel",
-    "custom_powers_db": "channel",
-    "iqi_kappa_db": "iqi",
-    "iqi_phi_deg": "iqi",
-    "detection": "run",
-    "compensation": "run",
-    "snr_grid_db": "run",
-    "min_bits": "run",
-    "max_block_pairs": "run",
-    "blocks_per_frame": "run",
-    "lms_step_size": "run",
-    "seed": "run",
-}
-# config files use short names for a few keys
-_FILE_ALIASES = {"profile": "channel", "kappa_db": "iqi_kappa_db", "phi_deg": "iqi_phi_deg", "snr_db": "snr_grid_db", "step_size": "lms_step_size"}
+_PARSER_OF = {name: _PARSERS[annotation] for name, annotation in SimConfig.__annotations__.items()}
+_FIELD_OF_INI_KEY = {key: name for name, row in _SCHEMA.items() for key in (name, row[1]) if key}
+
+
+def _flag_type(parse):
+    """``parse`` as an argparse type that reports a ConfigError's own message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def load_config_file(path: str) -> dict:
     """Read an INI file into SimConfig keyword arguments."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    known = {f.name for f in fields(SimConfig)}
     out: dict = {}
     for section in parser.sections():
         for raw_key, raw_value in parser.items(section):
-            key = _FILE_ALIASES.get(raw_key, raw_key)
-            if key not in known:
+            name = _FIELD_OF_INI_KEY.get(raw_key)
+            if name is None:
                 raise ConfigError(f"unknown config key {raw_key!r} in section [{section}]")
-            expected = _SECTION_OF_KEY.get(key)
-            if expected is not None and expected != section:
+            expected = _SCHEMA[name][0]
+            if expected != section:
                 raise ConfigError(
                     f"config key {raw_key!r} belongs in section [{expected}], found in [{section}]"
                 )
+            if name in out:
+                raise ConfigError(f"config field {name!r} is set twice in [{section}]")
             try:
-                if key in _INT_KEYS:
-                    out[key] = int(raw_value)
-                elif key in _FLOAT_KEYS:
-                    out[key] = float(raw_value)
-                elif key == "snr_grid_db":
-                    out[key] = parse_snr_grid(raw_value)
-                elif key in ("custom_delays_ns", "custom_powers_db"):
-                    out[key] = tuple(float(p) for p in raw_value.split(",") if p.strip())
-                else:
-                    out[key] = raw_value.strip()
+                out[name] = _PARSER_OF[name](raw_value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {raw_key!r}: {raw_value!r}") from exc
     return out
@@ -144,21 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a BER sweep")
     sim.add_argument("--config", help="INI config file")
-    sim.add_argument("--snr", help="SNR grid in dB: start:stop:step or comma list")
-    sim.add_argument("--detection", choices=DETECTION_MODES)
-    sim.add_argument("--compensation", choices=COMPENSATION_MODES)
-    sim.add_argument("--channel", help="itu-pb, itu-va, flat or custom")
-    sim.add_argument("--doppler-hz", type=float, dest="doppler_hz")
-    sim.add_argument("--kappa-db", type=float, dest="iqi_kappa_db", help="receiver gain imbalance in dB")
-    sim.add_argument("--phi-deg", type=float, dest="iqi_phi_deg", help="receiver phase imbalance in degrees")
-    sim.add_argument("--psk-order", type=int, dest="psk_order")
-    sim.add_argument("--n-subcarriers", type=int, dest="n_subcarriers")
-    sim.add_argument("--cp-len", type=int, dest="cp_len")
-    sim.add_argument("--min-bits", type=int, dest="min_bits")
-    sim.add_argument("--max-block-pairs", type=int, dest="max_block_pairs")
-    sim.add_argument("--blocks-per-frame", type=int, dest="blocks_per_frame")
-    sim.add_argument("--lms-step", type=float, dest="lms_step_size")
-    sim.add_argument("--seed", type=int)
+    for name, (_, _, flag, options) in _SCHEMA.items():
+        if flag:
+            sim.add_argument(flag, dest=name, type=_flag_type(_PARSER_OF[name]), **options)
     sim.add_argument("--workers", type=int, default=1, help="parallel processes over SNR points")
     sim.add_argument("--out", help="write results CSV here")
     sim.add_argument(
@@ -166,48 +162,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the LMS gamma trajectory CSV (requires lms compensation and a single SNR point)",
     )
 
-    ana = sub.add_parser("analytic", help="print imbalance figures and model curves")
-    ana.add_argument("--kappa-db", type=float, default=0.0, help="receiver gain imbalance in dB")
-    ana.add_argument("--phi-deg", type=float, default=0.0, help="receiver phase imbalance in degrees")
-    ana.add_argument("--psk-order", type=int, default=8)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--kappa-db", type=float, default=0.0, help="receiver gain imbalance in dB")
+    model.add_argument("--phi-deg", type=float, default=0.0, help="receiver phase imbalance in degrees")
+    model.add_argument("--psk-order", type=int, default=8, choices=SUPPORTED_PSK_ORDERS)
+
+    ana = sub.add_parser("analytic", parents=[model], help="print imbalance figures and model curves")
     ana.add_argument("--snr", help="optional SNR grid for a closed-form BER curve")
     ana.add_argument("--out", help="write the closed-form curve CSV here")
 
-    cmp_ = sub.add_parser("compare", help="simulated results vs closed-form model")
+    cmp_ = sub.add_parser("compare", parents=[model], help="simulated results vs closed-form model")
     cmp_.add_argument("--results", required=True, help="CSV produced by simulate")
-    cmp_.add_argument("--kappa-db", type=float, default=0.0)
-    cmp_.add_argument("--phi-deg", type=float, default=0.0)
-    cmp_.add_argument("--psk-order", type=int, default=8)
     return parser
 
 
 def _config_from_args(args) -> SimConfig:
     kwargs = load_config_file(args.config) if args.config else {}
-    cfg = SimConfig(**kwargs)
-    overrides = {}
-    for key in (
-        "detection",
-        "compensation",
-        "channel",
-        "doppler_hz",
-        "iqi_kappa_db",
-        "iqi_phi_deg",
-        "psk_order",
-        "n_subcarriers",
-        "cp_len",
-        "min_bits",
-        "max_block_pairs",
-        "blocks_per_frame",
-        "lms_step_size",
-        "seed",
-    ):
-        value = getattr(args, key, None)
+    for name in _SCHEMA:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[key] = value
-    if args.snr is not None:
-        overrides["snr_grid_db"] = parse_snr_grid(args.snr)
-    if overrides:
-        cfg = replace(cfg, **overrides)
+            kwargs[name] = value
+    cfg = SimConfig(**kwargs)
     cfg.validate()
     return cfg
 
@@ -235,8 +210,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _closed_form(args, snrs_db=()) -> tuple[IqiParams, list[float]]:
+    """The ``--kappa-db``/``--phi-deg`` imbalance and the closed-form BER at each SNR in dB."""
+    try:
+        params = derive_iqi_params(args.kappa_db, args.phi_deg)
+        bers = [ber_closed_form(args.psk_order, equivalent_snr(10.0 ** (s / 10.0), params.rho)) for s in snrs_db]
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"no closed-form model: {exc}") from exc
+    return params, bers
+
+
 def _cmd_analytic(args) -> int:
-    params = derive_iqi_params(args.kappa_db, args.phi_deg)
+    grid = parse_snr_grid(args.snr) if args.snr else ()
+    params, bers = _closed_form(args, grid)
     floor = ber_floor(args.psk_order, params.rho)
     print(f"alpha = {params.alpha:.9g}")
     print(f"beta = {params.beta:.9g}")
@@ -248,28 +234,19 @@ def _cmd_analytic(args) -> int:
         onset_db, ideal_db = floor_onset_and_ideal_snr(params.irr_db)
         print(f"floor_onset_snr_db = {onset_db:.9g}")
         print(f"ideal_reference_snr_db = {ideal_db:.9g}")
-    if args.snr:
-        grid = parse_snr_grid(args.snr)
-        rows = []
-        for snr_db in grid:
-            snr = math.inf if math.isinf(snr_db) else 10.0 ** (snr_db / 10.0)
-            ber = ber_closed_form(args.psk_order, equivalent_snr(snr, params.rho))
-            rows.append((snr_db, ber))
-        if args.out:
-            with open(args.out, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["snr_db", "ber_model"])
-                for snr_db, ber in rows:
-                    writer.writerow([f"{snr_db:.9g}", f"{ber:.9g}"])
-            print(f"wrote {args.out}")
-        else:
-            for snr_db, ber in rows:
-                print(f"snr_db={snr_db:g} ber_model={ber:.6g}")
+    if args.out and args.snr:
+        with open(args.out, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["snr_db", "ber_model"])
+            writer.writerows([f"{snr_db:.9g}", f"{ber:.9g}"] for snr_db, ber in zip(grid, bers))
+        print(f"wrote {args.out}")
+    else:
+        for snr_db, ber in zip(grid, bers):
+            print(f"snr_db={snr_db:g} ber_model={ber:.6g}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    params = derive_iqi_params(args.kappa_db, args.phi_deg)
     try:
         with open(args.results, newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -277,15 +254,13 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"cannot read {args.results!r}: {exc}") from exc
     if not rows:
         raise ConfigError(f"no data rows in {args.results!r}")
+    try:
+        points = [(float(row["snr_db"]), float(row["ber"])) for row in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.results!r} is not a simulate results CSV") from exc
+    _, models = _closed_form(args, [snr_db for snr_db, _ in points])
     print("snr_db    ber_sim       ber_model     ratio")
-    for row in rows:
-        try:
-            snr_db = float(row["snr_db"])
-            ber_sim = float(row["ber"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{args.results!r} is not a simulate results CSV") from exc
-        snr = math.inf if math.isinf(snr_db) else 10.0 ** (snr_db / 10.0)
-        ber_model = ber_closed_form(args.psk_order, equivalent_snr(snr, params.rho))
+    for (snr_db, ber_sim), ber_model in zip(points, models):
         ratio = ber_sim / ber_model if ber_model > 0 else math.inf
         print(f"{snr_db:<9g} {ber_sim:<13.6g} {ber_model:<13.6g} {ratio:.3f}")
     return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -444,39 +444,15 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
     return records
 
 
-CSV_COLUMNS = (
-    "snr_db",
-    "detection",
-    "compensation",
-    "channel",
-    "doppler_hz",
-    "bits",
-    "bit_errors",
-    "ber",
-    "seed",
-    "elapsed_s",
-)
-
-
 def write_records_csv(path, records) -> None:
-    """Write sweep results with floats at 9 significant digits."""
+    """Write sweep results, one column per BerRecord field, floats at 9 significant digits."""
     import csv as _csv
 
+    columns = fields(BerRecord)
     with open(path, "w", newline="") as handle:
         writer = _csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow([f.name for f in columns])
         for r in records:
             writer.writerow(
-                [
-                    f"{r.snr_db:.9g}",
-                    r.detection,
-                    r.compensation,
-                    r.channel,
-                    f"{r.doppler_hz:.9g}",
-                    r.bits,
-                    r.bit_errors,
-                    f"{r.ber:.9g}",
-                    r.seed,
-                    f"{r.elapsed_s:.9g}",
-                ]
+                [f"{getattr(r, f.name):.9g}" if f.type == "float" else getattr(r, f.name) for f in columns]
             )

@@ -2,12 +2,14 @@
 import csv
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 
 import pytest
 
+from dstbc_ofdm import cli
 from dstbc_ofdm.cli import load_config_file, main, parse_snr_grid
-from dstbc_ofdm.harness import ConfigError
+from dstbc_ofdm.harness import ConfigError, SimConfig
 
 
 def test_parse_snr_range_inclusive():
@@ -61,6 +63,16 @@ def test_config_file_errors(tmp_path):
     bad_value.write_text("[system]\ncp_len = twenty\n")
     with pytest.raises(ConfigError):
         load_config_file(str(bad_value))
+    # one field under its name and its short name, the same key twice, no section
+    for name, text in [
+        ("name_and_alias.cfg", "[channel]\nprofile = flat\nchannel = itu-va\n"),
+        ("repeated_key.cfg", "[run]\nseed = 1\nseed = 2\n"),
+        ("no_section.cfg", "seed = 1\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config_file(str(path))
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -192,3 +204,67 @@ def test_console_script_runs(package_env):
     )
     assert proc.returncode == 0
     assert "irr_db" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--snr", "0:inf:5"],
+        ["simulate", "--snr", "0:nan:1"],
+        ["analytic", "--snr", "0:inf:5"],
+        ["analytic", "--psk-order", "3"],
+        ["analytic", "--kappa-db", "0", "--phi-deg", "180"],
+        ["analytic", "--snr=-inf"],
+    ],
+)
+def test_bad_arguments_exit_two_without_traceback(argv, package_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dstbc_ofdm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=package_env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_analytic_noiseless_point_without_imbalance(capsys):
+    assert main(["analytic", "--snr", "inf"]) == 0
+    assert "snr_db=inf ber_model=0" in capsys.readouterr().out
+
+
+# (flag, INI section, INI key, value): each differs from SimConfig's default
+FLAG_CASES = [
+    ("--n-subcarriers", "system", "n_subcarriers", "128"),
+    ("--cp-len", "system", "cp_len", "24"),
+    ("--psk-order", "system", "psk_order", "4"),
+    ("--channel", "channel", "profile", "itu-va"),
+    ("--doppler-hz", "channel", "doppler_hz", "50.5"),
+    ("--kappa-db", "iqi", "kappa_db", "1.5"),
+    ("--phi-deg", "iqi", "phi_deg", "-3"),
+    ("--detection", "run", "detection", "coherent"),
+    ("--compensation", "run", "compensation", "genie_gamma"),
+    ("--snr", "run", "snr_db", "0:20:10"),
+    ("--min-bits", "run", "min_bits", "1000"),
+    ("--max-block-pairs", "run", "max_block_pairs", "77"),
+    ("--blocks-per-frame", "run", "blocks_per_frame", "5"),
+    ("--lms-step", "run", "step_size", "0.01"),
+    ("--seed", "run", "seed", "7"),
+]
+
+
+def test_schema_covers_every_config_field_and_flag():
+    assert list(cli._SCHEMA) == [f.name for f in fields(SimConfig)]
+    assert all(f.type in cli._PARSERS for f in fields(SimConfig))
+    flags = {row[2] for row in cli._SCHEMA.values() if row[2]}
+    assert flags == {case[0] for case in FLAG_CASES}
+
+
+@pytest.mark.parametrize("flag, section, key, value", FLAG_CASES)
+def test_flag_and_ini_key_set_the_same_value(tmp_path, flag, section, key, value):
+    path = tmp_path / "one.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    from_file = cli._config_from_args(cli._build_parser().parse_args(["simulate", "--config", str(path)]))
+    from_flag = cli._config_from_args(cli._build_parser().parse_args(["simulate", flag, value]))
+    assert from_flag == from_file != SimConfig()

@@ -273,6 +273,17 @@ def test_csv_round_trip(tmp_path):
     assert float(rows[0]["snr_db"]) == 10.0
     assert int(rows[1]["bits"]) == records[1].bits
     assert float(rows[1]["ber"]) == pytest.approx(records[1].ber, rel=1e-8)
+    # fixed records: float fields at 9 significant digits, the rest as str()
+    fixed = [
+        BerRecord(math.inf, "differential", "lms", "itu-pb", 11.6, 1234567890, 0, 0.0, 20240, 1.25),
+        BerRecord(12.5, "coherent", "off", "flat", 463, 30720, 7, 7 / 30720, 3, 0.0123456789012),
+    ]
+    write_records_csv(path, fixed)
+    assert path.read_bytes() == (
+        b"snr_db,detection,compensation,channel,doppler_hz,bits,bit_errors,ber,seed,elapsed_s\r\n"
+        b"inf,differential,lms,itu-pb,11.6,1234567890,0,0,20240,1.25\r\n"
+        b"12.5,coherent,off,flat,463,30720,7,0.000227864583,3,0.0123456789\r\n"
+    )
 
 
 def test_parallel_sweep_matches_serial():

@@ -17,3 +17,16 @@ def test_lower_level_example_runs(capsys):
     exec(compile(python_block_after("Lower-level pieces"), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[3:] == ["(42, 2, 6)", "True"]
+
+
+def test_config_example_loads(tmp_path):
+    from dstbc_ofdm import SimConfig
+    from dstbc_ofdm.cli import load_config_file
+
+    match = re.search(r"## Configuration files.*?```ini\n(.*?)```", README.read_text(), re.S)
+    assert match, "no ini block in the configuration section"
+    path = tmp_path / "example.cfg"
+    path.write_text(match.group(1))
+    cfg = SimConfig(**load_config_file(str(path)))
+    cfg.validate()
+    assert (cfg.iqi_kappa_db, cfg.iqi_phi_deg, cfg.max_block_pairs) == (2.0, 8.0, 50_000_000)
