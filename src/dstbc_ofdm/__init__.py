@@ -19,7 +19,6 @@ from .analysis import (
     floor_onset_and_ideal_snr,
     sinr_coherent,
     sinr_differential,
-    sinr_differential_asymptotic,
 )
 from .channel import (
     ChannelProfile,
@@ -31,10 +30,10 @@ from .channel import (
     subcarrier_gains,
 )
 from .compensator import (
-    CompensatorState,
     build_residuals,
     compensate_observation,
     decision_directed_pass,
+    detect_pairs,
     gamma_true,
     lms_step,
     save_gamma_trajectory,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BerRecord",
     "ChannelProfile",
-    "CompensatorState",
     "ConfigError",
     "FadingRealization",
     "IqiParams",
@@ -87,6 +85,7 @@ __all__ = [
     "custom_profile",
     "decision_directed_pass",
     "derive_iqi_params",
+    "detect_pairs",
     "differential_detect",
     "differential_encode",
     "equivalent_snr",
@@ -109,7 +108,6 @@ __all__ = [
     "save_gamma_trajectory",
     "sinr_coherent",
     "sinr_differential",
-    "sinr_differential_asymptotic",
     "subcarrier_gains",
     "write_records_csv",
 ]

@@ -38,10 +38,6 @@ def sinr_differential(
         raise ValueError("interference-plus-noise power must be positive")
     return lambda_sq / denom
 
-def sinr_differential_asymptotic(lambda_sq: float, mirror_lambda_sq: float, rho: float) -> float:
-    """Noise-free limit of ``sinr_differential``."""
-    return sinr_differential(lambda_sq, mirror_lambda_sq, rho, 0.0)
-
 
 def sinr_coherent(
     lambda_sq: float,

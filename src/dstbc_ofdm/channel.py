@@ -156,8 +156,6 @@ class FadingRealization:
     ``taps[f, s, i, l]``.
     """
 
-    profile: ChannelProfile
-    sample_period: float
     tap_sample_delays: np.ndarray
     taps: np.ndarray
 
@@ -229,8 +227,6 @@ def realize_fading(
     # (frame, antenna, tap, symbol) -> (frame, symbol, antenna, tap)
     taps = np.ascontiguousarray((phases @ weights[..., None])[..., 0].transpose(0, 3, 1, 2))
     realization = FadingRealization(
-        profile=profile,
-        sample_period=sample_period,
         tap_sample_delays=positions,
         taps=taps[0] if frames is None else taps,
     )

@@ -27,6 +27,7 @@ from .harness import (
     DETECTION_MODES,
     ConfigError,
     SimConfig,
+    _snr_key,
     run_point_with_trace,
     run_sweep,
     write_records_csv,
@@ -83,7 +84,6 @@ _SCHEMA = {
     "cp_len": _key("system", flag="--cp-len"),
     "psk_order": _key("system", flag="--psk-order"),
     "bandwidth_hz": _key("system"),
-    "carrier_hz": _key("system"),
     "channel": _key("channel", "profile", "--channel", help="itu-pb, itu-va, flat or custom"),
     "doppler_hz": _key("channel", flag="--doppler-hz"),
     "custom_delays_ns": _key("channel"),
@@ -123,6 +123,10 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    if parser.defaults():
+        # configparser would copy these keys into every section
+        keys = ", ".join(parser.defaults())
+        raise ConfigError(f"keys in section [DEFAULT] are not supported: {keys}")
     out: dict = {}
     for section in parser.sections():
         for raw_key, raw_value in parser.items(section):
@@ -212,6 +216,9 @@ def _cmd_simulate(args) -> int:
 
 def _closed_form(args, snrs_db=()) -> tuple[IqiParams, list[float]]:
     """The ``--kappa-db``/``--phi-deg`` imbalance and the closed-form BER at each SNR in dB."""
+    for snr_db in snrs_db:
+        # the SNR bound that simulate applies
+        _snr_key(snr_db)
     try:
         params = derive_iqi_params(args.kappa_db, args.phi_deg)
         bers = [ber_closed_form(args.psk_order, equivalent_snr(10.0 ** (s / 10.0), params.rho)) for s in snrs_db]

@@ -6,21 +6,19 @@ from the observed pair: ``Zhat = Z' + diag(gamma, conj(gamma)) @ Zbar'`` and
 ``gamma = -beta / conj(alpha)`` the image leakage cancels exactly and both
 compensated pairs again satisfy the differential relation, so the running
 coefficient can be adapted from decision-directed residuals with scalar LMS
-steps; one shared gamma serves every subcarrier pair.
+steps; one shared gamma serves every subcarrier pair and is the
+compensator's whole state.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .iqi import IqiParams
-from .numerics import PskConstellation, indices_to_bits
+from .numerics import PskConstellation
 from .stbc import differential_detect, ml_differential_detect_indices
-
-DEFAULT_STEP_SIZE = 0.005
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -28,13 +26,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def gamma_true(params: IqiParams) -> complex:
     """Coefficient that exactly nulls the image leakage: -beta / conj(alpha)."""
     return -params.beta / np.conj(params.alpha)
-
-
-@dataclass(frozen=True)
-class CompensatorState:
-    gamma: complex = 0.0 + 0.0j
-    step_size: float = DEFAULT_STEP_SIZE
-    updates: int = 0
 
 
 def compensate_observation(values: tuple, gamma: complex) -> tuple:
@@ -92,39 +83,38 @@ def lms_step(gamma: complex, step_size: float, xi: complex, delta: complex) -> c
 def decision_directed_pass(
     low: np.ndarray,
     image: np.ndarray,
-    state: CompensatorState,
+    gamma: complex,
+    step_size: float,
     constellation: PskConstellation,
-) -> tuple[np.ndarray, CompensatorState, np.ndarray]:
-    """Compensate, detect and adapt across one frame of pair observations.
+) -> np.ndarray:
+    """Adapt gamma across one frame of pair observations, decision-directed.
 
     ``low`` holds the received values at the lower-index member of each
-    active (n, mirror) pair and ``image`` the conjugated values at its
+    active (k, mirror) pair and ``image`` the conjugated values at its
     mirror, both of shape (OFDM symbol, pair); symbols 2k and 2k+1 carry
     block k.  Observations run pair after pair in ascending order, block
     pair after block pair, each in the layout of ``compensate_observation``.
-    Gamma depends only on the desired-subcarrier decisions, so the serial
-    loop compensates the desired values with the current gamma, detects
-    their info matrix and runs two LMS updates from the decision-directed
-    residuals.  The mirror values are then compensated with the gamma each
-    observation saw and detected for the whole frame at once.
+    Gamma depends only on the desired-subcarrier decisions, so per
+    observation the loop compensates the desired values with the current
+    gamma, detects their info matrix and runs two LMS updates from the
+    decision-directed residuals.  Detection of the frame's bits is left to
+    ``detect_pairs``.
 
-    Returns the detected bit stream (per observation: desired-subcarrier
-    symbol pair then image-subcarrier symbol pair, MSB first), the final
-    compensator state and the gamma value after every update.
+    Returns the gamma value after every update, two per observation; the
+    last entry is the final gamma.  Observation i saw the input gamma for
+    i = 0 and entry 2i - 1 after it.
     """
     order = constellation.order
     # the transmit chain scales each info matrix by 1/sqrt(2) to keep
     # blocks unitary, so the block-to-block ratio carries that factor
     ratios = [p * _INV_SQRT2 for p in constellation.points_list]
-    step_size = state.step_size
-    gamma = complex(state.gamma)
+    gamma = complex(gamma)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices
     residuals = build_residuals
     step = lms_step
     low_rows = low.tolist()
     image_rows = image.tolist()
-    desired: list[int] = []
     trajectory: list[complex] = []
     for j in range(2, low.shape[0] - 1, 2):
         for values in zip(
@@ -141,20 +131,33 @@ def decision_directed_pass(
             trajectory.append(gamma)
             gamma = step(gamma, step_size, xi2, delta2)
             trajectory.append(gamma)
-            desired += (i1, i2)
-    za, zb, ba, bb = low[0::2], low[1::2], image[0::2], image[1::2]
-    planes = (za[:-1], zb[:-1], za[1:], zb[1:], ba[:-1], bb[:-1], ba[1:], bb[1:])
-    # each observation saw the input gamma, or the one after the previous
-    # observation's second update
-    seen = np.array(([complex(state.gamma)] + trajectory)[:-1:2])
-    *_, bk_a, bk_b, bn_a, bn_b = compensate_observation(planes, seen.reshape(planes[0].shape))
-    # conjugating the compensated mirror pair turns its differential
-    # relation back into the direct form, so the same detector applies
-    m1, m2 = differential_detect(np.conj(bk_a), np.conj(bk_b), np.conj(bn_a), np.conj(bn_b), order)
-    indices = np.column_stack([np.reshape(desired, (-1, 2)), m1.reshape(-1), m2.reshape(-1)])
-    bits = indices_to_bits(indices, order)
-    final = CompensatorState(gamma=gamma, step_size=step_size, updates=state.updates + len(trajectory))
-    return bits, final, np.asarray(trajectory, dtype=np.complex128)
+    return np.asarray(trajectory, dtype=np.complex128)
+
+
+def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Differential decisions at both members of every (k, mirror) pair, for every mode.
+
+    ``values`` holds spectra in pair order, shape (..., OFDM symbol, 2 * pair):
+    the lower members, then their mirrors.  Unless ``gamma`` is None, each
+    lower member and its conjugated mirror are first compensated with it, a
+    scalar or one value per observation, shape (..., block pair, pair).
+    Returns the two symbol indices of each (block pair, pair member).
+    """
+    za = values[..., 0::2, :]
+    zb = values[..., 1::2, :]
+    planes = (za[..., :-1, :], zb[..., :-1, :], za[..., 1:, :], zb[..., 1:, :])
+    if gamma is not None:
+        half = values.shape[-1] // 2
+        low = tuple(p[..., :half] for p in planes)
+        image = tuple(np.conj(p[..., half:]) for p in planes)
+        comp = compensate_observation(low + image, gamma)
+        # conjugating the compensated mirror pair turns its differential
+        # relation back into the direct form, so the same detector applies
+        planes = tuple(
+            np.concatenate([desired, np.conj(mirror)], axis=-1)
+            for desired, mirror in zip(comp[:4], comp[4:])
+        )
+    return differential_detect(*planes, order)
 
 
 def save_gamma_trajectory(path, trajectory: np.ndarray) -> None:

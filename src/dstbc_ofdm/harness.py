@@ -39,11 +39,11 @@ from .channel import (
     subcarrier_gains,
     tap_grid,
 )
-from .compensator import CompensatorState, decision_directed_pass, gamma_true
+from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import SUPPORTED_PSK_ORDERS, bits_to_indices, psk_constellation
 from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
-from .stbc import coherent_detect, differential_detect, differential_encode
+from .stbc import coherent_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
 COMPENSATION_MODES = ("off", "genie_gamma", "lms")
@@ -70,7 +70,6 @@ class SimConfig:
     cp_len: int = 20
     psk_order: int = 8
     bandwidth_hz: float = 5e6
-    carrier_hz: float = 2.5e9
     channel: str = "itu-pb"
     doppler_hz: float = 11.6
     custom_delays_ns: tuple[float, ...] | None = None
@@ -98,8 +97,8 @@ class SimConfig:
             raise ConfigError(f"cp_len must lie in (0, {n}), got {self.cp_len}")
         if self.psk_order not in SUPPORTED_PSK_ORDERS:
             raise ConfigError(f"psk_order must be one of {SUPPORTED_PSK_ORDERS}, got {self.psk_order}")
-        if self.bandwidth_hz <= 0 or self.carrier_hz <= 0:
-            raise ConfigError("bandwidth_hz and carrier_hz must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         if self.detection not in DETECTION_MODES:
             raise ConfigError(f"detection must be one of {DETECTION_MODES}, got {self.detection!r}")
         if self.compensation not in COMPENSATION_MODES:
@@ -170,7 +169,7 @@ def _snr_key(snr_db: float) -> int:
         return 1 << 41
     if abs(snr_db) <= 1000.0:
         return int(round(snr_db * 1e6)) + (1 << 40)
-    raise ConfigError(f"snr_db {snr_db} out of supported range")
+    raise ConfigError(f"snr_db {snr_db:g} out of supported range: finite within 1000 dB, or inf")
 
 
 def _point_rng(seed: int, snr_db: float) -> np.random.Generator:
@@ -249,16 +248,15 @@ class _PointEngine:
         self.sigma_sq = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
         n = cfg.n_subcarriers
         self.act0 = active_indices(n)
-        self.mirror_perm = mirror_permutation(n)
-        self.low0 = np.arange(1, n // 2, dtype=np.int64)
-        self.mir0 = self.mirror_perm[self.low0]
+        # the lower members of the active (k, mirror) pairs, then their mirrors
+        low0 = np.arange(1, n // 2, dtype=np.int64)
+        self.pair_bins = np.concatenate([low0, mirror_permutation(n)[low0]])
         act_pos = np.full(n, -1, dtype=np.int64)
         act_pos[self.act0] = np.arange(self.act0.shape[0])
-        self.low_pos = act_pos[self.low0]
-        self.mir_pos = act_pos[self.mir0]
+        self.pair_pos = act_pos[self.pair_bins]
         self.popcount = _popcount_table(cfg.psk_order)
         self.labels = self.constellation.bits_of_index
-        self.comp_state = CompensatorState(0.0 + 0.0j, cfg.lms_step_size, 0)
+        self.gamma = 0.0 + 0.0j
         self.gamma_trace: list[np.ndarray] = []
         is_differential = cfg.detection == "differential"
         self.n_blocks = cfg.blocks_per_frame
@@ -317,13 +315,31 @@ class _PointEngine:
         e2 = self.popcount[self.labels[det2] ^ self.labels[idx2]].sum()
         return int(e1 + e2)
 
-    def _detect_differential(self, z: np.ndarray, idx1, idx2) -> int:
-        za = z[:, 0::2][..., self.act0]
-        zb = z[:, 1::2][..., self.act0]
-        det1, det2 = differential_detect(
-            za[:, :-1], zb[:, :-1], za[:, 1:], zb[:, 1:], self.cfg.psk_order
+    def _adapt_gamma(self, values: np.ndarray, collect_trace: bool) -> np.ndarray:
+        """The gamma each observation of a chunk saw, (frame, block pair, pair).
+
+        ``values`` is the chunk's spectra in pair order; the LMS pass runs
+        frame after frame, each starting from the gamma the last one ended with.
+        """
+        half = values.shape[-1] // 2
+        seen = []
+        for frame in values:
+            trajectory = decision_directed_pass(
+                frame[:, :half], np.conj(frame[:, half:]), self.gamma,
+                self.cfg.lms_step_size, self.constellation,
+            )
+            seen.append(np.concatenate([[self.gamma], trajectory[1:-1:2]]))
+            self.gamma = trajectory[-1]
+            if collect_trace:
+                self.gamma_trace.append(trajectory)
+        return np.reshape(seen, (values.shape[0], self.n_blocks, half))
+
+    def _detect_differential(self, values: np.ndarray, gamma, idx1, idx2) -> int:
+        """Errors of a chunk's spectra in pair order, compensated with ``gamma`` unless None."""
+        det1, det2 = detect_pairs(values, gamma, self.cfg.psk_order)
+        return self._count_index_errors(
+            det1, det2, idx1[..., self.pair_pos], idx2[..., self.pair_pos]
         )
-        return self._count_index_errors(det1, det2, idx1, idx2)
 
     def _detect_coherent(self, z: np.ndarray, fading: FadingRealization, idx1, idx2) -> int:
         # gains of the first symbol of each block only
@@ -336,24 +352,6 @@ class _PointEngine:
         zb = z[:, 1::2][..., self.act0]
         det1, det2 = coherent_detect(za, zb, lam1, lam2, self.cfg.psk_order)
         return self._count_index_errors(det1, det2, idx1, idx2)
-
-    def _detect_lms(self, z: np.ndarray, bits: np.ndarray, collect_trace: bool) -> int:
-        """Errors of one frame through the LMS pass; ``z`` and ``bits`` have no frame axis."""
-        det_bits, self.comp_state, trace = decision_directed_pass(
-            z[:, self.low0], np.conj(z[:, self.mir0]), self.comp_state, self.constellation
-        )
-        if collect_trace:
-            self.gamma_trace.append(trace)
-        # per (block, pair) the stream carries the lower subcarrier's two
-        # symbols then the mirror's two symbols
-        true_bits = np.concatenate(
-            [
-                bits[:, self.low_pos],
-                bits[:, self.mir_pos],
-            ],
-            axis=2,
-        ).reshape(-1)
-        return int(np.count_nonzero(det_bits != true_bits))
 
     def run(self, collect_trace: bool = False) -> BerRecord:
         cfg = self.cfg
@@ -382,16 +380,13 @@ class _PointEngine:
             idx1, idx2 = self._true_indices(bits)
             freq = self._transmit_symbols(idx1, idx2)
             z = _frame_spectra(freq, fading, cfg.cp_len, sigma, self.iqi, noise)
-            if cfg.compensation == "lms":
-                for k in range(n):
-                    total_errors += self._detect_lms(z[k], bits[k], collect_trace)
+            if cfg.detection == "coherent":
+                total_errors += self._detect_coherent(z, fading, idx1, idx2)
             else:
-                if gamma is not None:
-                    z = z + gamma * np.conj(z[..., self.mirror_perm])
-                if cfg.detection == "differential":
-                    total_errors += self._detect_differential(z, idx1, idx2)
-                else:
-                    total_errors += self._detect_coherent(z, fading, idx1, idx2)
+                values = z[..., self.pair_bins]
+                if cfg.compensation == "lms":
+                    gamma = self._adapt_gamma(values, collect_trace)
+                total_errors += self._detect_differential(values, gamma, idx1, idx2)
         total_bits = n_frames * bits_per_frame
         elapsed = time.perf_counter() - start
         return BerRecord(

@@ -84,6 +84,24 @@ def as_planes(observations):
     return values[:4], values[4:]
 
 
+def pair_decisions(low, image, gamma, trajectory, order):
+    """``(i1, i2, m1, m2)`` of every observation of a pass, one row each.
+
+    ``low``, ``image``, the input ``gamma`` and the returned ``trajectory``
+    are those of one ``decision_directed_pass`` call; ``detect_pairs``
+    decides each observation at the gamma it saw.
+    """
+    from dstbc_ofdm import detect_pairs
+
+    pairs = low.shape[-1]
+    values = np.concatenate([low, np.conj(image)], axis=-1)
+    seen = np.concatenate([[gamma], trajectory[1:-1:2]]).reshape(-1, pairs)
+    det1, det2 = detect_pairs(values, seen, order)
+    desired, mirror = np.s_[:, :pairs], np.s_[:, pairs:]
+    columns = (det1[desired], det2[desired], det1[mirror], det2[mirror])
+    return np.stack(columns, axis=-1).reshape(-1, 4)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -4,7 +4,7 @@ This is the compensator loop as it was written on ``AlamoutiMatrix`` and
 ``SubcarrierObservation`` values, with its per-point argmax PSK decision
 (ties go to the first maximum), and the observation packing it read.
 ``tests/test_lms_pass.py`` checks that the package's scalar recurrence gives
-the same bits and gamma trajectory.
+the same gamma trajectory, and ``detect_pairs`` the same bits.
 """
 from __future__ import annotations
 
@@ -13,11 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dstbc_ofdm import CompensatorState, PskConstellation, mirror_permutation
+from dstbc_ofdm import PskConstellation, mirror_permutation
 
 from alamouti import AlamoutiMatrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class CompensatorState:
+    """The oracle's running coefficient, its LMS step size and the updates made so far."""
+
+    gamma: complex = 0.0 + 0.0j
+    step_size: float = 0.005
+    updates: int = 0
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dstbc_ofdm import (
     floor_onset_and_ideal_snr,
     sinr_coherent,
     sinr_differential,
-    sinr_differential_asymptotic,
 )
 
 
@@ -56,8 +55,9 @@ def test_sinr_coherent_is_three_db_better():
 
 
 def test_sinr_asymptote_is_noiseless_limit():
-    a = sinr_differential_asymptotic(3.0, 2.0, 0.02)
-    assert a == pytest.approx(sinr_differential(3.0, 2.0, 0.02, 0.0), rel=1e-12)
+    # without noise only the image leakage remains: 3 / (2 * 2 * 0.02)
+    a = sinr_differential(3.0, 2.0, 0.02, 0.0)
+    assert a == pytest.approx(37.5, rel=1e-12)
     assert sinr_differential(3.0, 2.0, 0.02, 1e-12) == pytest.approx(a, rel=1e-6)
 
 

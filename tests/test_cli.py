@@ -68,6 +68,9 @@ def test_config_file_errors(tmp_path):
         ("name_and_alias.cfg", "[channel]\nprofile = flat\nchannel = itu-va\n"),
         ("repeated_key.cfg", "[run]\nseed = 1\nseed = 2\n"),
         ("no_section.cfg", "seed = 1\n"),
+        # configparser copies [DEFAULT] keys into every section
+        ("default_only.cfg", "[DEFAULT]\nseed = 1\n"),
+        ("default_and_system.cfg", "[DEFAULT]\nseed = 1\n[system]\ncp_len = 20\n"),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -215,6 +218,7 @@ def test_console_script_runs(package_env):
         ["analytic", "--psk-order", "3"],
         ["analytic", "--kappa-db", "0", "--phi-deg", "180"],
         ["analytic", "--snr=-inf"],
+        ["analytic", "--snr", "4000"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(argv, package_env):
@@ -227,6 +231,9 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+    # an SNR beyond simulate's bound is named as such, not as a raw overflow
+    if argv[-1] == "4000":
+        assert "error: snr_db 4000 out of supported range" in proc.stderr
 
 
 def test_analytic_noiseless_point_without_imbalance(capsys):

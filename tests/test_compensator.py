@@ -5,18 +5,23 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    CompensatorState,
+    active_indices,
     build_residuals,
     compensate_observation,
+    compensator,
     decision_directed_pass,
     derive_iqi_params,
+    detect_pairs,
+    differential_detect,
     gamma_true,
+    indices_to_bits,
     lms_step,
+    mirror_permutation,
     psk_constellation,
 )
 
 from alamouti import AlamoutiMatrix
-from conftest import as_planes, synthetic_observation
+from conftest import as_planes, pair_decisions, synthetic_observation
 
 
 def test_gamma_true_value():
@@ -78,10 +83,11 @@ def test_pass_recovers_bits_without_imbalance(rng):
         stream.append(obs)
         for idx in indices:
             expected.extend(int(b) for b in f"{c.bits_of_index[idx]:03b}")
-    bits, state, trajectory = decision_directed_pass(*as_planes(stream), CompensatorState(), c)
+    low, image = as_planes(stream)
+    trajectory = decision_directed_pass(low, image, 0j, 0.005, c)
+    bits = indices_to_bits(pair_decisions(low, image, 0j, trajectory, 8), 8)
     np.testing.assert_array_equal(bits, np.array(expected, dtype=np.int8))
-    assert state.updates == 2 * 50
-    assert trajectory.shape == (100,)
+    assert trajectory.shape == (2 * 50,)
     # without leakage the residual driver is zero and gamma never moves
     assert np.all(trajectory == 0)
 
@@ -90,9 +96,7 @@ def test_pass_converges_toward_true_gamma(rng):
     params = derive_iqi_params(2.0, 8.0)
     target = gamma_true(params)
     stream = [synthetic_observation(rng, params)[0] for _ in range(40 * 20)]
-    bits, state, trajectory = decision_directed_pass(
-        *as_planes(stream), CompensatorState(step_size=0.01), psk_constellation(8)
-    )
+    trajectory = decision_directed_pass(*as_planes(stream), 0j, 0.01, psk_constellation(8))
     assert abs(trajectory[-1] - target) < 0.02
     errors = np.abs(trajectory - target)
     assert errors[-100:].mean() < errors[:100].mean() / 5
@@ -102,10 +106,48 @@ def test_state_threads_across_calls(rng):
     params = derive_iqi_params(1.0, 4.0)
     c = psk_constellation(8)
     stream = [synthetic_observation(rng, params)[0] for _ in range(4)]
-    _, state, _ = decision_directed_pass(*as_planes(stream), CompensatorState(), c)
-    assert state.updates == 8
-    _, state, _ = decision_directed_pass(*as_planes(stream), state, c)
-    assert state.updates == 16
+    first = decision_directed_pass(*as_planes(stream), 0j, 0.005, c)
+    assert first.shape == (8,)
+    second = decision_directed_pass(*as_planes(stream), first[-1], 0.005, c)
+    assert second.shape == (8,)
+    # feeding the final gamma back in continues the recurrence exactly
+    whole = decision_directed_pass(*as_planes(stream + stream), 0j, 0.005, c)
+    np.testing.assert_array_equal(np.concatenate([first, second]), whole)
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
+    # the engine's former detectors: differential detection over the active
+    # bins in ascending order, after z + gamma * conj(z[mirror]) for the genie
+    n = 64
+    z = rng.standard_normal((3, 10, n)) + 1j * rng.standard_normal((3, 10, n))
+    active, mirror = active_indices(n), mirror_permutation(n)
+    low = np.arange(1, n // 2)
+    bins = np.concatenate([low, mirror[low]])
+    position = np.searchsorted(active, bins)
+    gamma = 0.11517634828 + 0.06900364591j
+    planes = []
+    real_detect = compensator.differential_detect
+
+    def recording(*args):
+        planes.append(args[:4])
+        return real_detect(*args)
+
+    monkeypatch.setattr(compensator, "differential_detect", recording)
+    # the genie's scalar gamma, and the same value given per observation
+    seen = np.full((3, 4, low.shape[0]), gamma)
+    genie = z + gamma * np.conj(z[..., mirror])
+    for g, spectra in ((None, z), (gamma, genie), (seen, genie)):
+        za = spectra[..., 0::2, :][..., active]
+        zb = spectra[..., 1::2, :][..., active]
+        old_planes = (za[:, :-1], zb[:, :-1], za[:, 1:], zb[:, 1:])
+        old1, old2 = differential_detect(*old_planes, order)
+        det1, det2 = detect_pairs(z[..., bins], g, order)
+        # the same values reach the detector, bit for bit
+        for got, old in zip(planes.pop(), old_planes):
+            assert got.tobytes() == np.ascontiguousarray(old[..., position]).tobytes()
+        np.testing.assert_array_equal(det1, old1[..., position])
+        np.testing.assert_array_equal(det2, old2[..., position])
 
 
 def test_trajectory_csv_round_trip(tmp_path):

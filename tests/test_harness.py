@@ -183,6 +183,8 @@ def test_frame_count_matches_frame_by_frame_loop():
         (dict(blocks_per_frame=2), 15.0, 30504, 1746),
         (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1052),
         (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2201),
+        # recorded before the LMS frames of a chunk were detected together
+        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1092),
     ],
 )
 def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_errors):

@@ -11,6 +11,7 @@ import pytest
 from dstbc_ofdm import (
     SimConfig,
     harness,
+    indices_to_bits,
     psk_constellation,
     run_point_with_trace,
 )
@@ -18,6 +19,7 @@ from dstbc_ofdm.cli import load_config_file
 
 import object_pass
 from alamouti import AlamoutiMatrix
+from conftest import pair_decisions
 
 # 20 blocks x 62 active subcarriers x 2 symbols x 3 bits
 FRAME_BITS = 7440
@@ -37,14 +39,14 @@ def bundled_lms_config(**overrides) -> SimConfig:
 
 
 def record_frames(monkeypatch, cfg, snr_db):
-    """(low, image, input state, pass output) of every frame of one point."""
+    """(low, image, input gamma, trajectory) of every frame of one point."""
     frames = []
     real_pass = harness.decision_directed_pass
 
-    def recording(low, image, state, constellation):
-        result = real_pass(low, image, state, constellation)
-        frames.append((low, image, state, result))
-        return result
+    def recording(low, image, gamma, step_size, constellation):
+        trajectory = real_pass(low, image, gamma, step_size, constellation)
+        frames.append((low, image, gamma, trajectory))
+        return trajectory
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "decision_directed_pass", recording)
@@ -52,19 +54,23 @@ def record_frames(monkeypatch, cfg, snr_db):
     return frames
 
 
-def assert_frames_match_oracle(frames, constellation):
-    state = frames[0][2]
-    for low, image, _, (bits, new_state, trajectory) in frames:
+def assert_frames_match_oracle(frames, cfg):
+    constellation = psk_constellation(cfg.psk_order)
+    state = object_pass.CompensatorState(frames[0][2], cfg.lms_step_size)
+    for low, image, gamma, trajectory in frames:
+        # each frame starts from the gamma the previous one ended with
+        assert abs(gamma - state.gamma) <= 1e-12
         observations = list(object_pass.observation_tuples(low, image))
         oracle_stream = [[object_pass.observation_of(v) for v in observations]]
         oracle_bits, state, oracle_trajectory = object_pass.decision_directed_pass(
             oracle_stream, state, constellation
         )
-        np.testing.assert_array_equal(bits, oracle_bits)
+        # the engine decides the frame's bits at the gamma each observation saw
+        decisions = pair_decisions(low, image, gamma, trajectory, cfg.psk_order)
+        np.testing.assert_array_equal(indices_to_bits(decisions, cfg.psk_order), oracle_bits)
         assert trajectory.shape == oracle_trajectory.shape == (2 * len(observations),)
         assert np.max(np.abs(trajectory - oracle_trajectory)) <= 1e-12
-        assert new_state.updates == state.updates
-        assert abs(new_state.gamma - state.gamma) <= 1e-12
+        assert abs(trajectory[-1] - state.gamma) <= 1e-12
 
 
 @pytest.mark.parametrize("snr_db", [20.0, 30.0])
@@ -72,7 +78,7 @@ def test_scalar_pass_matches_object_oracle(monkeypatch, snr_db):
     cfg = bundled_lms_config(min_bits=8 * FRAME_BITS)
     frames = record_frames(monkeypatch, cfg, snr_db)
     assert len(frames) == 8
-    assert_frames_match_oracle(frames, psk_constellation(cfg.psk_order))
+    assert_frames_match_oracle(frames, cfg)
 
 
 def test_large_frame_matches_object_oracle(monkeypatch):
@@ -84,7 +90,7 @@ def test_large_frame_matches_object_oracle(monkeypatch):
     assert len(frames) == 1
     low = frames[0][0]
     assert (low.shape[0] // 2 - 1) * low.shape[1] == 20440 > 16384
-    assert_frames_match_oracle(frames, psk_constellation(cfg.psk_order))
+    assert_frames_match_oracle(frames, cfg)
 
 
 @pytest.mark.parametrize(
