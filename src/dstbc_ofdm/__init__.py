@@ -3,7 +3,7 @@
 Modules
 -------
 numerics     PSK constellations, Gray labels and the PSK decision rule.
-stbc         Differential Alamouti encoding and ML detection on top rows.
+stbc         Alamouti top rows: differential encoding, one ML detector.
 channel      Tapped-delay-line profiles, Jakes fading, subcarrier gains.
 ofdm         Subcarrier layout and the unitary cyclic-prefix modem.
 iqi          Receiver I/Q imbalance parameters and distortion.
@@ -56,12 +56,7 @@ from .numerics import (
     psk_constellation,
 )
 from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
-from .stbc import (
-    coherent_detect,
-    differential_detect,
-    differential_encode,
-    ml_differential_detect_indices,
-)
+from .stbc import alamouti_detect, differential_encode, ml_differential_detect_indices
 
 __version__ = "0.1.0"
 
@@ -75,18 +70,17 @@ __all__ = [
     "PskConstellation",
     "SimConfig",
     "active_indices",
+    "alamouti_detect",
     "apply_rx_iqi",
     "ber_closed_form",
     "ber_floor",
     "bits_to_indices",
     "build_residuals",
-    "coherent_detect",
     "compensate_observation",
     "custom_profile",
     "decision_directed_pass",
     "derive_iqi_params",
     "detect_pairs",
-    "differential_detect",
     "differential_encode",
     "equivalent_snr",
     "f44_pdf",

@@ -185,7 +185,6 @@ def realize_fading(
     rng,
     *,
     samples_per_symbol: int,
-    n_oscillators: int = DEFAULT_OSCILLATORS,
     frames: int | None = None,
 ) -> FadingRealization:
     """Draw fading sampled at OFDM-symbol midpoints, for one frame or several.
@@ -212,7 +211,7 @@ def realize_fading(
     rng = np.random.default_rng(rng)
     n_frames = 1 if frames is None else frames
     n_taps = powers.shape[0]
-    draws = np.empty((n_frames, N_TX_ANTENNAS, n_taps, 3, n_oscillators))
+    draws = np.empty((n_frames, N_TX_ANTENNAS, n_taps, 3, DEFAULT_OSCILLATORS))
     for f in range(n_frames):
         for i, antenna_rng in enumerate(rng.spawn(N_TX_ANTENNAS)):
             for l in range(n_taps):
@@ -221,7 +220,7 @@ def realize_fading(
     symbol_period = samples_per_symbol * sample_period
     times = (np.arange(n_ofdm_symbols) + 0.5) * symbol_period
     # exp(1j * time * rate), built in place to keep one array of this size
-    phases = np.zeros(rates.shape[:-1] + (n_ofdm_symbols, n_oscillators), dtype=np.complex128)
+    phases = np.zeros(rates.shape[:-1] + (n_ofdm_symbols, DEFAULT_OSCILLATORS), dtype=np.complex128)
     np.multiply(times[:, None], rates[..., None, :], out=phases.imag)
     np.exp(phases, out=phases)
     # (frame, antenna, tap, symbol) -> (frame, symbol, antenna, tap)

@@ -35,6 +35,9 @@ from .harness import (
 from .iqi import IqiParams, derive_iqi_params
 from .numerics import SUPPORTED_PSK_ORDERS
 
+# Most points a start:stop:step SNR range may expand to.
+_MAX_RANGE_POINTS = 10_000
+
 
 def parse_snr_grid(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (inclusive) or a comma-separated value list."""
@@ -51,8 +54,13 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ConfigError(f"SNR range needs finite start, stop and step, got {text!r}")
         if step <= 0 or stop < start:
             raise ConfigError(f"SNR range needs step > 0 and stop >= start, got {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        _snr_key(start)
+        _snr_key(stop)
+        # bounded before the range is built; the span is inf if step underflows
+        span = (stop - start) / step + 1e-9
+        if span >= _MAX_RANGE_POINTS:
+            raise ConfigError(f"SNR range {text!r} has more than {_MAX_RANGE_POINTS} points")
+        return tuple(start + i * step for i in range(int(math.floor(span)) + 1))
     try:
         values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .iqi import IqiParams
 from .numerics import PskConstellation
-from .stbc import differential_detect, ml_differential_detect_indices
+from .stbc import alamouti_detect, ml_differential_detect_indices
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -135,7 +135,7 @@ def decision_directed_pass(
 
 
 def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Differential decisions at both members of every (k, mirror) pair, for every mode.
+    """Differential decisions at both members of every (k, mirror) pair.
 
     ``values`` holds spectra in pair order, shape (..., OFDM symbol, 2 * pair):
     the lower members, then their mirrors.  Unless ``gamma`` is None, each
@@ -157,7 +157,7 @@ def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.
             np.concatenate([desired, np.conj(mirror)], axis=-1)
             for desired, mirror in zip(comp[:4], comp[4:])
         )
-    return differential_detect(*planes, order)
+    return alamouti_detect(*planes, order)
 
 
 def save_gamma_trajectory(path, trajectory: np.ndarray) -> None:

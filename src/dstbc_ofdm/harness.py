@@ -43,7 +43,7 @@ from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import SUPPORTED_PSK_ORDERS, bits_to_indices, psk_constellation
 from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
-from .stbc import coherent_detect, differential_encode
+from .stbc import alamouti_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
 COMPENSATION_MODES = ("off", "genie_gamma", "lms")
@@ -229,33 +229,30 @@ def _frame_spectra(
     return ofdm_demodulate(received.reshape(n_frames, n_sym, samples_per_symbol), cp_len)
 
 
-def _popcount_table(order: int) -> np.ndarray:
-    return np.array([bin(v).count("1") for v in range(order)], dtype=np.int64)
-
-
 class _PointEngine:
     """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
-    def __init__(self, cfg: SimConfig, snr_db: float, seed: int):
+    def __init__(self, cfg: SimConfig, snr_db: float):
         cfg.validate()
         self.cfg = cfg
         self.snr_db = float(snr_db)
-        self.seed = int(seed)
         self.profile = resolve_profile(cfg)
         self.constellation = psk_constellation(cfg.psk_order)
         self.iqi = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
-        self.rng = _point_rng(seed, snr_db)
-        self.sigma_sq = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+        self.rng = _point_rng(cfg.seed, snr_db)
+        self.sigma = 0.0 if math.isinf(snr_db) else math.sqrt(10.0 ** (-snr_db / 10.0))
         n = cfg.n_subcarriers
+        self.samples_per_symbol = n + cfg.cp_len
         self.act0 = active_indices(n)
         # the lower members of the active (k, mirror) pairs, then their mirrors
         low0 = np.arange(1, n // 2, dtype=np.int64)
         self.pair_bins = np.concatenate([low0, mirror_permutation(n)[low0]])
-        act_pos = np.full(n, -1, dtype=np.int64)
-        act_pos[self.act0] = np.arange(self.act0.shape[0])
-        self.pair_pos = act_pos[self.pair_bins]
-        self.popcount = _popcount_table(cfg.psk_order)
-        self.labels = self.constellation.bits_of_index
+        # where each pair bin sits among the active bins, which ascend
+        self.pair_pos = np.searchsorted(self.act0, self.pair_bins)
+        # bit_errors[decided * M + sent]: the bits in which two symbol labels
+        # differ; the M x M table is kept flat, as one-axis lookups are faster
+        labels = self.constellation.bits_of_index.tolist()
+        self.bit_errors = np.array([bin(d ^ t).count("1") for d in labels for t in labels])
         self.gamma = 0.0 + 0.0j
         self.gamma_trace: list[np.ndarray] = []
         is_differential = cfg.detection == "differential"
@@ -310,11 +307,6 @@ class _PointEngine:
         freq[:, 1, 1::2][..., self.act0] = np.conj(s_a)
         return freq
 
-    def _count_index_errors(self, det1, det2, idx1, idx2) -> int:
-        e1 = self.popcount[self.labels[det1] ^ self.labels[idx1]].sum()
-        e2 = self.popcount[self.labels[det2] ^ self.labels[idx2]].sum()
-        return int(e1 + e2)
-
     def _adapt_gamma(self, values: np.ndarray, collect_trace: bool) -> np.ndarray:
         """The gamma each observation of a chunk saw, (frame, block pair, pair).
 
@@ -334,24 +326,46 @@ class _PointEngine:
                 self.gamma_trace.append(trajectory)
         return np.reshape(seen, (values.shape[0], self.n_blocks, half))
 
-    def _detect_differential(self, values: np.ndarray, gamma, idx1, idx2) -> int:
-        """Errors of a chunk's spectra in pair order, compensated with ``gamma`` unless None."""
-        det1, det2 = detect_pairs(values, gamma, self.cfg.psk_order)
-        return self._count_index_errors(
-            det1, det2, idx1[..., self.pair_pos], idx2[..., self.pair_pos]
-        )
+    def _chunk_errors(self, n_frames: int, gamma, collect_trace: bool) -> int:
+        """Simulate the next ``n_frames`` frames and count their bit errors.
 
-    def _detect_coherent(self, z: np.ndarray, fading: FadingRealization, idx1, idx2) -> int:
-        # gains of the first symbol of each block only
-        gains = subcarrier_gains(
-            fading.taps[:, 0::2], fading.tap_sample_delays, self.cfg.n_subcarriers
+        ``gamma`` is the genie's compensation coefficient, or None.  The
+        chunk's arrays are freed on return, before the next chunk draws its
+        own, which keeps the working set to one chunk.
+        """
+        cfg = self.cfg
+        fading = realize_fading(
+            self.profile,
+            cfg.sample_period,
+            self.n_symbols,
+            self.rng,
+            samples_per_symbol=self.samples_per_symbol,
+            frames=n_frames,
         )
-        lam1 = gains[:, :, 0][..., self.act0]
-        lam2 = gains[:, :, 1][..., self.act0]
-        za = z[:, 0::2][..., self.act0]
-        zb = z[:, 1::2][..., self.act0]
-        det1, det2 = coherent_detect(za, zb, lam1, lam2, self.cfg.psk_order)
-        return self._count_index_errors(det1, det2, idx1, idx2)
+        bits, noise = self._draw_bits_and_noise(
+            n_frames, self.n_symbols * self.samples_per_symbol, self.sigma > 0.0
+        )
+        idx1, idx2 = self._true_indices(bits)
+        freq = self._transmit_symbols(idx1, idx2)
+        z = _frame_spectra(freq, fading, cfg.cp_len, self.sigma, self.iqi, noise)
+        values = z[..., self.pair_bins]
+        if cfg.detection == "coherent":
+            # the channel is the reference block: its gains at the first
+            # symbol of each block, at both antennas
+            gains = subcarrier_gains(
+                fading.taps[:, 0::2], fading.tap_sample_delays, cfg.n_subcarriers
+            )[..., self.pair_bins]
+            det1, det2 = alamouti_detect(
+                gains[:, :, 0], gains[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
+            )
+        else:
+            if cfg.compensation == "lms":
+                gamma = self._adapt_gamma(values, collect_trace)
+            det1, det2 = detect_pairs(values, gamma, cfg.psk_order)
+        return int(
+            self.bit_errors[det1 * cfg.psk_order + idx1[..., self.pair_pos]].sum()
+            + self.bit_errors[det2 * cfg.psk_order + idx2[..., self.pair_pos]].sum()
+        )
 
     def run(self, collect_trace: bool = False) -> BerRecord:
         cfg = self.cfg
@@ -359,34 +373,11 @@ class _PointEngine:
         bps = self.constellation.bits_per_symbol
         bits_per_frame = self.n_blocks * self.act0.shape[0] * 2 * bps
         n_frames = _frame_count(cfg.min_bits, bits_per_frame, cfg.max_block_pairs, self.n_blocks)
-        samples_per_symbol = cfg.n_subcarriers + cfg.cp_len
-        chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * samples_per_symbol))
-        sigma = math.sqrt(self.sigma_sq)
+        chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
         gamma = gamma_true(self.iqi) if cfg.compensation == "genie_gamma" else None
         total_errors = 0
         for first in range(0, n_frames, chunk):
-            n = min(chunk, n_frames - first)
-            fading = realize_fading(
-                self.profile,
-                cfg.sample_period,
-                self.n_symbols,
-                self.rng,
-                samples_per_symbol=samples_per_symbol,
-                frames=n,
-            )
-            bits, noise = self._draw_bits_and_noise(
-                n, self.n_symbols * samples_per_symbol, sigma > 0.0
-            )
-            idx1, idx2 = self._true_indices(bits)
-            freq = self._transmit_symbols(idx1, idx2)
-            z = _frame_spectra(freq, fading, cfg.cp_len, sigma, self.iqi, noise)
-            if cfg.detection == "coherent":
-                total_errors += self._detect_coherent(z, fading, idx1, idx2)
-            else:
-                values = z[..., self.pair_bins]
-                if cfg.compensation == "lms":
-                    gamma = self._adapt_gamma(values, collect_trace)
-                total_errors += self._detect_differential(values, gamma, idx1, idx2)
+            total_errors += self._chunk_errors(min(chunk, n_frames - first), gamma, collect_trace)
         total_bits = n_frames * bits_per_frame
         elapsed = time.perf_counter() - start
         return BerRecord(
@@ -398,22 +389,19 @@ class _PointEngine:
             bits=total_bits,
             bit_errors=total_errors,
             ber=total_errors / total_bits,
-            seed=self.seed,
+            seed=cfg.seed,
             elapsed_s=elapsed,
         )
 
 
-def run_point(cfg: SimConfig, snr_db: float, seed: int | None = None) -> BerRecord:
-    """Simulate one SNR point; identical (cfg, snr_db, seed) gives identical output."""
-    engine = _PointEngine(cfg, snr_db, cfg.seed if seed is None else seed)
-    return engine.run()
+def run_point(cfg: SimConfig, snr_db: float) -> BerRecord:
+    """Simulate one SNR point; identical (cfg, snr_db) gives identical output."""
+    return _PointEngine(cfg, snr_db).run()
 
 
-def run_point_with_trace(
-    cfg: SimConfig, snr_db: float, seed: int | None = None
-) -> tuple[BerRecord, np.ndarray]:
+def run_point_with_trace(cfg: SimConfig, snr_db: float) -> tuple[BerRecord, np.ndarray]:
     """Like run_point but also returns the LMS gamma trajectory (per update)."""
-    engine = _PointEngine(cfg, snr_db, cfg.seed if seed is None else seed)
+    engine = _PointEngine(cfg, snr_db)
     record = engine.run(collect_trace=True)
     if engine.gamma_trace:
         trace = np.concatenate(engine.gamma_trace)

@@ -1,4 +1,4 @@
-"""Differential Alamouti space-time blocks: encoding and ML detection.
+"""Alamouti space-time blocks: differential encoding and ML detection.
 
 A 2x2 Alamouti-structured matrix ``[[a, b], [-conj(b), conj(a)]]`` is closed
 under matrix product, Hermitian transpose, elementwise conjugation, addition
@@ -38,23 +38,19 @@ def differential_encode(u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, n
     return s_a, s_b
 
 
-def differential_detect(k_a, k_b, n_a, n_b, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``ml_differential_detect_indices``, elementwise."""
-    d_a = np.conj(k_a) * n_a + k_b * np.conj(n_b)
-    d_b = np.conj(k_a) * n_b - k_b * np.conj(n_a)
-    return nearest_psk_indices(d_a, order), nearest_psk_indices(d_b, order)
-
-
-def coherent_detect(z_a, z_b, lam_a, lam_b, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase indices maximising Re(trace(U^H Lambda^H Z)) with known channel.
+def alamouti_detect(ref_a, ref_b, z_a, z_b, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """PSK decisions on the top row of ``R^H @ Z``, elementwise.
 
     ``(z_a, z_b)`` is the top row of the received block ``Z`` and
-    ``(lam_a, lam_b)`` that of the channel matrix ``Lambda``; the two PSK
-    decisions are taken on the top row of ``Lambda^H @ Z``, elementwise.
+    ``(ref_a, ref_b)`` that of the reference block ``R``: the channel matrix
+    for coherent detection, or the previous received block for differential
+    detection, where this is the array form of
+    ``ml_differential_detect_indices``.  Either way the two decisions
+    maximise ``Re(trace(U^H R^H Z))`` over the info pair.
     """
-    g_a = np.conj(lam_a) * z_a + lam_b * np.conj(z_b)
-    g_b = np.conj(lam_a) * z_b - lam_b * np.conj(z_a)
-    return nearest_psk_indices(g_a, order), nearest_psk_indices(g_b, order)
+    d_a = np.conj(ref_a) * z_a + ref_b * np.conj(z_b)
+    d_b = np.conj(ref_a) * z_b - ref_b * np.conj(z_a)
+    return nearest_psk_indices(d_a, order), nearest_psk_indices(d_b, order)
 
 
 def ml_differential_detect_indices(

@@ -26,7 +26,7 @@ from dstbc_ofdm import (
     run_point,
     run_point_with_trace,
 )
-from dstbc_ofdm.stbc import coherent_detect, ml_differential_detect_indices
+from dstbc_ofdm.stbc import alamouti_detect, ml_differential_detect_indices
 
 from alamouti import alamouti_encode
 from conftest import (
@@ -335,7 +335,7 @@ def test_detectors_match_exhaustive_search():
             )
         else:
             z = (channel @ ratio) + random_alamouti(rng, 0.35)
-            fast = coherent_detect(z.a, z.b, channel.a, channel.b, c.order)
+            fast = alamouti_detect(channel.a, channel.b, z.a, z.b, c.order)
             best = min(candidates, key=lambda cand: (z - channel @ cand[2]).frobenius())
         if fast != (best[0], best[1]):
             mismatches += 1

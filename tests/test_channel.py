@@ -61,6 +61,11 @@ def test_jakes_rejects_small_oscillator_count():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         JakesFadingProcess(1.0, 10.0, rng, n_oscillators=8)
+    # the engine's draw always uses the default count; it takes no other
+    with pytest.raises(TypeError):
+        realize_fading(
+            load_profile("flat", 10.0), SAMPLE_PERIOD, 2, rng, samples_per_symbol=84, n_oscillators=1
+        )
 
 
 def test_jakes_marginal_is_complex_gaussian():

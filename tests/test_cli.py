@@ -23,7 +23,7 @@ def test_parse_snr_list_and_scalar():
 
 
 def test_parse_snr_errors():
-    for bad in ("1:2", "5:1:1", "0:10:-2", "a,b", ""):
+    for bad in ("1:2", "5:1:1", "0:10:-2", "a,b", "", "0:2000:1", "0:1000:0.01"):
         with pytest.raises(ConfigError):
             parse_snr_grid(bad)
 

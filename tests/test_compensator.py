@@ -6,13 +6,13 @@ import pytest
 
 from dstbc_ofdm import (
     active_indices,
+    alamouti_detect,
     build_residuals,
     compensate_observation,
     compensator,
     decision_directed_pass,
     derive_iqi_params,
     detect_pairs,
-    differential_detect,
     gamma_true,
     indices_to_bits,
     lms_step,
@@ -127,13 +127,13 @@ def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
     position = np.searchsorted(active, bins)
     gamma = 0.11517634828 + 0.06900364591j
     planes = []
-    real_detect = compensator.differential_detect
+    real_detect = compensator.alamouti_detect
 
     def recording(*args):
         planes.append(args[:4])
         return real_detect(*args)
 
-    monkeypatch.setattr(compensator, "differential_detect", recording)
+    monkeypatch.setattr(compensator, "alamouti_detect", recording)
     # the genie's scalar gamma, and the same value given per observation
     seen = np.full((3, 4, low.shape[0]), gamma)
     genie = z + gamma * np.conj(z[..., mirror])
@@ -141,7 +141,7 @@ def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
         za = spectra[..., 0::2, :][..., active]
         zb = spectra[..., 1::2, :][..., active]
         old_planes = (za[:, :-1], zb[:, :-1], za[:, 1:], zb[:, 1:])
-        old1, old2 = differential_detect(*old_planes, order)
+        old1, old2 = alamouti_detect(*old_planes, order)
         det1, det2 = detect_pairs(z[..., bins], g, order)
         # the same values reach the detector, bit for bit
         for got, old in zip(planes.pop(), old_planes):

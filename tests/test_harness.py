@@ -95,8 +95,11 @@ def test_run_point_is_deterministic():
 def test_seed_changes_outcome():
     cfg = small_cfg(min_bits=50_000)
     a = run_point(cfg, 12.0)
-    b = run_point(cfg, 12.0, seed=6)
+    b = run_point(dataclasses.replace(cfg, seed=6), 12.0)
     assert a.bit_errors != b.bit_errors
+    # the seed comes from the config alone, which validate() checks
+    with pytest.raises(TypeError):
+        run_point(cfg, 12.0, seed=6)
 
 
 def test_grid_order_does_not_matter():
@@ -185,6 +188,12 @@ def test_frame_count_matches_frame_by_frame_loop():
         (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2201),
         # recorded before the LMS frames of a chunk were detected together
         (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1092),
+        # recorded before coherent detection joined the pair-order gather
+        (
+            dict(blocks_per_frame=2, detection="coherent", psk_order=16, channel="flat"),
+            20.0, 30752, 1262,
+        ),
+        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 575),
     ],
 )
 def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_errors):

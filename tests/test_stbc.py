@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    coherent_detect,
-    differential_detect,
+    alamouti_detect,
     differential_encode,
     ml_differential_detect_indices,
     psk_constellation,
@@ -96,7 +95,7 @@ def test_differential_detect_recovers_noiseless_info(order, rng):
         z_k = channel @ s_k
         z_next = z_k @ info.scaled(1.0 / _SQRT2)
         assert ml_differential_detect_indices(z_k.a, z_k.b, z_next.a, z_next.b, order) == (i1, i2)
-        assert differential_detect(z_k.a, z_k.b, z_next.a, z_next.b, order) == (i1, i2)
+        assert alamouti_detect(z_k.a, z_k.b, z_next.a, z_next.b, order) == (i1, i2)
 
 
 @pytest.mark.parametrize("order", [2, 4, 8, 16])
@@ -107,15 +106,14 @@ def test_coherent_detect_recovers_noiseless_info(order, rng):
         i1, i2 = rng.integers(order), rng.integers(order)
         info = alamouti_encode(c.points[i1], c.points[i2])
         z = channel @ info.scaled(1.0 / _SQRT2)
-        assert coherent_detect(z.a, z.b, channel.a, channel.b, order) == (i1, i2)
+        assert alamouti_detect(channel.a, channel.b, z.a, z.b, order) == (i1, i2)
 
 
 def test_detect_tie_breaks_to_first_index():
     c = psk_constellation(8)
     zero = AlamoutiMatrix(0.0, 0.0)
     assert ml_differential_detect_indices(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
-    assert differential_detect(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
-    assert coherent_detect(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
+    assert alamouti_detect(zero.a, zero.b, zero.a, zero.b, c.order) == (0, 0)
 
 
 def test_detection_invariant_to_positive_scaling(rng):
@@ -134,7 +132,7 @@ def test_array_differential_detect_matches_scalar(order, rng):
     k_a, k_b, n_a, n_b = rng.standard_normal((4, 3, 40)) + 1j * rng.standard_normal((4, 3, 40))
     for values in (k_a, k_b, n_a, n_b):
         values[-1, -1] = 0.0
-    det1, det2 = differential_detect(k_a, k_b, n_a, n_b, order)
+    det1, det2 = alamouti_detect(k_a, k_b, n_a, n_b, order)
     assert det1.shape == det2.shape == (3, 40)
     expected = [
         ml_differential_detect_indices(*values, order)
