@@ -5,11 +5,11 @@ Modules
 numerics     PSK constellations, Gray labels and the PSK decision rule.
 stbc         Alamouti top rows: differential encoding, one ML detector.
 channel      Tapped-delay-line profiles, Jakes fading, subcarrier gains.
-ofdm         Subcarrier layout and the unitary cyclic-prefix modem.
-iqi          Receiver I/Q imbalance parameters and distortion.
+ofdm         Subcarrier layout: active bins and their mirror pairs.
+iqi          Receiver I/Q imbalance parameters and per-bin distortion.
 compensator  Decision-directed LMS image-leakage compensation.
 analysis     SINR, error floors and closed-form BER approximations.
-harness      End-to-end frame simulation, sweeps and CSV export.
+harness      Per-bin frame simulation, sweeps and CSV export.
 """
 from .analysis import (
     ber_closed_form,
@@ -51,11 +51,10 @@ from .iqi import IqiParams, apply_rx_iqi, derive_iqi_params
 from .numerics import (
     PskConstellation,
     bits_to_indices,
-    indices_to_bits,
     nearest_psk_indices,
     psk_constellation,
 )
-from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
+from .ofdm import active_indices, mirror_permutation
 from .stbc import alamouti_detect, differential_encode, ml_differential_detect_indices
 
 __version__ = "0.1.0"
@@ -86,14 +85,11 @@ __all__ = [
     "f44_pdf",
     "floor_onset_and_ideal_snr",
     "gamma_true",
-    "indices_to_bits",
     "lms_step",
     "load_profile",
     "mirror_permutation",
     "ml_differential_detect_indices",
     "nearest_psk_indices",
-    "ofdm_demodulate",
-    "ofdm_modulate",
     "psk_constellation",
     "realize_fading",
     "run_point",

@@ -99,8 +99,7 @@ def _draw_oscillators(rng: np.random.Generator, draws: np.ndarray) -> None:
     parts of the weights and their imaginary parts.
     """
     rng.random(out=draws[0])
-    rng.standard_normal(out=draws[1])
-    rng.standard_normal(out=draws[2])
+    rng.standard_normal(out=draws[1:])
 
 
 def _oscillators(mean_power, doppler_hz: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +193,15 @@ def realize_fading(
     ``JakesFadingProcess`` does.  Spawning never advances ``rng``'s own
     stream.  With ``frames=F`` the frames are drawn in turn, so frame ``f``
     equals what the ``f``-th of F single-frame calls on the same generator
-    would return, and ``taps`` gets a leading frame axis.  All taps of all
-    frames are then evaluated by one ``exp`` and one stacked matrix-vector
-    product, each slice of which is the product ``JakesFadingProcess.sample``
-    computes.
+    would return, and ``taps`` gets a leading frame axis.
+
+    The oscillators are sampled by a phasor recurrence rather than an ``exp``
+    per symbol: each one's phasor at the first midpoint,
+    ``exp(1j*rate*T/2)``, is multiplied by its per-symbol step
+    ``exp(1j*rate*T)`` along the symbols.  This differs from the ``exp`` of
+    ``JakesFadingProcess.sample`` by rounding only, a few ulps per symbol;
+    at zero Doppler every step is exactly 1.  All taps of all frames are
+    then summed by one stacked matrix-vector product.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
@@ -218,11 +222,11 @@ def realize_fading(
                 _draw_oscillators(antenna_rng, draws[f, i, l])
     rates, weights = _oscillators(powers[:, None], profile.doppler_hz, draws)
     symbol_period = samples_per_symbol * sample_period
-    times = (np.arange(n_ofdm_symbols) + 0.5) * symbol_period
-    # exp(1j * time * rate), built in place to keep one array of this size
-    phases = np.zeros(rates.shape[:-1] + (n_ofdm_symbols, DEFAULT_OSCILLATORS), dtype=np.complex128)
-    np.multiply(times[:, None], rates[..., None, :], out=phases.imag)
-    np.exp(phases, out=phases)
+    # exp(1j * rate * (s + 0.5) * T) as a running product over the symbols s
+    phases = np.empty(rates.shape[:-1] + (n_ofdm_symbols, DEFAULT_OSCILLATORS), dtype=np.complex128)
+    phases[..., 0, :] = np.exp(0.5j * symbol_period * rates)
+    phases[..., 1:, :] = np.exp(1j * symbol_period * rates)[..., None, :]
+    np.cumprod(phases, axis=-2, out=phases)
     # (frame, antenna, tap, symbol) -> (frame, symbol, antenna, tap)
     taps = np.ascontiguousarray((phases @ weights[..., None])[..., 0].transpose(0, 3, 1, 2))
     realization = FadingRealization(

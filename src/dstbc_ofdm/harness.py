@@ -3,11 +3,18 @@
 A run point simulates frames until enough bits are counted.  Each frame draws
 a fresh fading realization and carries one reference space-time block (for
 the differential modes) followed by ``blocks_per_frame`` information blocks;
-coherent frames carry information blocks only.  Per OFDM symbol the two
-antenna waveforms are convolved with the time-varying taps (linear
-convolution with memory across symbols; the cyclic prefix restores
-circularity), summed, hit with AWGN and then with the receiver I/Q
-imbalance, and demodulated.
+coherent frames carry information blocks only.
+
+The link is evaluated per OFDM symbol and per bin, on the active (k, mirror)
+pairs: ``Y = H0*X0 + H1*X1 + N`` with the gains of the symbol's taps, then
+the receiver I/Q imbalance ``alpha*Y + beta*conj(Y of the mirror)``.  That is
+exactly what a cyclic-prefix modem, a time-domain convolution with
+symbol-rate tap updates, imbalance on the samples and a DFT would give:
+taps are constant over a symbol and ``SimConfig.validate`` bounds the delay
+spread by the cyclic prefix, so each symbol's body reads only its own
+samples through its own taps.  The noise is still drawn as every symbol's
+time-domain samples, prefix included, and enters as the unitary DFT of the
+body samples.
 
 Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
 samples (or one frame, if that is longer), each stage running once per chunk
@@ -31,7 +38,6 @@ import numpy as np
 
 from .channel import (
     ChannelProfile,
-    FadingRealization,
     PROFILE_NAMES,
     custom_profile,
     load_profile,
@@ -42,7 +48,7 @@ from .channel import (
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import SUPPORTED_PSK_ORDERS, bits_to_indices, psk_constellation
-from .ofdm import active_indices, mirror_permutation, ofdm_demodulate, ofdm_modulate
+from .ofdm import active_indices, mirror_permutation
 from .stbc import alamouti_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
@@ -90,6 +96,13 @@ class SimConfig:
         return 1.0 / self.bandwidth_hz
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.name.startswith("custom_") and value is not None:
+                if not all(math.isfinite(v) for v in value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
         n = self.n_subcarriers
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_subcarriers must be a power of two >= 8, got {n}")
@@ -182,53 +195,6 @@ def _frame_count(min_bits: int, bits_per_frame: int, max_blocks: int, blocks_per
     return min(-(-min_bits // bits_per_frame), -(-max_blocks // blocks_per_frame))
 
 
-def _apply_channel(
-    streams: np.ndarray,
-    fading: FadingRealization,
-    samples_per_symbol: int,
-) -> np.ndarray:
-    """Per frame, the sum of per-antenna linear convolutions with symbol-rate tap updates.
-
-    ``streams`` is (frame, antenna, sample); ``fading.taps`` has the same
-    leading frame axis.
-    """
-    n_frames, n_antennas, total = streams.shape
-    received = np.zeros((n_frames, total), dtype=np.complex128)
-    positions = fading.tap_sample_delays
-    for l, pos in enumerate(positions):
-        gains = np.repeat(fading.taps[..., l], samples_per_symbol, axis=1)
-        for ant in range(n_antennas):
-            if pos == 0:
-                received += gains[..., ant] * streams[:, ant]
-            else:
-                received[:, pos:] += gains[:, pos:, ant] * streams[:, ant, : total - pos]
-    return received
-
-
-def _frame_spectra(
-    freq_symbols: np.ndarray,
-    fading: FadingRealization,
-    cp_len: int,
-    sigma: float,
-    iqi_params,
-    noise: np.ndarray | None,
-) -> np.ndarray:
-    """Transmit, propagate, distort and demodulate a chunk of frames.
-
-    ``freq_symbols`` is (frame, antenna, symbol, subcarrier).  ``noise``
-    holds each frame's complex samples with standard normal real and
-    imaginary parts, or is None when there is no noise.
-    """
-    n_frames, _, n_sym, n_sub = freq_symbols.shape
-    samples_per_symbol = n_sub + cp_len
-    streams = ofdm_modulate(freq_symbols, cp_len).reshape(n_frames, 2, n_sym * samples_per_symbol)
-    received = _apply_channel(streams, fading, samples_per_symbol)
-    if noise is not None:
-        received = received + (sigma * _INV_SQRT2) * noise
-    received = apply_rx_iqi(received, iqi_params)
-    return ofdm_demodulate(received.reshape(n_frames, n_sym, samples_per_symbol), cp_len)
-
-
 class _PointEngine:
     """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
@@ -279,33 +245,44 @@ class _PointEngine:
         return bits, noise
 
     def _true_indices(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two symbol indices of every block, (frame, block, pair bin)."""
         indices = bits_to_indices(bits, self.cfg.psk_order).reshape(bits.shape[:-1])
+        indices = indices[:, :, self.pair_pos]
         return indices[..., 0], indices[..., 1]
 
     def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
-        """Frequency-domain antenna symbols, (frame, antenna, symbol, subcarrier)."""
-        cfg = self.cfg
+        """Both antennas' symbols on the pair bins, (frame, symbol, antenna, pair bin)."""
         points = self.constellation.points
-        x1 = points[idx1]
-        x2 = points[idx2]
-        n_frames = idx1.shape[0]
-        freq = np.zeros((n_frames, 2, self.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
-        if cfg.detection == "differential":
+        u_a = points[idx1] * _INV_SQRT2
+        u_b = points[idx2] * _INV_SQRT2
+        if self.cfg.detection == "differential":
             # block-major, so that each step of the recursion reads and
             # writes whole (frame, subcarrier) planes
-            s_a, s_b = differential_encode(
-                (x1 * _INV_SQRT2).transpose(1, 0, 2), (x2 * _INV_SQRT2).transpose(1, 0, 2)
-            )
-            s_a = s_a.transpose(1, 0, 2)
-            s_b = s_b.transpose(1, 0, 2)
-        else:
-            s_a = x1 * _INV_SQRT2
-            s_b = x2 * _INV_SQRT2
-        freq[:, 0, 0::2][..., self.act0] = s_a
-        freq[:, 1, 0::2][..., self.act0] = -np.conj(s_b)
-        freq[:, 0, 1::2][..., self.act0] = s_b
-        freq[:, 1, 1::2][..., self.act0] = np.conj(s_a)
-        return freq
+            s_a, s_b = differential_encode(u_a.transpose(1, 0, 2), u_b.transpose(1, 0, 2))
+            u_a = s_a.transpose(1, 0, 2)
+            u_b = s_b.transpose(1, 0, 2)
+        n_frames, _, n_bins = idx1.shape
+        tx = np.empty((n_frames, self.n_symbols, 2, n_bins), dtype=np.complex128)
+        tx[:, 0::2, 0] = u_a
+        tx[:, 0::2, 1] = -np.conj(u_b)
+        tx[:, 1::2, 0] = u_b
+        tx[:, 1::2, 1] = np.conj(u_a)
+        return tx
+
+    def _received_spectra(self, tx: np.ndarray, gains: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """The received spectra at the pair bins, (frame, symbol, pair bin).
+
+        ``tx`` holds the antennas' symbols and ``gains`` their subcarrier
+        gains, both (frame, symbol, antenna, pair bin).  ``noise`` holds each
+        frame's time-domain samples with standard normal real and imaginary
+        parts, or is None when there is no noise.
+        """
+        y = gains[:, :, 0] * tx[:, :, 0] + gains[:, :, 1] * tx[:, :, 1]
+        if noise is not None:
+            body = noise.reshape(y.shape[:2] + (self.samples_per_symbol,))[..., self.cfg.cp_len:]
+            spectra = np.fft.fft(body, axis=-1, norm="ortho")[..., self.pair_bins]
+            y += (self.sigma * _INV_SQRT2) * spectra
+        return apply_rx_iqi(y, self.iqi)
 
     def _adapt_gamma(self, values: np.ndarray, collect_trace: bool) -> np.ndarray:
         """The gamma each observation of a chunk saw, (frame, block pair, pair).
@@ -346,25 +323,24 @@ class _PointEngine:
             n_frames, self.n_symbols * self.samples_per_symbol, self.sigma > 0.0
         )
         idx1, idx2 = self._true_indices(bits)
-        freq = self._transmit_symbols(idx1, idx2)
-        z = _frame_spectra(freq, fading, cfg.cp_len, self.sigma, self.iqi, noise)
-        values = z[..., self.pair_bins]
+        gains = subcarrier_gains(
+            fading.taps, fading.tap_sample_delays, cfg.n_subcarriers
+        )[..., self.pair_bins]
+        values = self._received_spectra(self._transmit_symbols(idx1, idx2), gains, noise)
         if cfg.detection == "coherent":
             # the channel is the reference block: its gains at the first
             # symbol of each block, at both antennas
-            gains = subcarrier_gains(
-                fading.taps[:, 0::2], fading.tap_sample_delays, cfg.n_subcarriers
-            )[..., self.pair_bins]
+            ref = gains[:, 0::2]
             det1, det2 = alamouti_detect(
-                gains[:, :, 0], gains[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
+                ref[:, :, 0], ref[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
             )
         else:
             if cfg.compensation == "lms":
                 gamma = self._adapt_gamma(values, collect_trace)
             det1, det2 = detect_pairs(values, gamma, cfg.psk_order)
         return int(
-            self.bit_errors[det1 * cfg.psk_order + idx1[..., self.pair_pos]].sum()
-            + self.bit_errors[det2 * cfg.psk_order + idx2[..., self.pair_pos]].sum()
+            self.bit_errors[det1 * cfg.psk_order + idx1].sum()
+            + self.bit_errors[det2 * cfg.psk_order + idx2].sum()
         )
 
     def run(self, collect_trace: bool = False) -> BerRecord:

@@ -7,8 +7,10 @@ baseband stream ``y`` into ``alpha*y + beta*conj(y)`` with
     alpha = (1 + g*exp(-1j*phi)) / 2
     beta  = (1 - g*exp(+1j*phi)) / 2
 
-The image-leakage ratio is ``rho = |beta|**2 / |alpha|**2``; the image
-rejection ratio in dB is ``-10*log10(rho)``.
+After the unitary DFT this is ``Z_k = alpha*Y_k + beta*conj(Y_{N-k})`` at
+every bin: each subcarrier takes in the conjugate of its mirror.  The
+image-leakage ratio is ``rho = |beta|**2 / |alpha|**2``; the image rejection
+ratio in dB is ``-10*log10(rho)``.
 """
 from __future__ import annotations
 
@@ -25,10 +27,6 @@ class IqiParams:
     rho: float
     irr_db: float
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.beta == 0
-
 
 def derive_iqi_params(kappa_db: float, phi_deg: float) -> IqiParams:
     """Branch-mismatch coefficients for a gain error in dB and phase error in degrees."""
@@ -43,7 +41,13 @@ def derive_iqi_params(kappa_db: float, phi_deg: float) -> IqiParams:
     return IqiParams(alpha=alpha, beta=beta, rho=rho, irr_db=irr_db)
 
 
-def apply_rx_iqi(samples: np.ndarray, params: IqiParams) -> np.ndarray:
-    """Distort a complex baseband stream: alpha*y + beta*conj(y)."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    return params.alpha * samples + params.beta * np.conj(samples)
+def apply_rx_iqi(spectra: np.ndarray, params: IqiParams) -> np.ndarray:
+    """Distort spectra in pair order: ``alpha*Y + beta*conj(Y of the mirror)``.
+
+    The last axis holds the lower members of the (k, N-k) pairs and then
+    their mirrors in the same order, so each half is the other's image.
+    """
+    spectra = np.asarray(spectra, dtype=np.complex128)
+    half = spectra.shape[-1] // 2
+    image = np.conj(np.concatenate([spectra[..., half:], spectra[..., :half]], axis=-1))
+    return params.alpha * spectra + params.beta * image

@@ -73,15 +73,6 @@ def bits_to_indices(bits: np.ndarray, order: int) -> np.ndarray:
     return const.index_of_bits[values]
 
 
-def indices_to_bits(indices: np.ndarray, order: int) -> np.ndarray:
-    """Recover the MSB-first bit stream carried by phase indices."""
-    const = psk_constellation(order)
-    bps = const.bits_per_symbol
-    values = const.bits_of_index[np.asarray(indices, dtype=np.int64)]
-    shifts = np.arange(bps - 1, -1, -1)
-    return ((values[..., None] >> shifts) & 1).astype(np.int8).reshape(-1)
-
-
 def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
     """Index of the nearest M-PSK point to each value, by rounding its phase.
 

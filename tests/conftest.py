@@ -26,6 +26,16 @@ def interpolate_snr_at_ber(snr_db, ber, target):
     raise ValueError(f"curve never crosses target BER {target:g}")
 
 
+def indices_to_bits(indices, order):
+    """The MSB-first bit stream carried by PSK phase indices."""
+    from dstbc_ofdm import psk_constellation
+
+    const = psk_constellation(order)
+    values = const.bits_of_index[np.asarray(indices, dtype=np.int64)]
+    shifts = np.arange(const.bits_per_symbol - 1, -1, -1)
+    return ((values[..., None] >> shifts) & 1).astype(np.int8).reshape(-1)
+
+
 def random_unitary_alamouti(rng):
     """Random 2x2 Alamouti matrix with S @ S^H = I."""
     v = rng.standard_normal(4)

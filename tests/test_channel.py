@@ -114,11 +114,17 @@ def test_jakes_process_draw_order():
 
 @pytest.mark.parametrize(
     "name, doppler, n_sym, frames",
-    [("itu-pb", 11.6, 42, 1), ("itu-va", 463.0, 8, 5), ("flat", 30.0, 6, 7)],
+    [
+        ("itu-pb", 11.6, 42, 1),
+        ("itu-va", 463.0, 8, 5),
+        ("flat", 30.0, 6, 7),
+        ("itu-pb", 0.0, 42, 3),
+        ("itu-va", 463.0, 1002, 1),
+    ],
 )
 def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, frames):
-    # frame f of a batch is, bit for bit, what JakesFadingProcess draws from
-    # the f-th pair of antenna generators spawned off the same generator
+    # frame f of a batch is what JakesFadingProcess draws from the f-th pair
+    # of antenna generators spawned off the same generator
     prof = load_profile(name, doppler)
     _, powers = tap_grid(prof, SAMPLE_PERIOD)
     batch = realize_fading(
@@ -129,10 +135,21 @@ def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, f
     times = (np.arange(n_sym) + 0.5) * (84 * SAMPLE_PERIOD)
     for f in range(frames):
         expected = np.empty((n_sym, 2, powers.shape[0]), dtype=complex)
+        weight_sum = np.empty((2, powers.shape[0]))
         for i, antenna_rng in enumerate(rng.spawn(2)):
             for l, power in enumerate(powers):
-                expected[:, i, l] = JakesFadingProcess(power, doppler, antenna_rng).sample(times)
-        assert np.array_equal(batch.taps[f], expected)
+                process = JakesFadingProcess(power, doppler, antenna_rng)
+                expected[:, i, l] = process.sample(times)
+                weight_sum[i, l] = np.abs(process._weights).sum()
+        if doppler == 0.0:
+            # every phasor step is exactly 1, so the draws are checked bit for bit
+            assert np.array_equal(batch.taps[f], expected)
+        else:
+            # the phasor of symbol s is s rounded products past its first
+            # value, each off by a few ulps from exp; the sums over the
+            # oscillators round on their own
+            bound = np.finfo(float).eps * (3 * n_sym + 64) * weight_sum
+            assert np.all(np.abs(batch.taps[f] - expected) <= bound)
 
 
 def test_batch_equals_successive_single_draws():

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from dstbc_ofdm import cli
+from dstbc_ofdm import cli, harness
 from dstbc_ofdm.cli import load_config_file, main, parse_snr_grid
 from dstbc_ofdm.harness import ConfigError, SimConfig
 
@@ -275,3 +275,12 @@ def test_flag_and_ini_key_set_the_same_value(tmp_path, flag, section, key, value
     from_file = cli._config_from_args(cli._build_parser().parse_args(["simulate", "--config", str(path)]))
     from_flag = cli._config_from_args(cli._build_parser().parse_args(["simulate", flag, value]))
     assert from_flag == from_file != SimConfig()
+
+
+def test_non_finite_flag_exits_two_before_any_frame(monkeypatch, capsys):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was simulated")
+
+    monkeypatch.setattr(harness, "realize_fading", no_frames)
+    assert main(["simulate", "--snr", "20", "--doppler-hz", "nan"]) == 2
+    assert "error: doppler_hz must be finite" in capsys.readouterr().err

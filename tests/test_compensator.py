@@ -14,14 +14,13 @@ from dstbc_ofdm import (
     derive_iqi_params,
     detect_pairs,
     gamma_true,
-    indices_to_bits,
     lms_step,
     mirror_permutation,
     psk_constellation,
 )
 
 from alamouti import AlamoutiMatrix
-from conftest import as_planes, pair_decisions, synthetic_observation
+from conftest import as_planes, indices_to_bits, pair_decisions, synthetic_observation
 
 
 def test_gamma_true_value():

@@ -54,11 +54,32 @@ def test_default_config_is_valid():
         dict(detection="coherent", compensation="lms"),
         dict(channel="custom"),
         dict(cp_len=10),  # ITU-PB spreads over 19 samples
+        # non-finite floats are named, not simulated into a garbage BER or
+        # left to fail mid-run
+        dict(doppler_hz=math.nan),
+        dict(doppler_hz=math.inf),
+        dict(iqi_kappa_db=math.nan),
+        dict(iqi_phi_deg=math.inf),
+        dict(bandwidth_hz=math.nan),
+        dict(lms_step_size=math.nan, compensation="lms"),
+        dict(lms_step_size=math.inf, compensation="lms"),
+        dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0.0, math.nan)),
+        dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0.0, math.inf)),
+        dict(channel="custom", custom_delays_ns=(0.0, math.nan), custom_powers_db=(0.0, -3.0)),
     ],
 )
 def test_validation_rejects_bad_configs(overrides):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as excinfo:
         SimConfig(**overrides).validate()
+    # SNR grids take +inf, so they have rules of their own
+    bad = [k for k, v in overrides.items() if k != "snr_grid_db" and has_non_finite(v)]
+    if bad:
+        assert str(excinfo.value).startswith(f"{bad[0]} must be finite")
+
+
+def has_non_finite(value) -> bool:
+    values = value if isinstance(value, tuple) else (value,)
+    return any(isinstance(v, float) and not math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("grid", [(10.0, 2000.0), (10.0, -math.inf)])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dstbc_ofdm import apply_rx_iqi, derive_iqi_params
+from dstbc_ofdm import active_indices, apply_rx_iqi, derive_iqi_params, mirror_permutation
 
 
 def test_reference_point_two_db_eight_deg():
@@ -13,7 +13,7 @@ def test_reference_point_two_db_eight_deg():
     assert p.beta == pytest.approx(-0.1233368181 - 0.0876042767j, abs=1e-9)
     assert p.rho == pytest.approx(0.0180270944, abs=1e-9)
     assert p.irr_db == pytest.approx(17.4407426819, abs=1e-8)
-    assert not p.is_ideal
+    assert p.beta != 0
 
 
 def test_gain_only_imbalance():
@@ -30,7 +30,6 @@ def test_ideal_receiver():
     assert p.beta == 0.0
     assert p.rho == 0.0
     assert math.isinf(p.irr_db)
-    assert p.is_ideal
 
 
 def test_conjugate_symmetry():
@@ -52,11 +51,17 @@ def test_irr_decreases_with_phase():
 
 
 def test_apply_matches_widely_linear_form(rng):
+    # on pair-order spectra it is the DFT of alpha*y + beta*conj(y) at the
+    # pair bins: the lower members of the (k, N-k) pairs, then their mirrors
     p = derive_iqi_params(2.0, 8.0)
-    y = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    np.testing.assert_allclose(
-        apply_rx_iqi(y, p), p.alpha * y + p.beta * np.conj(y), atol=1e-14
-    )
+    n = 256
+    low = np.arange(1, n // 2)
+    pair_bins = np.concatenate([low, mirror_permutation(n)[low]])
+    assert sorted(pair_bins.tolist()) == active_indices(n).tolist()
+    y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    spectra = np.fft.fft(y, norm="ortho")
+    expected = np.fft.fft(p.alpha * y + p.beta * np.conj(y), norm="ortho")[:, pair_bins]
+    np.testing.assert_allclose(apply_rx_iqi(spectra[:, pair_bins], p), expected, atol=1e-14)
 
 
 def test_apply_ideal_is_identity(rng):

@@ -11,7 +11,6 @@ import pytest
 from dstbc_ofdm import (
     SimConfig,
     harness,
-    indices_to_bits,
     psk_constellation,
     run_point_with_trace,
 )
@@ -19,7 +18,7 @@ from dstbc_ofdm.cli import load_config_file
 
 import object_pass
 from alamouti import AlamoutiMatrix
-from conftest import pair_decisions
+from conftest import indices_to_bits, pair_decisions
 
 # 20 blocks x 62 active subcarriers x 2 symbols x 3 bits
 FRAME_BITS = 7440

@@ -1,4 +1,4 @@
-"""Unit tests for the cyclic-prefix modem and subcarrier pairing."""
+"""Unit tests for the subcarrier pairing and the time-domain oracle's modem."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +9,9 @@ from dstbc_ofdm import (
     SimConfig,
     active_indices,
     mirror_permutation,
-    ofdm_demodulate,
-    ofdm_modulate,
 )
+
+from timechain import ofdm_demodulate, ofdm_modulate
 
 
 def test_config_validation():
