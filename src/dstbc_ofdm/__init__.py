@@ -5,7 +5,7 @@ Modules
 numerics     PSK constellations, Gray labels and the PSK decision rule.
 stbc         Alamouti top rows: differential encoding, one ML detector.
 channel      Tapped-delay-line profiles, Jakes fading, subcarrier gains.
-ofdm         Subcarrier layout: active bins and their mirror pairs.
+ofdm         Subcarrier layout: the active bins in (k, mirror) pair order.
 iqi          Receiver I/Q imbalance parameters and per-bin distortion.
 compensator  Decision-directed LMS image-leakage compensation.
 analysis     SINR, error floors and closed-form BER approximations.
@@ -50,11 +50,10 @@ from .harness import (
 from .iqi import IqiParams, apply_rx_iqi, derive_iqi_params
 from .numerics import (
     PskConstellation,
-    bits_to_indices,
     nearest_psk_indices,
     psk_constellation,
 )
-from .ofdm import active_indices, mirror_permutation
+from .ofdm import pair_bins
 from .stbc import alamouti_detect, differential_encode, ml_differential_detect_indices
 
 __version__ = "0.1.0"
@@ -68,12 +67,10 @@ __all__ = [
     "JakesFadingProcess",
     "PskConstellation",
     "SimConfig",
-    "active_indices",
     "alamouti_detect",
     "apply_rx_iqi",
     "ber_closed_form",
     "ber_floor",
-    "bits_to_indices",
     "build_residuals",
     "compensate_observation",
     "custom_profile",
@@ -87,9 +84,9 @@ __all__ = [
     "gamma_true",
     "lms_step",
     "load_profile",
-    "mirror_permutation",
     "ml_differential_detect_indices",
     "nearest_psk_indices",
+    "pair_bins",
     "psk_constellation",
     "realize_fading",
     "run_point",

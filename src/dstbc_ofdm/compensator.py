@@ -138,7 +138,7 @@ def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.
     """Differential decisions at both members of every (k, mirror) pair.
 
     ``values`` holds spectra in pair order, shape (..., OFDM symbol, 2 * pair):
-    the lower members, then their mirrors.  Unless ``gamma`` is None, each
+    the lower members, then their mirrors, as ``ofdm.pair_bins`` lists them.  Unless ``gamma`` is None, each
     lower member and its conjugated mirror are first compensated with it, a
     scalar or one value per observation, shape (..., block pair, pair).
     Returns the two symbol indices of each (block pair, pair member).

@@ -12,16 +12,16 @@ exactly what a cyclic-prefix modem, a time-domain convolution with
 symbol-rate tap updates, imbalance on the samples and a DFT would give:
 taps are constant over a symbol and ``SimConfig.validate`` bounds the delay
 spread by the cyclic prefix, so each symbol's body reads only its own
-samples through its own taps.  The noise is still drawn as every symbol's
-time-domain samples, prefix included, and enters as the unitary DFT of the
-body samples.
+samples through its own taps.  A unitary DFT of white noise is white, so
+the noise is drawn per symbol and pair bin, and each block's two symbol
+indices are drawn uniformly (uniform bits under the Gray labelling),
+already in pair order.
 
 Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
 samples (or one frame, if that is longer), each stage running once per chunk
-over a leading frame axis.  The point's
-generator still makes every frame's draws in frame order (its two fading
-substreams, then its bits, then its noise), so records do not depend on the
-chunk size.
+over a leading frame axis.  The point's generator makes every frame's draws
+in frame order (its two fading substreams, then its symbol indices, then its
+noise), so records do not depend on the chunk size.
 
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
@@ -47,8 +47,8 @@ from .channel import (
 )
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
-from .numerics import SUPPORTED_PSK_ORDERS, bits_to_indices, psk_constellation
-from .ofdm import active_indices, mirror_permutation
+from .numerics import SUPPORTED_PSK_ORDERS, psk_constellation
+from .ofdm import pair_bins
 from .stbc import alamouti_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
@@ -56,13 +56,16 @@ COMPENSATION_MODES = ("off", "genie_gamma", "lms")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Time-domain samples per chunk of frames: one default differential frame,
-# 42 OFDM symbols (2 * 20 information symbols plus the reference block) of
-# 64 + 20 samples.  Shorter frames are batched max(1, _CHUNK_SAMPLES //
-# frame samples) at a time; on the default grid that is 42 // n_symbols.  A
-# chunk of several frames thus stays below numpy's 256 KiB threshold for
-# reusing temporaries in place, whose loops round differently in the last
-# bit, so chunks give the same bits as frame-by-frame simulation.
+# Air time per chunk of frames, in sample periods: one default differential
+# frame, 42 OFDM symbols (2 * 20 information symbols plus the reference
+# block) of 64 + 20 samples.  Shorter frames are batched max(1,
+# _CHUNK_SAMPLES // frame samples) at a time; on the default grid that is
+# 42 // n_symbols.  As N < N + cp_len, a chunk of several frames holds fewer
+# than _CHUNK_SAMPLES (frame, symbol, bin) values per antenna, so its
+# per-bin arrays, the N-bin gains included, stay below numpy's 256 KiB
+# threshold for reusing temporaries in place, whose loops round differently
+# in the last bit; chunks thus give the same bits as frame-by-frame
+# simulation.
 _CHUNK_SAMPLES = 42 * 84
 
 
@@ -98,11 +101,22 @@ class SimConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "str" or (value is None and f.type.endswith("| None")):
+                continue
+            if f.type == "int":
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                continue
+            # a float, or a tuple of them
+            values = (value,) if f.type == "float" else value
+            if not isinstance(values, (tuple, list)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+            ):
+                kind = "a number" if f.type == "float" else "a tuple of numbers"
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            # SNR grids take +inf, so they have rules of their own below
+            if f.name != "snr_grid_db" and not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-            if f.name.startswith("custom_") and value is not None:
-                if not all(math.isfinite(v) for v in value):
-                    raise ConfigError(f"{f.name} must be finite, got {value}")
         n = self.n_subcarriers
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_subcarriers must be a power of two >= 8, got {n}")
@@ -126,8 +140,8 @@ class SimConfig:
             raise ConfigError(f"lms_step_size must be positive, got {self.lms_step_size}")
         if self.compensation != "off" and self.detection != "differential":
             raise ConfigError("compensation modes require differential detection")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty")
         for value in self.snr_grid_db:
@@ -209,12 +223,7 @@ class _PointEngine:
         self.sigma = 0.0 if math.isinf(snr_db) else math.sqrt(10.0 ** (-snr_db / 10.0))
         n = cfg.n_subcarriers
         self.samples_per_symbol = n + cfg.cp_len
-        self.act0 = active_indices(n)
-        # the lower members of the active (k, mirror) pairs, then their mirrors
-        low0 = np.arange(1, n // 2, dtype=np.int64)
-        self.pair_bins = np.concatenate([low0, mirror_permutation(n)[low0]])
-        # where each pair bin sits among the active bins, which ascend
-        self.pair_pos = np.searchsorted(self.act0, self.pair_bins)
+        self.pair_bins = pair_bins(n)
         # bit_errors[decided * M + sent]: the bits in which two symbol labels
         # differ; the M x M table is kept flat, as one-axis lookups are faster
         labels = self.constellation.bits_of_index.tolist()
@@ -227,28 +236,24 @@ class _PointEngine:
 
     # ---- per-chunk steps; arrays carry a leading frame axis -------------
 
-    def _draw_bits_and_noise(self, n_frames: int, samples: int, noisy: bool):
-        """Each frame's bits, then its noise, frame after frame.
+    def _draw_indices_and_noise(self, n_frames: int, noisy: bool):
+        """Each frame's symbol indices, then its noise, frame after frame.
 
-        Returns the bits, (frame, block, subcarrier, antenna, bit), and the
-        noise, (frame, sample) or None: complex samples whose real and
-        imaginary parts are consecutive standard normal draws.
+        Returns the two symbol indices of every block, each (frame, block,
+        pair bin), and the noise, (frame, symbol, pair bin) or None: complex
+        values whose real and imaginary parts are consecutive standard normal
+        draws.
         """
-        bps = self.constellation.bits_per_symbol
-        shape = (self.n_blocks, self.act0.shape[0], 2, bps)
-        bits = np.empty((n_frames,) + shape, dtype=np.int8)
-        noise = np.empty((n_frames, samples), dtype=np.complex128) if noisy else None
+        shape = (self.n_blocks, self.pair_bins.shape[0], 2)
+        indices = np.empty((n_frames,) + shape, dtype=np.int64)
+        noise = (
+            np.empty((n_frames, self.n_symbols, shape[1]), dtype=np.complex128) if noisy else None
+        )
         for k in range(n_frames):
-            bits[k] = self.rng.integers(0, 2, size=shape, dtype=np.int8)
+            indices[k] = self.rng.integers(0, self.cfg.psk_order, size=shape)
             if noisy:
                 self.rng.standard_normal(out=noise[k].view(np.float64))
-        return bits, noise
-
-    def _true_indices(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two symbol indices of every block, (frame, block, pair bin)."""
-        indices = bits_to_indices(bits, self.cfg.psk_order).reshape(bits.shape[:-1])
-        indices = indices[:, :, self.pair_pos]
-        return indices[..., 0], indices[..., 1]
+        return indices[..., 0], indices[..., 1], noise
 
     def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
         """Both antennas' symbols on the pair bins, (frame, symbol, antenna, pair bin)."""
@@ -274,14 +279,12 @@ class _PointEngine:
 
         ``tx`` holds the antennas' symbols and ``gains`` their subcarrier
         gains, both (frame, symbol, antenna, pair bin).  ``noise`` holds each
-        frame's time-domain samples with standard normal real and imaginary
-        parts, or is None when there is no noise.
+        bin's noise with standard normal real and imaginary parts, (frame,
+        symbol, pair bin), or is None when there is no noise.
         """
         y = gains[:, :, 0] * tx[:, :, 0] + gains[:, :, 1] * tx[:, :, 1]
         if noise is not None:
-            body = noise.reshape(y.shape[:2] + (self.samples_per_symbol,))[..., self.cfg.cp_len:]
-            spectra = np.fft.fft(body, axis=-1, norm="ortho")[..., self.pair_bins]
-            y += (self.sigma * _INV_SQRT2) * spectra
+            y += (self.sigma * _INV_SQRT2) * noise
         return apply_rx_iqi(y, self.iqi)
 
     def _adapt_gamma(self, values: np.ndarray, collect_trace: bool) -> np.ndarray:
@@ -319,10 +322,7 @@ class _PointEngine:
             samples_per_symbol=self.samples_per_symbol,
             frames=n_frames,
         )
-        bits, noise = self._draw_bits_and_noise(
-            n_frames, self.n_symbols * self.samples_per_symbol, self.sigma > 0.0
-        )
-        idx1, idx2 = self._true_indices(bits)
+        idx1, idx2, noise = self._draw_indices_and_noise(n_frames, self.sigma > 0.0)
         gains = subcarrier_gains(
             fading.taps, fading.tap_sample_delays, cfg.n_subcarriers
         )[..., self.pair_bins]
@@ -347,7 +347,7 @@ class _PointEngine:
         cfg = self.cfg
         start = time.perf_counter()
         bps = self.constellation.bits_per_symbol
-        bits_per_frame = self.n_blocks * self.act0.shape[0] * 2 * bps
+        bits_per_frame = self.n_blocks * self.pair_bins.shape[0] * 2 * bps
         n_frames = _frame_count(cfg.min_bits, bits_per_frame, cfg.max_block_pairs, self.n_blocks)
         chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
         gamma = gamma_true(self.iqi) if cfg.compensation == "genie_gamma" else None

@@ -44,8 +44,9 @@ def derive_iqi_params(kappa_db: float, phi_deg: float) -> IqiParams:
 def apply_rx_iqi(spectra: np.ndarray, params: IqiParams) -> np.ndarray:
     """Distort spectra in pair order: ``alpha*Y + beta*conj(Y of the mirror)``.
 
-    The last axis holds the lower members of the (k, N-k) pairs and then
-    their mirrors in the same order, so each half is the other's image.
+    The last axis holds the bins ``ofdm.pair_bins`` lists: the lower members
+    of the (k, N-k) pairs, then their mirrors in the same order, so each half
+    is the other's image.
     """
     spectra = np.asarray(spectra, dtype=np.complex128)
     half = spectra.shape[-1] // 2

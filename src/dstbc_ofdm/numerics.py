@@ -1,11 +1,8 @@
 """Gray-coded PSK mapping and the PSK decision rule.
 
-Conventions used throughout the package:
-
-* PSK phase index ``g`` carries the bit pattern whose position in the
-  binary-reflected Gray sequence is ``g``; neighbouring points on the circle
-  therefore differ in exactly one bit.
-* Bits are consumed MSB first inside each ``log2(M)``-bit group.
+Convention used throughout the package: PSK phase index ``g`` carries the
+bit pattern whose position in the binary-reflected Gray sequence is ``g``;
+neighbouring points on the circle therefore differ in exactly one bit.
 """
 from __future__ import annotations
 
@@ -57,20 +54,6 @@ def psk_constellation(order: int) -> PskConstellation:
         index_of_bits=index_of_bits,
         points_list=tuple(complex(p) for p in points),
     )
-
-
-def bits_to_indices(bits: np.ndarray, order: int) -> np.ndarray:
-    """Map a flat 0/1 array (length multiple of log2(M)) to phase indices."""
-    const = psk_constellation(order)
-    bps = const.bits_per_symbol
-    bits = np.asarray(bits)
-    if bits.size % bps != 0:
-        raise ValueError(f"bit count {bits.size} is not a multiple of {bps}")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("bits must be 0 or 1")
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    values = bits.reshape(-1, bps).astype(np.int64) @ weights
-    return const.index_of_bits[values]
 
 
 def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:

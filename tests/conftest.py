@@ -26,6 +26,22 @@ def interpolate_snr_at_ber(snr_db, ber, target):
     raise ValueError(f"curve never crosses target BER {target:g}")
 
 
+def bits_to_indices(bits, order):
+    """Map a flat 0/1 array (length multiple of log2(M)) to phase indices, MSB first."""
+    from dstbc_ofdm import psk_constellation
+
+    const = psk_constellation(order)
+    bps = const.bits_per_symbol
+    bits = np.asarray(bits)
+    if bits.size % bps != 0:
+        raise ValueError(f"bit count {bits.size} is not a multiple of {bps}")
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("bits must be 0 or 1")
+    weights = 1 << np.arange(bps - 1, -1, -1)
+    values = bits.reshape(-1, bps).astype(np.int64) @ weights
+    return const.index_of_bits[values]
+
+
 def indices_to_bits(indices, order):
     """The MSB-first bit stream carried by PSK phase indices."""
     from dstbc_ofdm import psk_constellation

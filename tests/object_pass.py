@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dstbc_ofdm import PskConstellation, mirror_permutation
+from dstbc_ofdm import PskConstellation
 
 from alamouti import AlamoutiMatrix
 
@@ -54,7 +54,7 @@ def build_observation(rx_spectra, i: int) -> SubcarrierObservation:
     if len(rx_spectra) != 4:
         raise ValueError(f"need 4 consecutive spectra, got {len(rx_spectra)}")
     s1, s2, s3, s4 = (np.asarray(s, dtype=np.complex128) for s in rx_spectra)
-    j = mirror_permutation(s1.shape[0])[i]
+    j = (s1.shape[0] - i) % s1.shape[0]
     return SubcarrierObservation(
         subcarrier=i,
         z_k=AlamoutiMatrix(s1[i], s2[i]),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
-    active_indices,
     alamouti_detect,
     build_residuals,
     compensate_observation,
@@ -15,7 +14,7 @@ from dstbc_ofdm import (
     detect_pairs,
     gamma_true,
     lms_step,
-    mirror_permutation,
+    pair_bins,
     psk_constellation,
 )
 
@@ -120,9 +119,9 @@ def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
     # bins in ascending order, after z + gamma * conj(z[mirror]) for the genie
     n = 64
     z = rng.standard_normal((3, 10, n)) + 1j * rng.standard_normal((3, 10, n))
-    active, mirror = active_indices(n), mirror_permutation(n)
-    low = np.arange(1, n // 2)
-    bins = np.concatenate([low, mirror[low]])
+    bins = pair_bins(n)
+    active, mirror = np.sort(bins), (n - np.arange(n)) % n
+    low = bins[: n // 2 - 1]
     position = np.searchsorted(active, bins)
     gamma = 0.11517634828 + 0.06900364591j
     planes = []

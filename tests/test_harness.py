@@ -66,6 +66,22 @@ def test_default_config_is_valid():
         dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0.0, math.nan)),
         dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0.0, math.inf)),
         dict(channel="custom", custom_delays_ns=(0.0, math.nan), custom_powers_db=(0.0, -3.0)),
+        # values of the wrong type are named too, not left to raise a
+        # TypeError mid-run or to run silently
+        dict(cp_len=20.5),
+        dict(min_bits=1500.5),
+        dict(blocks_per_frame=2.0),
+        dict(blocks_per_frame=True),
+        dict(psk_order=8.0),
+        dict(max_block_pairs=3.5),
+        dict(min_bits=True),
+        dict(channel="flat", cp_len=True),
+        dict(n_subcarriers=64.0),
+        dict(snr_grid_db=("10",)),
+        dict(snr_grid_db=10.0),
+        dict(doppler_hz="11.6"),
+        dict(iqi_kappa_db=None),
+        dict(channel="custom", custom_delays_ns=(0.0, "400"), custom_powers_db=(0.0, -3.0)),
     ],
 )
 def test_validation_rejects_bad_configs(overrides):
@@ -75,11 +91,26 @@ def test_validation_rejects_bad_configs(overrides):
     bad = [k for k, v in overrides.items() if k != "snr_grid_db" and has_non_finite(v)]
     if bad:
         assert str(excinfo.value).startswith(f"{bad[0]} must be finite")
+    mistyped = [k for k, v in overrides.items() if has_wrong_type(k, v)]
+    if mistyped:
+        assert str(excinfo.value).startswith(f"{mistyped[0]} must be")
 
 
 def has_non_finite(value) -> bool:
     values = value if isinstance(value, tuple) else (value,)
     return any(isinstance(v, float) and not math.isfinite(v) for v in values)
+
+
+def has_wrong_type(name, value) -> bool:
+    annotation = {f.name: f.type for f in dataclasses.fields(SimConfig)}[name]
+    if annotation == "int":
+        return type(value) is not int
+    if annotation == "float":
+        return type(value) not in (int, float)
+    if annotation.startswith("tuple"):
+        values = value if isinstance(value, tuple) else ("not a tuple",)
+        return any(type(v) not in (int, float) for v in values)
+    return False
 
 
 @pytest.mark.parametrize("grid", [(10.0, 2000.0), (10.0, -math.inf)])
@@ -204,21 +235,19 @@ def test_frame_count_matches_frame_by_frame_loop():
 @pytest.mark.parametrize(
     "overrides, snr_db, bits, bit_errors",
     [
-        (dict(blocks_per_frame=2), 15.0, 30504, 1746),
-        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1052),
-        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2201),
-        # recorded before the LMS frames of a chunk were detected together
-        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1092),
-        # recorded before coherent detection joined the pair-order gather
+        (dict(blocks_per_frame=2), 15.0, 30504, 1690),
+        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1097),
+        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2226),
+        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1051),
         (
             dict(blocks_per_frame=2, detection="coherent", psk_order=16, channel="flat"),
-            20.0, 30752, 1262,
+            20.0, 30752, 1210,
         ),
-        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 575),
+        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 525),
     ],
 )
 def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_errors):
-    # recorded from the frame-by-frame engine before frames were chunked;
+    # recorded once symbol indices and noise came to be drawn per pair bin;
     # these frames are short enough that every chunk holds several of them
     cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=30_000, seed=31337, **overrides)
     r = run_point(cfg, snr_db)

@@ -55,8 +55,14 @@ def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
     bins = engine.pair_bins
     grid = np.zeros((3, 2, engine.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
     grid[..., bins] = seen["tx"].transpose(0, 2, 1, 3)
+    noise = seen["noise"]
+    if noise is not None:
+        # the per-bin noise, as the time-domain samples whose body it is the DFT of
+        noise_grid = np.zeros((3, engine.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
+        noise_grid[..., bins] = noise
+        noise = timechain.ofdm_modulate(noise_grid, cfg.cp_len).reshape(3, -1)
     expected = timechain.frame_spectra(
-        grid, seen["fading"], cfg.cp_len, engine.sigma, engine.iqi, seen["noise"]
+        grid, seen["fading"], cfg.cp_len, engine.sigma, engine.iqi, noise
     )[..., bins]
     # a wrong tap, bin, mirror or noise sample moves a bin by about its rms
     # (about 1); rounding in the two chains moves it by about 1e-15

@@ -2,14 +2,10 @@
 import numpy as np
 import pytest
 
-from dstbc_ofdm import (
-    bits_to_indices,
-    nearest_psk_indices,
-    psk_constellation,
-)
+from dstbc_ofdm import nearest_psk_indices, psk_constellation
 from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS, nearest_psk_index
 
-from conftest import indices_to_bits
+from conftest import bits_to_indices, indices_to_bits
 
 
 def test_gray_codes_invert():

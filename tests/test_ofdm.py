@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from dstbc_ofdm import (
-    ConfigError,
-    SimConfig,
-    active_indices,
-    mirror_permutation,
-)
+from dstbc_ofdm import ConfigError, SimConfig, pair_bins
 
 from timechain import ofdm_demodulate, ofdm_modulate
 
@@ -26,24 +21,21 @@ def test_config_validation():
 
 
 def test_active_subcarriers_default_grid():
-    active = active_indices(64)
-    assert len(active) == 62
-    assert 0 not in active and 32 not in active
-    assert active[0] == 1 and active[-1] == 63
-    assert active.tolist() == sorted(active.tolist())
-    assert list(active[:31]) == list(range(1, 32))
+    bins = pair_bins(64)
+    assert len(bins) == 62
+    assert 0 not in bins and 32 not in bins
+    # the lower members of the pairs ascend from bin 1
+    assert bins[:31].tolist() == list(range(1, 32))
 
 
 def test_mirror_index_pairing():
-    mirror = mirror_permutation(64)
+    bins = pair_bins(64)
+    mirror = dict(zip(bins[:31].tolist(), bins[31:].tolist()))
     assert mirror[1] == 63
-    assert mirror[63] == 1
     assert mirror[16] == 48
     assert mirror[31] == 33
-    # the empty DC and Nyquist bins are their own images
-    assert mirror[0] == 0 and mirror[32] == 32
-    for k in active_indices(64):
-        assert mirror[mirror[k]] == k
+    # every active bin appears exactly once
+    assert sorted(bins.tolist()) == [k for k in range(1, 64) if k != 32]
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
@@ -82,7 +74,7 @@ def test_modulate_inserts_cp_and_nulls_guards(rng):
 
 def test_round_trip(rng):
     freq = np.zeros(64, dtype=complex)
-    freq[active_indices(64)] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
+    freq[pair_bins(64)] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
     np.testing.assert_allclose(ofdm_demodulate(ofdm_modulate(freq, 20), 20), freq, atol=1e-12)
 
 
@@ -91,7 +83,7 @@ def test_cp_turns_linear_convolution_circular(rng):
     h = np.zeros(21, dtype=complex)
     h[[0, 3, 20]] = [1.0, 0.4 - 0.2j, -0.1j]
     freq = np.zeros(64, dtype=complex)
-    freq[active_indices(64)] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
+    freq[pair_bins(64)] = rng.standard_normal(62) + 1j * rng.standard_normal(62)
     tx = ofdm_modulate(freq, 20)
     rx = np.convolve(tx, h)[: tx.shape[0]]
     demod = ofdm_demodulate(rx, 20)
