@@ -18,12 +18,7 @@ import math
 
 import numpy as np
 
-from .numerics import SUPPORTED_PSK_ORDERS
-
-
-def _check_order(psk_order: int) -> None:
-    if psk_order not in SUPPORTED_PSK_ORDERS:
-        raise ValueError(f"unsupported PSK order {psk_order}; expected one of {SUPPORTED_PSK_ORDERS}")
+from .numerics import check_psk_order
 
 
 def sinr_differential(
@@ -77,7 +72,7 @@ def ber_floor(psk_order: int, rho: float) -> float:
     """
     from scipy.integrate import quad
 
-    _check_order(psk_order)
+    check_psk_order(psk_order)
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     if rho == 0:
@@ -106,7 +101,7 @@ def equivalent_snr(snr_linear: float, rho: float) -> float:
 
 def ber_closed_form(psk_order: int, snr_eq: float) -> float:
     """Two-branch diversity M-PSK BER fit: 0.2*(1 + 1.75*snr_eq/(M^1.9 + 1))^-2."""
-    _check_order(psk_order)
+    check_psk_order(psk_order)
     if snr_eq <= 0:
         raise ValueError(f"snr_eq must be positive, got {snr_eq}")
     return 0.2 * (1.0 + 1.75 * snr_eq / (psk_order**1.9 + 1.0)) ** -2

@@ -77,15 +77,10 @@ def load_profile(name: str, doppler_hz: float) -> ChannelProfile:
     )
 
 
-def custom_profile(
-    delays_ns,
-    powers_db,
-    doppler_hz: float,
-    name: str = "custom",
-) -> ChannelProfile:
-    """Profile from explicit delay (ns) and power (dB) lists."""
+def custom_profile(delays_ns, powers_db, doppler_hz: float) -> ChannelProfile:
+    """Profile named "custom" from explicit delay (ns) and power (dB) lists."""
     return ChannelProfile(
-        name=name,
+        name="custom",
         tap_delays_s=tuple(float(d) * 1e-9 for d in delays_ns),
         tap_powers_db=tuple(float(p) for p in powers_db),
         doppler_hz=doppler_hz,
@@ -93,7 +88,7 @@ def custom_profile(
 
 
 def _draw_oscillators(rng: np.random.Generator, draws: np.ndarray) -> None:
-    """Fill one tap's ``draws``, shape (3, n_oscillators), from ``rng``.
+    """Fill one tap's ``draws``, shape (3, DEFAULT_OSCILLATORS), from ``rng``.
 
     In this order: the uniform variates of the arrival angles, the real
     parts of the weights and their imaginary parts.
@@ -103,7 +98,7 @@ def _draw_oscillators(rng: np.random.Generator, draws: np.ndarray) -> None:
 
 
 def _oscillators(mean_power, doppler_hz: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angular rates and complex weights from draws of shape (..., 3, n_oscillators).
+    """Angular rates and complex weights from draws of shape (..., 3, oscillator).
 
     ``mean_power`` broadcasts against the leading axes.  Angles are uniform
     on [0, 2*pi), and the weights circular Gaussian with total power
@@ -116,25 +111,18 @@ def _oscillators(mean_power, doppler_hz: float, draws: np.ndarray) -> tuple[np.n
 
 
 class JakesFadingProcess:
-    """One time-correlated Rayleigh tap: sum of Doppler-shifted oscillators.
+    """One time-correlated Rayleigh tap: sum of ``DEFAULT_OSCILLATORS``
+    Doppler-shifted oscillators, the count ``realize_fading`` draws per tap.
 
     ``sample(times)`` is exactly CN(0, mean_power) at every instant and the
     ensemble autocorrelation over (angle, weight) draws is
     ``mean_power * J0(2*pi*doppler_hz*tau)``.
     """
 
-    def __init__(
-        self,
-        mean_power: float,
-        doppler_hz: float,
-        rng: np.random.Generator,
-        n_oscillators: int = DEFAULT_OSCILLATORS,
-    ) -> None:
+    def __init__(self, mean_power: float, doppler_hz: float, rng: np.random.Generator) -> None:
         if mean_power <= 0:
             raise ValueError("mean_power must be positive")
-        if n_oscillators < DEFAULT_OSCILLATORS:
-            raise ValueError(f"need at least {DEFAULT_OSCILLATORS} oscillators, got {n_oscillators}")
-        draws = np.empty((3, n_oscillators))
+        draws = np.empty((3, DEFAULT_OSCILLATORS))
         _draw_oscillators(rng, draws)
         self._rates, self._weights = _oscillators(mean_power, doppler_hz, draws)
         self.mean_power = mean_power

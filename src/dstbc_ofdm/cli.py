@@ -10,6 +10,9 @@ Subcommands:
 * ``compare``: put simulated CSV results side by side with the closed-form
   model at the same operating point.
 
+Every subcommand takes its config flags from one schema and checks them
+with ``SimConfig.validate``.
+
 Exit status is 0 on success and 2 for configuration or usage errors.
 """
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .harness import (
     write_records_csv,
 )
 from .iqi import IqiParams, derive_iqi_params
-from .numerics import SUPPORTED_PSK_ORDERS
 
 # Most points a start:stop:step SNR range may expand to.
 _MAX_RANGE_POINTS = 10_000
@@ -85,12 +87,12 @@ def _key(section: str, alias: str | None = None, flag: str | None = None, **flag
 
 
 # The config schema, one row per SimConfig field in field order: INI section,
-# short INI name (the field name is always accepted too), simulate flag and
-# any further add_argument keywords of that flag.
+# short INI name (the field name is always accepted too), command line flag
+# and any further add_argument keywords of that flag.
 _SCHEMA = {
     "n_subcarriers": _key("system", flag="--n-subcarriers"),
     "cp_len": _key("system", flag="--cp-len"),
-    "psk_order": _key("system", flag="--psk-order"),
+    "psk_order": _key("system", flag="--psk-order", help="PSK order: 2, 4, 8 or 16"),
     "bandwidth_hz": _key("system"),
     "channel": _key("channel", "profile", "--channel", help="itu-pb, itu-va, flat or custom"),
     "doppler_hz": _key("channel", flag="--doppler-hz"),
@@ -109,6 +111,8 @@ _SCHEMA = {
 }
 _PARSER_OF = {name: _PARSERS[annotation] for name, annotation in SimConfig.__annotations__.items()}
 _FIELD_OF_INI_KEY = {key: name for name, row in _SCHEMA.items() for key in (name, row[1]) if key}
+# The fields of the closed-form model, the flags of analytic and compare.
+_MODEL_FIELDS = ("psk_order", "iqi_kappa_db", "iqi_phi_deg")
 
 
 def _flag_type(parse):
@@ -127,7 +131,7 @@ def load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -155,6 +159,13 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+def _add_schema_flags(parser: argparse.ArgumentParser, names) -> None:
+    """Declare the flags of the named SimConfig fields, each storing to its field."""
+    for name in names:
+        _, _, flag, options = _SCHEMA[name]
+        parser.add_argument(flag, dest=name, type=_flag_type(_PARSER_OF[name]), **options)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dstbc-ofdm",
@@ -164,9 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a BER sweep")
     sim.add_argument("--config", help="INI config file")
-    for name, (_, _, flag, options) in _SCHEMA.items():
-        if flag:
-            sim.add_argument(flag, dest=name, type=_flag_type(_PARSER_OF[name]), **options)
+    _add_schema_flags(sim, [name for name, row in _SCHEMA.items() if row[2]])
     sim.add_argument("--workers", type=int, default=1, help="parallel processes over SNR points")
     sim.add_argument("--out", help="write results CSV here")
     sim.add_argument(
@@ -174,29 +183,37 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the LMS gamma trajectory CSV (requires lms compensation and a single SNR point)",
     )
 
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--kappa-db", type=float, default=0.0, help="receiver gain imbalance in dB")
-    model.add_argument("--phi-deg", type=float, default=0.0, help="receiver phase imbalance in degrees")
-    model.add_argument("--psk-order", type=int, default=8, choices=SUPPORTED_PSK_ORDERS)
+    ana = sub.add_parser("analytic", help="print imbalance figures and model curves")
+    _add_schema_flags(ana, _MODEL_FIELDS + ("snr_grid_db",))
+    ana.add_argument("--out", help="write the closed-form curve CSV here (requires --snr)")
 
-    ana = sub.add_parser("analytic", parents=[model], help="print imbalance figures and model curves")
-    ana.add_argument("--snr", help="optional SNR grid for a closed-form BER curve")
-    ana.add_argument("--out", help="write the closed-form curve CSV here")
-
-    cmp_ = sub.add_parser("compare", parents=[model], help="simulated results vs closed-form model")
+    cmp_ = sub.add_parser("compare", help="simulated results vs closed-form model")
+    _add_schema_flags(cmp_, _MODEL_FIELDS)
     cmp_.add_argument("--results", required=True, help="CSV produced by simulate")
     return parser
 
 
-def _config_from_args(args) -> SimConfig:
-    kwargs = load_config_file(args.config) if args.config else {}
+def _config_from_args(args, **overrides) -> SimConfig:
+    """The validated SimConfig of ``--config`` (if the subcommand has it), the
+    schema flags given, then ``overrides``, each overriding what came before."""
+    kwargs = load_config_file(args.config) if getattr(args, "config", None) else {}
     for name in _SCHEMA:
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
+    kwargs.update(overrides)
     cfg = SimConfig(**kwargs)
     cfg.validate()
     return cfg
+
+
+def _check_writable(path: str) -> None:
+    """Fail now, before any frame, if ``path`` cannot be opened for writing."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -206,6 +223,9 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("--gamma-out requires lms compensation")
         if len(set(cfg.snr_grid_db)) != 1:
             raise ConfigError("--gamma-out requires a single SNR point")
+    for path in filter(None, (args.out, args.gamma_out)):
+        _check_writable(path)
+    if args.gamma_out:
         record, trace = run_point_with_trace(cfg, cfg.snr_grid_db[0])
         save_gamma_trajectory(args.gamma_out, trace)
         records = [record]
@@ -222,23 +242,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _closed_form(args, snrs_db=()) -> tuple[IqiParams, list[float]]:
-    """The ``--kappa-db``/``--phi-deg`` imbalance and the closed-form BER at each SNR in dB."""
-    for snr_db in snrs_db:
-        # the SNR bound that simulate applies
-        _snr_key(snr_db)
-    try:
-        params = derive_iqi_params(args.kappa_db, args.phi_deg)
-        bers = [ber_closed_form(args.psk_order, equivalent_snr(10.0 ** (s / 10.0), params.rho)) for s in snrs_db]
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError(f"no closed-form model: {exc}") from exc
+def _closed_form(cfg: SimConfig, snrs_db) -> tuple[IqiParams, list[float]]:
+    """The validated config's imbalance and the closed-form BER at each SNR in dB."""
+    params = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
+    bers = [ber_closed_form(cfg.psk_order, equivalent_snr(10.0 ** (s / 10.0), params.rho)) for s in snrs_db]
     return params, bers
 
 
 def _cmd_analytic(args) -> int:
-    grid = parse_snr_grid(args.snr) if args.snr else ()
-    params, bers = _closed_form(args, grid)
-    floor = ber_floor(args.psk_order, params.rho)
+    if args.out and args.snr_grid_db is None:
+        raise ConfigError("--out requires --snr")
+    cfg = _config_from_args(args)
+    grid = () if args.snr_grid_db is None else cfg.snr_grid_db
+    if args.out:
+        _check_writable(args.out)
+    params, bers = _closed_form(cfg, grid)
+    floor = ber_floor(cfg.psk_order, params.rho)
     print(f"alpha = {params.alpha:.9g}")
     print(f"beta = {params.beta:.9g}")
     print(f"rho = {params.rho:.9g}")
@@ -249,7 +268,7 @@ def _cmd_analytic(args) -> int:
         onset_db, ideal_db = floor_onset_and_ideal_snr(params.irr_db)
         print(f"floor_onset_snr_db = {onset_db:.9g}")
         print(f"ideal_reference_snr_db = {ideal_db:.9g}")
-    if args.out and args.snr:
+    if args.out:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["snr_db", "ber_model"])
@@ -265,7 +284,7 @@ def _cmd_compare(args) -> int:
     try:
         with open(args.results, newline="") as handle:
             rows = list(csv.DictReader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {args.results!r}: {exc}") from exc
     if not rows:
         raise ConfigError(f"no data rows in {args.results!r}")
@@ -273,7 +292,8 @@ def _cmd_compare(args) -> int:
         points = [(float(row["snr_db"]), float(row["ber"])) for row in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.results!r} is not a simulate results CSV") from exc
-    _, models = _closed_form(args, [snr_db for snr_db, _ in points])
+    cfg = _config_from_args(args, snr_grid_db=tuple(snr_db for snr_db, _ in points))
+    _, models = _closed_form(cfg, cfg.snr_grid_db)
     print("snr_db    ber_sim       ber_model     ratio")
     for (snr_db, ber_sim), ber_model in zip(points, models):
         ratio = ber_sim / ber_model if ber_model > 0 else math.inf

@@ -107,7 +107,7 @@ def decision_directed_pass(
     order = constellation.order
     # the transmit chain scales each info matrix by 1/sqrt(2) to keep
     # blocks unitary, so the block-to-block ratio carries that factor
-    ratios = [p * _INV_SQRT2 for p in constellation.points_list]
+    ratios = [p * _INV_SQRT2 for p in constellation.points.tolist()]
     gamma = complex(gamma)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices

@@ -43,7 +43,6 @@ from .channel import (
     load_profile,
     realize_fading,
     subcarrier_gains,
-    tap_grid,
 )
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
@@ -150,15 +149,19 @@ class SimConfig:
             _snr_key(value)
         try:
             profile = resolve_profile(self)
-            positions, _ = tap_grid(profile, self.sample_period)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if positions[-1] > self.cp_len:
-            raise ConfigError(
-                f"channel delay spread {positions[-1]} samples exceeds cp_len {self.cp_len}"
-            )
+        # the last tap's sample position, rounded as tap_grid rounds it but
+        # kept a float: tap_grid's int64 cast would wrap a huge one round
+        spread = np.floor(profile.tap_delays_s[-1] / self.sample_period + 0.5)
+        if spread > self.cp_len:
+            raise ConfigError(f"channel delay spread {spread:.15g} samples exceeds cp_len {self.cp_len}")
         try:
             derive_iqi_params(self.iqi_kappa_db, self.iqi_phi_deg)
+        except OverflowError as exc:
+            raise ConfigError(
+                f"iqi_kappa_db {self.iqi_kappa_db:g} dB overflows the imbalance coefficients"
+            ) from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -386,18 +389,13 @@ def run_point_with_trace(cfg: SimConfig, snr_db: float) -> tuple[BerRecord, np.n
     return record, trace
 
 
-def _run_point_args(args) -> BerRecord:
-    cfg, snr_db = args
-    return run_point(cfg, snr_db)
-
-
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
     """Simulate every SNR grid point, sorted ascending; points are independent."""
     cfg.validate()
     grid = sorted(set(float(s) for s in cfg.snr_grid_db))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_point_args, [(cfg, s) for s in grid]))
+            records = list(pool.map(run_point, [cfg] * len(grid), grid))
     else:
         records = [run_point(cfg, s) for s in grid]
     return records

@@ -7,7 +7,7 @@ neighbouring points on the circle therefore differ in exactly one bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,40 +20,34 @@ class PskConstellation:
     """Unit-circle M-PSK constellation with Gray bit labelling.
 
     ``points[g]`` is the point at phase ``2*pi*g/M`` and carries the bit
-    pattern ``bits_of_index[g]``; ``index_of_bits`` inverts that labelling.
+    pattern ``bits_of_index[g]``.
     """
 
     order: int
     points: np.ndarray
     bits_of_index: np.ndarray
-    index_of_bits: np.ndarray
-    # plain-complex copy of ``points`` for scalar hot loops
-    points_list: tuple = field(repr=False, default=())
 
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
 
 
+def check_psk_order(order: int) -> None:
+    """Raise ValueError unless ``order`` is one of ``SUPPORTED_PSK_ORDERS``."""
+    if order not in SUPPORTED_PSK_ORDERS:
+        raise ValueError(f"unsupported PSK order {order}; expected one of {SUPPORTED_PSK_ORDERS}")
+
+
 @lru_cache(maxsize=None)
 def psk_constellation(order: int) -> PskConstellation:
     """Build (and cache) the Gray-labelled M-PSK constellation."""
-    if order not in SUPPORTED_PSK_ORDERS:
-        raise ValueError(f"unsupported PSK order {order}; expected one of {SUPPORTED_PSK_ORDERS}")
+    check_psk_order(order)
     index = np.arange(order)
     points = np.exp(2j * np.pi * index / order)
     bits_of_index = index ^ (index >> 1)
-    index_of_bits = np.empty(order, dtype=np.int64)
-    index_of_bits[bits_of_index] = index
-    for arr in (points, bits_of_index, index_of_bits):
+    for arr in (points, bits_of_index):
         arr.flags.writeable = False
-    return PskConstellation(
-        order=order,
-        points=points,
-        bits_of_index=bits_of_index,
-        index_of_bits=index_of_bits,
-        points_list=tuple(complex(p) for p in points),
-    )
+    return PskConstellation(order=order, points=points, bits_of_index=bits_of_index)
 
 
 def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
@@ -63,8 +57,7 @@ def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
     rule.  A value exactly on a decision boundary rounds half up in angle,
     to the larger phase.
     """
-    if order not in SUPPORTED_PSK_ORDERS:
-        raise ValueError(f"unsupported PSK order {order}")
+    check_psk_order(order)
     step = 2.0 * np.pi / order
     raw = np.floor(np.angle(values) / step + 0.5).astype(np.int64)
     return np.mod(raw, order)

@@ -39,7 +39,8 @@ def bits_to_indices(bits, order):
         raise ValueError("bits must be 0 or 1")
     weights = 1 << np.arange(bps - 1, -1, -1)
     values = bits.reshape(-1, bps).astype(np.int64) @ weights
-    return const.index_of_bits[values]
+    # the index that carries each label: the inverse of bits_of_index
+    return np.argsort(const.bits_of_index)[values]
 
 
 def indices_to_bits(indices, order):

@@ -93,7 +93,7 @@ def observation_of(values: tuple) -> SubcarrierObservation:
     )
 
 
-def _best_index(d: complex, points: tuple) -> int:
+def _best_index(d: complex, points: list) -> int:
     """argmax over points of Re(conj(p) * d); first maximum wins."""
     best_i = 0
     best_m = points[0].real * d.real + points[0].imag * d.imag
@@ -113,7 +113,7 @@ def ml_differential_detect_indices(
 ) -> tuple[int, int]:
     """Phase indices of the info pair maximising Re(trace(U^H Z_k^H Z_next))."""
     d = z_k.hermitian() @ z_next
-    points = constellation.points_list
+    points = constellation.points.tolist()
     return _best_index(d.a, points), _best_index(d.b, points)
 
 
@@ -152,7 +152,7 @@ def decision_directed_pass(
     constellation: PskConstellation,
 ) -> tuple[np.ndarray, CompensatorState, np.ndarray]:
     """Compensate, detect and adapt across a stream of block-pair observations."""
-    points = constellation.points_list
+    points = constellation.points.tolist()
     bits_of_index = constellation.bits_of_index
     bps = constellation.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)

@@ -59,9 +59,10 @@ def test_profile_validation():
 
 def test_jakes_rejects_small_oscillator_count():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    # the tap process and the engine's draw always use the default count;
+    # neither takes another
+    with pytest.raises(TypeError):
         JakesFadingProcess(1.0, 10.0, rng, n_oscillators=8)
-    # the engine's draw always uses the default count; it takes no other
     with pytest.raises(TypeError):
         realize_fading(
             load_profile("flat", 10.0), SAMPLE_PERIOD, 2, rng, samples_per_symbol=84, n_oscillators=1

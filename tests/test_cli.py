@@ -198,6 +198,13 @@ def test_compare_rejects_missing_file(tmp_path):
     assert main(["compare", "--results", str(tmp_path / "none.csv")]) == 2
 
 
+def test_compare_rejects_non_utf8_results(tmp_path, capsys):
+    results = tmp_path / "latin1.csv"
+    results.write_bytes("snr_db,ber\n10,0.01\n# \u00b0\n".encode("latin-1"))
+    assert main(["compare", "--results", str(results)]) == 2
+    assert "error: cannot read" in capsys.readouterr().err
+
+
 def test_console_script_runs(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "dstbc_ofdm.cli", "analytic", "--kappa-db", "2"],
@@ -219,9 +226,19 @@ def test_console_script_runs(package_env):
         ["analytic", "--kappa-db", "0", "--phi-deg", "180"],
         ["analytic", "--snr=-inf"],
         ["analytic", "--snr", "4000"],
+        # non-finite and overflowing imbalances are rejected as simulate
+        # rejects them, not printed as nan figures or raised as overflows
+        ["analytic", "--kappa-db", "nan"],
+        ["compare", "--phi-deg", "nan"],
+        ["simulate", "--snr", "10", "--kappa-db", "7000"],
+        ["analytic", "--kappa-db", "7000"],
     ],
 )
-def test_bad_arguments_exit_two_without_traceback(argv, package_env):
+def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
+    if argv[0] == "compare":
+        results = tmp_path / "results.csv"
+        results.write_text("snr_db,ber\n10,0.01\n")
+        argv = [*argv, "--results", str(results)]
     proc = subprocess.run(
         [sys.executable, "-m", "dstbc_ofdm.cli", *argv],
         capture_output=True,
@@ -234,6 +251,10 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env):
     # an SNR beyond simulate's bound is named as such, not as a raw overflow
     if argv[-1] == "4000":
         assert "error: snr_db 4000 out of supported range" in proc.stderr
+    if "nan" in argv:
+        assert "must be finite" in proc.stderr
+    if "7000" in argv:
+        assert "error: iqi_kappa_db 7000 dB overflows" in proc.stderr
 
 
 def test_analytic_noiseless_point_without_imbalance(capsys):
@@ -266,6 +287,22 @@ def test_schema_covers_every_config_field_and_flag():
     assert all(f.type in cli._PARSERS for f in fields(SimConfig))
     flags = {row[2] for row in cli._SCHEMA.values() if row[2]}
     assert flags == {case[0] for case in FLAG_CASES}
+    # the model subcommands' flags are schema flags too, stored under the
+    # SimConfig field each one sets
+    model = ["--kappa-db", "1.5", "--phi-deg", "-3", "--psk-order", "4"]
+    expected = {"iqi_kappa_db": 1.5, "iqi_phi_deg": -3.0, "psk_order": 4}
+    parser = cli._build_parser()
+    analytic = vars(parser.parse_args(["analytic", *model, "--snr", "0:20:10"]))
+    assert analytic == {**expected, "snr_grid_db": (0.0, 10.0, 20.0), "command": "analytic", "out": None}
+    compare = vars(parser.parse_args(["compare", *model, "--results", "r.csv"]))
+    assert compare == {**expected, "command": "compare", "results": "r.csv"}
+
+
+def test_model_flags_default_to_the_config_defaults():
+    parser = cli._build_parser()
+    for argv in (["analytic"], ["compare", "--results", "r.csv"]):
+        cfg = cli._config_from_args(parser.parse_args(argv))
+        assert (cfg.iqi_kappa_db, cfg.iqi_phi_deg, cfg.psk_order) == (0.0, 0.0, 8)
 
 
 @pytest.mark.parametrize("flag, section, key, value", FLAG_CASES)
@@ -277,10 +314,43 @@ def test_flag_and_ini_key_set_the_same_value(tmp_path, flag, section, key, value
     assert from_flag == from_file != SimConfig()
 
 
-def test_non_finite_flag_exits_two_before_any_frame(monkeypatch, capsys):
-    def no_frames(*args, **kwargs):
-        raise AssertionError("a frame was simulated")
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("a frame was simulated")
 
-    monkeypatch.setattr(harness, "realize_fading", no_frames)
+
+def test_non_finite_flag_exits_two_before_any_frame(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "realize_fading", fail_if_called)
     assert main(["simulate", "--snr", "20", "--doppler-hz", "nan"]) == 2
     assert "error: doppler_hz must be finite" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_two_before_any_frame(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "realize_fading", fail_if_called)
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("[iqi]\n# \u00b0 in Latin-1\nphi_deg = 8.0\n".encode("latin-1"))
+    assert main(["simulate", "--config", str(path), "--snr", "10"]) == 2
+    assert "error: cannot parse config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--out", "{missing}/results.csv"],
+        ["--compensation", "lms", "--kappa-db", "2", "--gamma-out", "{missing}/gamma.csv"],
+    ],
+)
+def test_unwritable_output_exits_two_before_the_sweep(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "run_sweep", fail_if_called)
+    monkeypatch.setattr(cli, "run_point_with_trace", fail_if_called)
+    missing = tmp_path / "no_such_dir"
+    argv = ["simulate", "--snr", "10", *(f.format(missing=missing) for f in flags)]
+    assert main(argv) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_analytic_out_requires_snr(tmp_path, capsys):
+    out = tmp_path / "model.csv"
+    assert main(["analytic", "--kappa-db", "2", "--out", str(out)]) == 2
+    assert "error: --out requires --snr" in capsys.readouterr().err
+    assert not out.exists()

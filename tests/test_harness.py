@@ -54,6 +54,9 @@ def test_default_config_is_valid():
         dict(detection="coherent", compensation="lms"),
         dict(channel="custom"),
         dict(cp_len=10),  # ITU-PB spreads over 19 samples
+        # delays of ~1e302 samples, which an int64 cast of the tap grid
+        # would wrap to a negative spread
+        dict(bandwidth_hz=1e308),
         # non-finite floats are named, not simulated into a garbage BER or
         # left to fail mid-run
         dict(doppler_hz=math.nan),
