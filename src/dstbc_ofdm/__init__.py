@@ -9,7 +9,8 @@ ofdm         Subcarrier layout: the active bins in (k, mirror) pair order.
 iqi          Receiver I/Q imbalance parameters and per-bin distortion.
 compensator  Decision-directed LMS image-leakage compensation.
 analysis     SINR, error floors and closed-form BER approximations.
-harness      Per-bin frame simulation, sweeps and CSV export.
+harness      Per-bin frame simulation and sweeps.
+cli          Command line front end; writes every output file.
 """
 from .analysis import (
     ber_closed_form,
@@ -36,7 +37,6 @@ from .compensator import (
     detect_pairs,
     gamma_true,
     lms_step,
-    save_gamma_trajectory,
 )
 from .harness import (
     BerRecord,
@@ -45,7 +45,6 @@ from .harness import (
     run_point,
     run_point_with_trace,
     run_sweep,
-    write_records_csv,
 )
 from .iqi import IqiParams, apply_rx_iqi, derive_iqi_params
 from .numerics import (
@@ -92,9 +91,7 @@ __all__ = [
     "run_point",
     "run_point_with_trace",
     "run_sweep",
-    "save_gamma_trajectory",
     "sinr_coherent",
     "sinr_differential",
     "subcarrier_gains",
-    "write_records_csv",
 ]

@@ -10,8 +10,9 @@ Subcommands:
 * ``compare``: put simulated CSV results side by side with the closed-form
   model at the same operating point.
 
-Every subcommand takes its config flags from one schema and checks them
-with ``SimConfig.validate``.
+Every subcommand takes its config flags from one schema and builds a
+``SimConfig`` from them, which validates itself.  This module writes every
+output file, through ``_write_csv``.
 
 Exit status is 0 on success and 2 for configuration or usage errors.
 """
@@ -22,18 +23,19 @@ import configparser
 import csv
 import math
 import sys
+from dataclasses import astuple, fields
 
 from .analysis import ber_closed_form, ber_floor, equivalent_snr, floor_onset_and_ideal_snr
-from .compensator import gamma_true, save_gamma_trajectory
+from .compensator import gamma_true
 from .harness import (
     COMPENSATION_MODES,
     DETECTION_MODES,
+    BerRecord,
     ConfigError,
     SimConfig,
     _snr_key,
     run_point_with_trace,
     run_sweep,
-    write_records_csv,
 )
 from .iqi import IqiParams, derive_iqi_params
 
@@ -194,17 +196,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, **overrides) -> SimConfig:
-    """The validated SimConfig of ``--config`` (if the subcommand has it), the
-    schema flags given, then ``overrides``, each overriding what came before."""
+    """The SimConfig of ``--config`` (if the subcommand has it), the schema
+    flags given, then ``overrides``, each overriding what came before."""
     kwargs = load_config_file(args.config) if getattr(args, "config", None) else {}
     for name in _SCHEMA:
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
     kwargs.update(overrides)
-    cfg = SimConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return SimConfig(**kwargs)
 
 
 def _check_writable(path: str) -> None:
@@ -216,7 +216,17 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, floats at 9 significant digits and the rest as str()."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
+
+
 def _cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be positive, got {args.workers}")
     cfg = _config_from_args(args)
     if args.gamma_out:
         if cfg.compensation != "lms":
@@ -227,17 +237,18 @@ def _cmd_simulate(args) -> int:
         _check_writable(path)
     if args.gamma_out:
         record, trace = run_point_with_trace(cfg, cfg.snr_grid_db[0])
-        save_gamma_trajectory(args.gamma_out, trace)
+        rows = ((i, z.real, z.imag) for i, z in enumerate(trace.tolist(), 1))
+        _write_csv(args.gamma_out, ("iteration", "gamma_re", "gamma_im"), rows)
         records = [record]
     else:
-        records = run_sweep(cfg, workers=max(1, args.workers))
+        records = run_sweep(cfg, workers=args.workers)
     for r in records:
         print(
             f"snr_db={r.snr_db:g} detection={r.detection} compensation={r.compensation} "
             f"bits={r.bits} errors={r.bit_errors} ber={r.ber:.6g}"
         )
     if args.out:
-        write_records_csv(args.out, records)
+        _write_csv(args.out, [f.name for f in fields(BerRecord)], map(astuple, records))
         print(f"wrote {args.out}")
     return 0
 
@@ -269,10 +280,7 @@ def _cmd_analytic(args) -> int:
         print(f"floor_onset_snr_db = {onset_db:.9g}")
         print(f"ideal_reference_snr_db = {ideal_db:.9g}")
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["snr_db", "ber_model"])
-            writer.writerows([f"{snr_db:.9g}", f"{ber:.9g}"] for snr_db, ber in zip(grid, bers))
+        _write_csv(args.out, ("snr_db", "ber_model"), zip(grid, bers))
         print(f"wrote {args.out}")
     else:
         for snr_db, ber in zip(grid, bers):

@@ -11,7 +11,6 @@ compensator's whole state.
 """
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -158,13 +157,3 @@ def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.
             for desired, mirror in zip(comp[:4], comp[4:])
         )
     return alamouti_detect(*planes, order)
-
-
-def save_gamma_trajectory(path, trajectory: np.ndarray) -> None:
-    """Write the adaptation history as CSV rows (iteration, Re, Im)."""
-    trajectory = np.asarray(trajectory, dtype=np.complex128)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "gamma_re", "gamma_im"])
-        for i, value in enumerate(trajectory):
-            writer.writerow([i + 1, f"{value.real:.9g}", f"{value.imag:.9g}"])

@@ -46,7 +46,7 @@ from .channel import (
 )
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
-from .numerics import SUPPORTED_PSK_ORDERS, psk_constellation
+from .numerics import check_psk_order, psk_constellation
 from .ofdm import pair_bins
 from .stbc import alamouti_detect, differential_encode
 
@@ -93,11 +93,15 @@ class SimConfig:
     lms_step_size: float = 0.005
     seed: int = 20240
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def sample_period(self) -> float:
         return 1.0 / self.bandwidth_hz
 
     def validate(self) -> None:
+        """Raise ConfigError for any config that would fail later; construction calls it."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "str" or (value is None and f.type.endswith("| None")):
@@ -121,8 +125,6 @@ class SimConfig:
             raise ConfigError(f"n_subcarriers must be a power of two >= 8, got {n}")
         if not 0 < self.cp_len < n:
             raise ConfigError(f"cp_len must lie in (0, {n}), got {self.cp_len}")
-        if self.psk_order not in SUPPORTED_PSK_ORDERS:
-            raise ConfigError(f"psk_order must be one of {SUPPORTED_PSK_ORDERS}, got {self.psk_order}")
         if self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         if self.detection not in DETECTION_MODES:
@@ -131,8 +133,6 @@ class SimConfig:
             raise ConfigError(
                 f"compensation must be one of {COMPENSATION_MODES}, got {self.compensation!r}"
             )
-        if self.doppler_hz < 0:
-            raise ConfigError(f"doppler_hz must be non-negative, got {self.doppler_hz}")
         if self.min_bits < 1 or self.max_block_pairs < 1 or self.blocks_per_frame < 1:
             raise ConfigError("min_bits, max_block_pairs and blocks_per_frame must be positive")
         if self.lms_step_size <= 0:
@@ -147,16 +147,11 @@ class SimConfig:
             if math.isnan(value):
                 raise ConfigError("snr_grid_db values must not be NaN")
             _snr_key(value)
+        # the PSK order, the channel profile (its Doppler included) and the
+        # imbalance are checked by the code that builds them
         try:
+            check_psk_order(self.psk_order)
             profile = resolve_profile(self)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the last tap's sample position, rounded as tap_grid rounds it but
-        # kept a float: tap_grid's int64 cast would wrap a huge one round
-        spread = np.floor(profile.tap_delays_s[-1] / self.sample_period + 0.5)
-        if spread > self.cp_len:
-            raise ConfigError(f"channel delay spread {spread:.15g} samples exceeds cp_len {self.cp_len}")
-        try:
             derive_iqi_params(self.iqi_kappa_db, self.iqi_phi_deg)
         except OverflowError as exc:
             raise ConfigError(
@@ -164,6 +159,11 @@ class SimConfig:
             ) from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the last tap's sample position, rounded as tap_grid rounds it but
+        # kept a float: tap_grid's int64 cast would wrap a huge one round
+        spread = np.floor(profile.tap_delays_s[-1] / self.sample_period + 0.5)
+        if spread > self.cp_len:
+            raise ConfigError(f"channel delay spread {spread:.15g} samples exceeds cp_len {self.cp_len}")
 
 
 def resolve_profile(cfg: SimConfig) -> ChannelProfile:
@@ -216,7 +216,6 @@ class _PointEngine:
     """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
     def __init__(self, cfg: SimConfig, snr_db: float):
-        cfg.validate()
         self.cfg = cfg
         self.snr_db = float(snr_db)
         self.profile = resolve_profile(cfg)
@@ -390,26 +389,13 @@ def run_point_with_trace(cfg: SimConfig, snr_db: float) -> tuple[BerRecord, np.n
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
-    """Simulate every SNR grid point, sorted ascending; points are independent."""
-    cfg.validate()
+    """Simulate every SNR grid point, sorted ascending; points are independent.
+
+    Runs up to ``workers`` processes, never more than there are points.
+    """
     grid = sorted(set(float(s) for s in cfg.snr_grid_db))
+    workers = min(workers, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_point, [cfg] * len(grid), grid))
-    else:
-        records = [run_point(cfg, s) for s in grid]
-    return records
-
-
-def write_records_csv(path, records) -> None:
-    """Write sweep results, one column per BerRecord field, floats at 9 significant digits."""
-    import csv as _csv
-
-    columns = fields(BerRecord)
-    with open(path, "w", newline="") as handle:
-        writer = _csv.writer(handle)
-        writer.writerow([f.name for f in columns])
-        for r in records:
-            writer.writerow(
-                [f"{getattr(r, f.name):.9g}" if f.type == "float" else getattr(r, f.name) for f in columns]
-            )
+            return list(pool.map(run_point, [cfg] * len(grid), grid))
+    return [run_point(cfg, s) for s in grid]

@@ -1,15 +1,17 @@
 """Unit tests for the command line front end."""
 import csv
+import math
 import subprocess
 import sys
 from dataclasses import fields
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from dstbc_ofdm import cli, harness
 from dstbc_ofdm.cli import load_config_file, main, parse_snr_grid
-from dstbc_ofdm.harness import ConfigError, SimConfig
+from dstbc_ofdm.harness import BerRecord, ConfigError, SimConfig
 
 
 def test_parse_snr_range_inclusive():
@@ -138,6 +140,32 @@ def test_simulate_gamma_trajectory_export(tmp_path):
     assert len(rows) == 1 + 2 * 31 * 20
 
 
+def test_csv_round_trip(tmp_path, monkeypatch):
+    # fixed records: float fields at 9 significant digits, the rest as str()
+    fixed = [
+        BerRecord(math.inf, "differential", "lms", "itu-pb", 11.6, 1234567890, 0, 0.0, 20240, 1.25),
+        BerRecord(12.5, "coherent", "off", "flat", 463, 30720, 7, 7 / 30720, 3, 0.0123456789012),
+    ]
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, workers: fixed)
+    path = tmp_path / "records.csv"
+    assert main(["simulate", "--out", str(path)]) == 0
+    assert path.read_bytes() == (
+        b"snr_db,detection,compensation,channel,doppler_hz,bits,bit_errors,ber,seed,elapsed_s\r\n"
+        b"inf,differential,lms,itu-pb,11.6,1234567890,0,0,20240,1.25\r\n"
+        b"12.5,coherent,off,flat,463,30720,7,0.000227864583,3,0.0123456789\r\n"
+    )
+
+
+def test_trajectory_csv_round_trip(tmp_path, monkeypatch):
+    record = BerRecord(25.0, "differential", "lms", "itu-pb", 11.6, 7440, 0, 0.0, 20240)
+    trajectory = np.array([0.1 + 0.2j, 0.3 - 0.4j])
+    monkeypatch.setattr(cli, "run_point_with_trace", lambda cfg, snr_db: (record, trajectory))
+    path = tmp_path / "gamma.csv"
+    argv = ["simulate", "--snr", "25", "--compensation", "lms", "--gamma-out", str(path)]
+    assert main(argv) == 0
+    assert path.read_bytes() == b"iteration,gamma_re,gamma_im\r\n1,0.1,0.2\r\n2,0.3,-0.4\r\n"
+
+
 def test_gamma_out_requires_lms(tmp_path):
     code = main(["simulate", "--snr", "25", "--gamma-out", str(tmp_path / "g.csv")])
     assert code == 2
@@ -179,10 +207,12 @@ def test_analytic_curve_csv(tmp_path):
         ["analytic", "--kappa-db", "2", "--phi-deg", "8", "--snr", "10:20:5", "--out", str(out)]
     )
     assert code == 0
-    with open(out, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert [float(r["snr_db"]) for r in rows] == [10.0, 15.0, 20.0]
-    assert all(float(r["ber_model"]) > 0 for r in rows)
+    assert out.read_bytes() == (
+        b"snr_db,ber_model\r\n"
+        b"10,0.122100769\r\n"
+        b"15,0.0721240102\r\n"
+        b"20,0.0421436124\r\n"
+    )
 
 
 def test_compare_table(tmp_path, capsys):
@@ -354,3 +384,10 @@ def test_analytic_out_requires_snr(tmp_path, capsys):
     assert main(["analytic", "--kappa-db", "2", "--out", str(out)]) == 2
     assert "error: --out requires --snr" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_non_positive_workers_exit_two_before_any_frame(monkeypatch, capsys, workers):
+    monkeypatch.setattr(harness, "realize_fading", fail_if_called)
+    assert main(["simulate", "--snr", "10", "--workers", workers]) == 2
+    assert f"error: --workers must be positive, got {workers}" in capsys.readouterr().err

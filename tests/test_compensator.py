@@ -1,5 +1,4 @@
 """Unit tests for the decision-directed image-leakage compensator."""
-import csv
 
 import numpy as np
 import pytest
@@ -146,15 +145,3 @@ def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
             assert got.tobytes() == np.ascontiguousarray(old[..., position]).tobytes()
         np.testing.assert_array_equal(det1, old1[..., position])
         np.testing.assert_array_equal(det2, old2[..., position])
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    from dstbc_ofdm import save_gamma_trajectory
-
-    path = tmp_path / "gamma.csv"
-    save_gamma_trajectory(path, np.array([0.1 + 0.2j, 0.3 - 0.4j]))
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["iteration", "gamma_re", "gamma_im"]
-    assert rows[1] == ["1", "0.1", "0.2"]
-    assert rows[2] == ["2", "0.3", "-0.4"]

@@ -1,5 +1,4 @@
 """Unit tests for the end-to-end simulation harness."""
-import csv
 import dataclasses
 import math
 
@@ -13,7 +12,6 @@ from dstbc_ofdm import (
     run_point,
     run_point_with_trace,
     run_sweep,
-    write_records_csv,
 )
 from dstbc_ofdm import harness
 from dstbc_ofdm.harness import resolve_profile
@@ -114,6 +112,16 @@ def has_wrong_type(name, value) -> bool:
         values = value if isinstance(value, tuple) else ("not a tuple",)
         return any(type(v) not in (int, float) for v in values)
     return False
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SimConfig(psk_order=3), lambda: dataclasses.replace(SimConfig(), doppler_hz=-2.0)],
+    ids=["psk_order", "replaced_doppler"],
+)
+def test_construction_rejects_bad_configs(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 @pytest.mark.parametrize("grid", [(10.0, 2000.0), (10.0, -math.inf)])
@@ -326,30 +334,41 @@ def test_snr_key_rejects_extreme_values():
         run_point(small_cfg(), -(2.0**30))
 
 
-def test_csv_round_trip(tmp_path):
-    cfg = small_cfg(snr_grid_db=(10.0, 20.0))
-    records = run_sweep(cfg)
-    path = tmp_path / "records.csv"
-    write_records_csv(path, records)
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 2
-    assert float(rows[0]["snr_db"]) == 10.0
-    assert int(rows[1]["bits"]) == records[1].bits
-    assert float(rows[1]["ber"]) == pytest.approx(records[1].ber, rel=1e-8)
-    # fixed records: float fields at 9 significant digits, the rest as str()
-    fixed = [
-        BerRecord(math.inf, "differential", "lms", "itu-pb", 11.6, 1234567890, 0, 0.0, 20240, 1.25),
-        BerRecord(12.5, "coherent", "off", "flat", 463, 30720, 7, 7 / 30720, 3, 0.0123456789012),
-    ]
-    write_records_csv(path, fixed)
-    assert path.read_bytes() == (
-        b"snr_db,detection,compensation,channel,doppler_hz,bits,bit_errors,ber,seed,elapsed_s\r\n"
-        b"inf,differential,lms,itu-pb,11.6,1234567890,0,0,20240,1.25\r\n"
-        b"12.5,coherent,off,flat,463,30720,7,0.000227864583,3,0.0123456789\r\n"
-    )
-
-
 def test_parallel_sweep_matches_serial():
     cfg = small_cfg(snr_grid_db=(10.0, 14.0))
     assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
+
+
+@pytest.mark.parametrize(
+    "workers, grid, pools",
+    [
+        (4, (10.0,), []),
+        (4, (10.0, 10.0), []),
+        (4, (10.0, 14.0), [2]),
+        (2, (10.0, 12.0, 14.0), [2]),
+        (1, (10.0, 14.0), []),
+    ],
+)
+def test_sweep_starts_at_most_one_worker_per_point(monkeypatch, workers, grid, pools):
+    started = []
+
+    class RecordingPool:
+        """Runs the points serially and keeps the pool size asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_cfg(snr_grid_db=grid)
+    records = run_sweep(cfg, workers=workers)
+    assert started == pools
+    assert records == [run_point(cfg, s) for s in sorted(set(grid))]

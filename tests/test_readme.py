@@ -28,5 +28,14 @@ def test_config_example_loads(tmp_path):
     path = tmp_path / "example.cfg"
     path.write_text(match.group(1))
     cfg = SimConfig(**load_config_file(str(path)))
-    cfg.validate()
     assert (cfg.iqi_kappa_db, cfg.iqi_phi_deg, cfg.max_block_pairs) == (2.0, 8.0, 50_000_000)
+
+
+def test_analytic_transcript_matches_the_cli(capsys):
+    from dstbc_ofdm.cli import main
+
+    command = "$ dstbc-ofdm analytic --kappa-db 2 --phi-deg 8\n"
+    match = re.search(re.escape(command) + r"(.*?)```", README.read_text(), re.S)
+    assert match, "no analytic transcript in the README"
+    assert main(["analytic", "--kappa-db", "2", "--phi-deg", "8"]) == 0
+    assert capsys.readouterr().out == match.group(1)
