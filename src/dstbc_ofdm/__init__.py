@@ -23,12 +23,12 @@ from .analysis import (
 )
 from .channel import (
     ChannelProfile,
-    FadingRealization,
     JakesFadingProcess,
     custom_profile,
     load_profile,
     realize_fading,
     subcarrier_gains,
+    tap_grid,
 )
 from .compensator import (
     build_residuals,
@@ -61,7 +61,6 @@ __all__ = [
     "BerRecord",
     "ChannelProfile",
     "ConfigError",
-    "FadingRealization",
     "IqiParams",
     "JakesFadingProcess",
     "PskConstellation",
@@ -94,4 +93,5 @@ __all__ = [
     "sinr_coherent",
     "sinr_differential",
     "subcarrier_gains",
+    "tap_grid",
 ]

@@ -38,7 +38,6 @@ PROFILE_NAMES = tuple(sorted(_PROFILE_TABLES))
 class ChannelProfile:
     """Power-delay profile plus the Doppler spread it will be animated with."""
 
-    name: str
     tap_delays_s: tuple[float, ...]
     tap_powers_db: tuple[float, ...]
     doppler_hz: float
@@ -65,12 +64,10 @@ class ChannelProfile:
 
 def load_profile(name: str, doppler_hz: float) -> ChannelProfile:
     """Named profile ("itu-pb", "itu-va" or "flat") with the given Doppler."""
-    key = name.lower()
-    if key not in _PROFILE_TABLES:
+    if name not in _PROFILE_TABLES:
         raise ValueError(f"unknown channel profile {name!r}; expected one of {PROFILE_NAMES}")
-    delays_ns, powers_db = _PROFILE_TABLES[key]
+    delays_ns, powers_db = _PROFILE_TABLES[name]
     return ChannelProfile(
-        name=key,
         tap_delays_s=tuple(d * 1e-9 for d in delays_ns),
         tap_powers_db=powers_db,
         doppler_hz=doppler_hz,
@@ -78,9 +75,8 @@ def load_profile(name: str, doppler_hz: float) -> ChannelProfile:
 
 
 def custom_profile(delays_ns, powers_db, doppler_hz: float) -> ChannelProfile:
-    """Profile named "custom" from explicit delay (ns) and power (dB) lists."""
+    """Profile from explicit delay (ns) and power (dB) lists."""
     return ChannelProfile(
-        name="custom",
         tap_delays_s=tuple(float(d) * 1e-9 for d in delays_ns),
         tap_powers_db=tuple(float(p) for p in powers_db),
         doppler_hz=doppler_hz,
@@ -133,20 +129,6 @@ class JakesFadingProcess:
         return np.exp(1j * np.outer(times, self._rates)) @ self._weights
 
 
-@dataclass(frozen=True)
-class FadingRealization:
-    """Per-symbol tap gains for both transmit antennas.
-
-    ``taps[s, i, l]`` is tap ``l`` of antenna ``i`` during OFDM symbol ``s``,
-    already merged onto the sample grid (``tap_sample_delays`` holds the
-    sample indices).  A draw of several frames puts the frame first:
-    ``taps[f, s, i, l]``.
-    """
-
-    tap_sample_delays: np.ndarray
-    taps: np.ndarray
-
-
 @lru_cache(maxsize=16)
 def tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
     """Round delays to the sample grid (half-up) and merge collisions by power.
@@ -172,16 +154,19 @@ def realize_fading(
     rng,
     *,
     samples_per_symbol: int,
-    frames: int | None = None,
-) -> FadingRealization:
-    """Draw fading sampled at OFDM-symbol midpoints, for one frame or several.
+    frames: int,
+) -> np.ndarray:
+    """Tap gains of ``frames`` frames sampled at OFDM-symbol midpoints.
+
+    Returns the read-only array ``taps[f, s, i, l]``: tap ``l`` of antenna
+    ``i`` during OFDM symbol ``s`` of frame ``f``, with the taps merged onto
+    the sample grid whose delays ``tap_grid`` gives.
 
     Each frame spawns two child generators from ``rng``, one per antenna,
     and draws every tap's oscillators from its antenna's child in the order
     ``JakesFadingProcess`` does.  Spawning never advances ``rng``'s own
-    stream.  With ``frames=F`` the frames are drawn in turn, so frame ``f``
-    equals what the ``f``-th of F single-frame calls on the same generator
-    would return, and ``taps`` gets a leading frame axis.
+    stream.  The frames are drawn in turn, so frame ``f`` equals what the
+    ``f``-th of F one-frame calls on the same generator would return.
 
     The oscillators are sampled by a phasor recurrence rather than an ``exp``
     per symbol: each one's phasor at the first midpoint,
@@ -197,14 +182,13 @@ def realize_fading(
         raise ValueError("need at least one OFDM symbol")
     if samples_per_symbol < 1:
         raise ValueError("samples_per_symbol must be positive")
-    if frames is not None and frames < 1:
+    if frames < 1:
         raise ValueError(f"frames must be positive, got {frames}")
-    positions, powers = tap_grid(profile, sample_period)
+    _, powers = tap_grid(profile, sample_period)
     rng = np.random.default_rng(rng)
-    n_frames = 1 if frames is None else frames
     n_taps = powers.shape[0]
-    draws = np.empty((n_frames, N_TX_ANTENNAS, n_taps, 3, DEFAULT_OSCILLATORS))
-    for f in range(n_frames):
+    draws = np.empty((frames, N_TX_ANTENNAS, n_taps, 3, DEFAULT_OSCILLATORS))
+    for f in range(frames):
         for i, antenna_rng in enumerate(rng.spawn(N_TX_ANTENNAS)):
             for l in range(n_taps):
                 _draw_oscillators(antenna_rng, draws[f, i, l])
@@ -217,12 +201,8 @@ def realize_fading(
     np.cumprod(phases, axis=-2, out=phases)
     # (frame, antenna, tap, symbol) -> (frame, symbol, antenna, tap)
     taps = np.ascontiguousarray((phases @ weights[..., None])[..., 0].transpose(0, 3, 1, 2))
-    realization = FadingRealization(
-        tap_sample_delays=positions,
-        taps=taps[0] if frames is None else taps,
-    )
-    realization.taps.flags.writeable = False
-    return realization
+    taps.flags.writeable = False
+    return taps
 
 
 def subcarrier_gains(taps: np.ndarray, tap_sample_delays: np.ndarray, n: int) -> np.ndarray:

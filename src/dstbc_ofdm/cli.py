@@ -106,7 +106,6 @@ _SCHEMA = {
     "compensation": _key("run", flag="--compensation", choices=COMPENSATION_MODES),
     "snr_grid_db": _key("run", "snr_db", "--snr", help="SNR grid in dB: start:stop:step or comma list"),
     "min_bits": _key("run", flag="--min-bits"),
-    "max_block_pairs": _key("run", flag="--max-block-pairs"),
     "blocks_per_frame": _key("run", flag="--blocks-per-frame"),
     "lms_step_size": _key("run", "step_size", "--lms-step"),
     "seed": _key("run", flag="--seed"),

@@ -38,11 +38,11 @@ import numpy as np
 
 from .channel import (
     ChannelProfile,
-    PROFILE_NAMES,
     custom_profile,
     load_profile,
     realize_fading,
     subcarrier_gains,
+    tap_grid,
 )
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
@@ -88,7 +88,6 @@ class SimConfig:
     compensation: str = "off"
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     min_bits: int = 2_000_000
-    max_block_pairs: int = 50_000_000
     blocks_per_frame: int = 20
     lms_step_size: float = 0.005
     seed: int = 20240
@@ -101,7 +100,12 @@ class SimConfig:
         return 1.0 / self.bandwidth_hz
 
     def validate(self) -> None:
-        """Raise ConfigError for any config that would fail later; construction calls it."""
+        """Raise ConfigError for any config that would fail later; construction calls it.
+
+        The one fault no check here can see is an ``lms_step_size`` so large
+        that gamma diverges: only the draws reveal it, and the LMS pass then
+        raises ConfigError mid-run.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "str" or (value is None and f.type.endswith("| None")):
@@ -133,8 +137,8 @@ class SimConfig:
             raise ConfigError(
                 f"compensation must be one of {COMPENSATION_MODES}, got {self.compensation!r}"
             )
-        if self.min_bits < 1 or self.max_block_pairs < 1 or self.blocks_per_frame < 1:
-            raise ConfigError("min_bits, max_block_pairs and blocks_per_frame must be positive")
+        if self.min_bits < 1 or self.blocks_per_frame < 1:
+            raise ConfigError("min_bits and blocks_per_frame must be positive")
         if self.lms_step_size <= 0:
             raise ConfigError(f"lms_step_size must be positive, got {self.lms_step_size}")
         if self.compensation != "off" and self.detection != "differential":
@@ -167,14 +171,15 @@ class SimConfig:
 
 
 def resolve_profile(cfg: SimConfig) -> ChannelProfile:
-    """Channel profile named by the config (including custom tap tables)."""
-    if cfg.channel == "custom":
-        if cfg.custom_delays_ns is None or cfg.custom_powers_db is None:
-            raise ConfigError("custom channel requires custom_delays_ns and custom_powers_db")
-        return custom_profile(cfg.custom_delays_ns, cfg.custom_powers_db, cfg.doppler_hz)
-    if cfg.channel not in PROFILE_NAMES:
-        raise ConfigError(f"unknown channel {cfg.channel!r}; expected one of {PROFILE_NAMES} or 'custom'")
-    return load_profile(cfg.channel, cfg.doppler_hz)
+    """Channel profile named by the config; only channel "custom" takes tap tables."""
+    tables = (cfg.custom_delays_ns, cfg.custom_powers_db)
+    if cfg.channel != "custom":
+        if tables != (None, None):
+            raise ValueError(f"custom tap tables require channel 'custom', got {cfg.channel!r}")
+        return load_profile(cfg.channel, cfg.doppler_hz)
+    if None in tables:
+        raise ValueError("custom channel requires custom_delays_ns and custom_powers_db")
+    return custom_profile(*tables, cfg.doppler_hz)
 
 
 @dataclass(frozen=True)
@@ -207,11 +212,6 @@ def _point_rng(seed: int, snr_db: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), _snr_key(snr_db)]))
 
 
-def _frame_count(min_bits: int, bits_per_frame: int, max_blocks: int, blocks_per_frame: int) -> int:
-    """Frames a point simulates: until ``min_bits`` are counted or ``max_blocks`` are sent."""
-    return min(-(-min_bits // bits_per_frame), -(-max_blocks // blocks_per_frame))
-
-
 class _PointEngine:
     """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
@@ -219,6 +219,7 @@ class _PointEngine:
         self.cfg = cfg
         self.snr_db = float(snr_db)
         self.profile = resolve_profile(cfg)
+        self.tap_sample_delays = tap_grid(self.profile, cfg.sample_period)[0]
         self.constellation = psk_constellation(cfg.psk_order)
         self.iqi = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
         self.rng = _point_rng(cfg.seed, snr_db)
@@ -298,10 +299,16 @@ class _PointEngine:
         half = values.shape[-1] // 2
         seen = []
         for frame in values:
-            trajectory = decision_directed_pass(
-                frame[:, :half], np.conj(frame[:, half:]), self.gamma,
-                self.cfg.lms_step_size, self.constellation,
-            )
+            try:
+                trajectory = decision_directed_pass(
+                    frame[:, :half], np.conj(frame[:, half:]), self.gamma,
+                    self.cfg.lms_step_size, self.constellation,
+                )
+            except (ValueError, OverflowError) as exc:
+                # a non-finite decision statistic: gamma has run away
+                raise ConfigError(
+                    f"lms_step_size {self.cfg.lms_step_size:g} is too large: gamma diverged"
+                ) from exc
             seen.append(np.concatenate([[self.gamma], trajectory[1:-1:2]]))
             self.gamma = trajectory[-1]
             if collect_trace:
@@ -316,7 +323,7 @@ class _PointEngine:
         own, which keeps the working set to one chunk.
         """
         cfg = self.cfg
-        fading = realize_fading(
+        taps = realize_fading(
             self.profile,
             cfg.sample_period,
             self.n_symbols,
@@ -325,9 +332,7 @@ class _PointEngine:
             frames=n_frames,
         )
         idx1, idx2, noise = self._draw_indices_and_noise(n_frames, self.sigma > 0.0)
-        gains = subcarrier_gains(
-            fading.taps, fading.tap_sample_delays, cfg.n_subcarriers
-        )[..., self.pair_bins]
+        gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)[..., self.pair_bins]
         values = self._received_spectra(self._transmit_symbols(idx1, idx2), gains, noise)
         if cfg.detection == "coherent":
             # the channel is the reference block: its gains at the first
@@ -350,7 +355,7 @@ class _PointEngine:
         start = time.perf_counter()
         bps = self.constellation.bits_per_symbol
         bits_per_frame = self.n_blocks * self.pair_bins.shape[0] * 2 * bps
-        n_frames = _frame_count(cfg.min_bits, bits_per_frame, cfg.max_block_pairs, self.n_blocks)
+        n_frames = -(-cfg.min_bits // bits_per_frame)
         chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
         gamma = gamma_true(self.iqi) if cfg.compensation == "genie_gamma" else None
         total_errors = 0

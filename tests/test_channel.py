@@ -11,8 +11,8 @@ from dstbc_ofdm import (
     load_profile,
     realize_fading,
     subcarrier_gains,
+    tap_grid,
 )
-from dstbc_ofdm.channel import tap_grid
 
 SAMPLE_PERIOD = 1.0 / 5e6
 
@@ -57,6 +57,12 @@ def test_profile_validation():
         custom_profile((0.0, 200.0, 100.0), (0.0, 0.0, 0.0), 5.0)
 
 
+def test_profile_names_are_case_sensitive():
+    # the one name check, shared with SimConfig, which rejects "ITU-PB" too
+    with pytest.raises(ValueError, match="unknown channel profile 'ITU-PB'"):
+        load_profile("ITU-PB", 1.0)
+
+
 def test_jakes_rejects_small_oscillator_count():
     rng = np.random.default_rng(0)
     # the tap process and the engine's draw always use the default count;
@@ -65,7 +71,13 @@ def test_jakes_rejects_small_oscillator_count():
         JakesFadingProcess(1.0, 10.0, rng, n_oscillators=8)
     with pytest.raises(TypeError):
         realize_fading(
-            load_profile("flat", 10.0), SAMPLE_PERIOD, 2, rng, samples_per_symbol=84, n_oscillators=1
+            load_profile("flat", 10.0),
+            SAMPLE_PERIOD,
+            2,
+            rng,
+            samples_per_symbol=84,
+            frames=1,
+            n_oscillators=1,
         )
 
 
@@ -91,14 +103,13 @@ def test_jakes_zero_doppler_is_constant():
 
 def test_realization_shape_and_determinism():
     prof = load_profile("itu-pb", 11.6)
-    fading_a = realize_fading(prof, SAMPLE_PERIOD, 10, 99, samples_per_symbol=84)
-    fading_b = realize_fading(prof, SAMPLE_PERIOD, 10, 99, samples_per_symbol=84)
-    assert fading_a.taps.shape == (10, 2, 6)
-    assert fading_a.tap_sample_delays[-1] == 19
-    np.testing.assert_array_equal(fading_a.taps, fading_b.taps)
-    assert not fading_a.taps.flags.writeable
+    taps_a = realize_fading(prof, SAMPLE_PERIOD, 10, 99, samples_per_symbol=84, frames=1)
+    taps_b = realize_fading(prof, SAMPLE_PERIOD, 10, 99, samples_per_symbol=84, frames=1)
+    assert taps_a.shape == (1, 10, 2, 6)
+    np.testing.assert_array_equal(taps_a, taps_b)
+    assert not taps_a.flags.writeable
     # the two antennas fade independently
-    assert not np.allclose(fading_a.taps[:, 0], fading_a.taps[:, 1])
+    assert not np.allclose(taps_a[..., 0, :], taps_a[..., 1, :])
 
 
 def test_jakes_process_draw_order():
@@ -131,7 +142,7 @@ def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, f
     batch = realize_fading(
         prof, SAMPLE_PERIOD, n_sym, np.random.default_rng(8), samples_per_symbol=84, frames=frames
     )
-    assert batch.taps.shape == (frames, n_sym, 2, powers.shape[0])
+    assert batch.shape == (frames, n_sym, 2, powers.shape[0])
     rng = np.random.default_rng(8)
     times = (np.arange(n_sym) + 0.5) * (84 * SAMPLE_PERIOD)
     for f in range(frames):
@@ -144,13 +155,13 @@ def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, f
                 weight_sum[i, l] = np.abs(process._weights).sum()
         if doppler == 0.0:
             # every phasor step is exactly 1, so the draws are checked bit for bit
-            assert np.array_equal(batch.taps[f], expected)
+            assert np.array_equal(batch[f], expected)
         else:
             # the phasor of symbol s is s rounded products past its first
             # value, each off by a few ulps from exp; the sums over the
             # oscillators round on their own
             bound = np.finfo(float).eps * (3 * n_sym + 64) * weight_sum
-            assert np.all(np.abs(batch.taps[f] - expected) <= bound)
+            assert np.all(np.abs(batch[f] - expected) <= bound)
 
 
 def test_batch_equals_successive_single_draws():
@@ -159,11 +170,11 @@ def test_batch_equals_successive_single_draws():
     rng_single = np.random.default_rng(3)
     batch = realize_fading(prof, SAMPLE_PERIOD, 8, rng_batch, samples_per_symbol=84, frames=4)
     singles = [
-        realize_fading(prof, SAMPLE_PERIOD, 8, rng_single, samples_per_symbol=84).taps
+        realize_fading(prof, SAMPLE_PERIOD, 8, rng_single, samples_per_symbol=84, frames=1)
         for _ in range(4)
     ]
-    assert np.array_equal(batch.taps, np.stack(singles))
-    assert not batch.taps.flags.writeable
+    assert np.array_equal(batch, np.concatenate(singles))
+    assert not batch.flags.writeable
     # spawning the antenna substreams leaves the generator's own stream alone
     assert rng_batch.random() == rng_single.random() == np.random.default_rng(3).random()
     with pytest.raises(ValueError):
@@ -186,8 +197,8 @@ def test_tap_powers_match_profile_when_pooled():
     acc = np.zeros(6)
     n_real, n_sym = 400, 50
     for _ in range(n_real):
-        fading = realize_fading(prof, SAMPLE_PERIOD, n_sym, rng, samples_per_symbol=84)
-        acc += np.mean(np.abs(fading.taps) ** 2, axis=(0, 1))
+        taps = realize_fading(prof, SAMPLE_PERIOD, n_sym, rng, samples_per_symbol=84, frames=1)[0]
+        acc += np.mean(np.abs(taps) ** 2, axis=(0, 1))
     _, powers = tap_grid(prof, SAMPLE_PERIOD)
     np.testing.assert_allclose(acc / n_real, powers, rtol=0.08)
 
@@ -208,24 +219,26 @@ def test_ensemble_autocorrelation_follows_bessel():
 def test_gains_match_explicit_sum(rng):
     # gains[..., n] = sum_l h_l * exp(-2j*pi*n*d_l/N) over any leading axes
     prof = load_profile("itu-pb", 11.6)
-    fading = realize_fading(prof, SAMPLE_PERIOD, 3, rng, samples_per_symbol=84, frames=2)
+    taps = realize_fading(prof, SAMPLE_PERIOD, 3, rng, samples_per_symbol=84, frames=2)
+    delays, _ = tap_grid(prof, SAMPLE_PERIOD)
     n = 64
-    gains = subcarrier_gains(fading.taps, fading.tap_sample_delays, n)
+    gains = subcarrier_gains(taps, delays, n)
     assert gains.shape == (2, 3, 2, n)
-    phase = np.exp(-2j * np.pi * np.outer(np.arange(n), fading.tap_sample_delays) / n)
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n), delays) / n)
     for index in np.ndindex(gains.shape[:-1]):
-        np.testing.assert_allclose(gains[index], phase @ fading.taps[index], atol=1e-12)
+        np.testing.assert_allclose(gains[index], phase @ taps[index], atol=1e-12)
 
 
 def test_gains_diagonalize_circular_convolution(rng):
     # per-subcarrier gains are the eigenvalues of the circulant channel matrix
     prof = load_profile("itu-va", 50.0)
-    fading = realize_fading(prof, SAMPLE_PERIOD, 2, rng, samples_per_symbol=84)
+    taps = realize_fading(prof, SAMPLE_PERIOD, 2, rng, samples_per_symbol=84, frames=1)[0]
+    delays, _ = tap_grid(prof, SAMPLE_PERIOD)
     n = 64
     dense = np.zeros(n, dtype=complex)
-    dense[fading.tap_sample_delays] = fading.taps[0, 0]
+    dense[delays] = taps[0, 0]
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = np.array([np.sum(dense * x[(i - np.arange(n)) % n]) for i in range(n)])
-    gains = subcarrier_gains(fading.taps, fading.tap_sample_delays, n)[0, 0]
+    gains = subcarrier_gains(taps, delays, n)[0, 0]
     np.testing.assert_allclose(np.fft.fft(y), gains * np.fft.fft(x), atol=1e-9)
 

@@ -73,6 +73,8 @@ def test_config_file_errors(tmp_path):
         # configparser copies [DEFAULT] keys into every section
         ("default_only.cfg", "[DEFAULT]\nseed = 1\n"),
         ("default_and_system.cfg", "[DEFAULT]\nseed = 1\n[system]\ncp_len = 20\n"),
+        # the removed block cap is an unknown key like any other
+        ("removed_key.cfg", "[run]\nmax_block_pairs = 50000000\n"),
     ]:
         path = tmp_path / name
         path.write_text(text)
@@ -262,6 +264,9 @@ def test_console_script_runs(package_env):
         ["compare", "--phi-deg", "nan"],
         ["simulate", "--snr", "10", "--kappa-db", "7000"],
         ["analytic", "--kappa-db", "7000"],
+        # only the draws reveal that gamma diverges; it is still a config error
+        ["simulate", "--compensation", "lms", "--kappa-db", "2", "--phi-deg", "8",
+         "--lms-step", "100", "--snr", "20", "--min-bits", "20000"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
@@ -285,6 +290,8 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
         assert "must be finite" in proc.stderr
     if "7000" in argv:
         assert "error: iqi_kappa_db 7000 dB overflows" in proc.stderr
+    if "--lms-step" in argv:
+        assert "error: lms_step_size 100 is too large: gamma diverged" in proc.stderr
 
 
 def test_analytic_noiseless_point_without_imbalance(capsys):
@@ -305,7 +312,6 @@ FLAG_CASES = [
     ("--compensation", "run", "compensation", "genie_gamma"),
     ("--snr", "run", "snr_db", "0:20:10"),
     ("--min-bits", "run", "min_bits", "1000"),
-    ("--max-block-pairs", "run", "max_block_pairs", "77"),
     ("--blocks-per-frame", "run", "blocks_per_frame", "5"),
     ("--lms-step", "run", "step_size", "0.01"),
     ("--seed", "run", "seed", "7"),

@@ -51,6 +51,9 @@ def test_default_config_is_valid():
         dict(seed=True),
         dict(detection="coherent", compensation="lms"),
         dict(channel="custom"),
+        # tap tables are read only by the custom channel, never ignored
+        dict(channel="itu-pb", custom_delays_ns=(0, 100), custom_powers_db=(0, -3)),
+        dict(channel="flat", custom_powers_db=(0.0,)),
         dict(cp_len=10),  # ITU-PB spreads over 19 samples
         # delays of ~1e302 samples, which an int64 cast of the tap grid
         # would wrap to a negative spread
@@ -74,7 +77,6 @@ def test_default_config_is_valid():
         dict(blocks_per_frame=2.0),
         dict(blocks_per_frame=True),
         dict(psk_order=8.0),
-        dict(max_block_pairs=3.5),
         dict(min_bits=True),
         dict(channel="flat", cp_len=True),
         dict(n_subcarriers=64.0),
@@ -217,30 +219,18 @@ def test_imbalance_hurts_and_compensation_helps():
     assert compensated.ber < impaired.ber / 3
 
 
-def test_block_pair_budget_stops_run():
-    cfg = small_cfg(min_bits=10**9, max_block_pairs=20, blocks_per_frame=20)
-    r = run_point(cfg, 10.0)
-    assert r.bits == 20 * 62 * 2 * 3  # one frame of 8-PSK blocks
-
-
 def test_frame_count_matches_frame_by_frame_loop():
-    def loop(min_bits, bits_per_frame, max_blocks, blocks_per_frame):
-        frames = bits = blocks = 0
-        while bits < min_bits and blocks < max_blocks:
+    def loop(min_bits, bits_per_frame):
+        frames = bits = 0
+        while bits < min_bits:
             frames += 1
             bits += bits_per_frame
-            blocks += blocks_per_frame
         return frames
 
-    for min_bits in (1, 743, 744, 745, 5000, 10**6):
-        for max_blocks in (1, 7, 20, 25, 10**6):
-            for blocks_per_frame in (1, 3, 10, 20):
-                assert harness._frame_count(min_bits, 744, max_blocks, blocks_per_frame) == loop(
-                    min_bits, 744, max_blocks, blocks_per_frame
-                )
-    # 25 blocks is two and a half frames of 10; the third frame still runs
-    r = run_point(small_cfg(min_bits=10**9, max_block_pairs=25, blocks_per_frame=10), 10.0)
-    assert r.bits == 3 * 10 * 62 * 2 * 3
+    # two 8-PSK blocks on 62 subcarriers are 744 bits per frame
+    for min_bits in (1, 743, 744, 745, 5000, 30_000):
+        r = run_point(small_cfg(min_bits=min_bits, blocks_per_frame=2), 10.0)
+        assert r.bits == loop(min_bits, 744) * 744
 
 
 @pytest.mark.parametrize(
@@ -313,6 +303,15 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides):
     if cfg.compensation == "lms":
         assert chunked_trace.shape[0] > 0
         assert np.max(np.abs(chunked_trace - single_trace)) <= 1e-12
+
+
+@pytest.mark.parametrize("step_size", [100.0, 1e6])
+def test_diverging_lms_is_a_config_error(step_size):
+    # a step this large drives gamma to a non-finite value; the run stops
+    # with a fault that names the step, not with a numeric one
+    cfg = small_cfg(iqi_kappa_db=2.0, iqi_phi_deg=8.0, compensation="lms", lms_step_size=step_size)
+    with pytest.raises(ConfigError, match="lms_step_size .* gamma diverged"):
+        run_point(cfg, 20.0)
 
 
 def test_trace_empty_without_lms():

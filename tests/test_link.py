@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dstbc_ofdm import SimConfig, harness
+from dstbc_ofdm import SimConfig, harness, tap_grid
 
 import timechain
 
@@ -25,14 +25,14 @@ LINKS = {
 
 
 def chunk_draws(monkeypatch, engine, n_frames):
-    """The fading, transmit symbols, noise and per-bin spectra of one engine chunk."""
+    """The fading taps, transmit symbols, noise and per-bin spectra of one engine chunk."""
     seen = {}
     real_fading = harness.realize_fading
     real_spectra = engine._received_spectra
 
     def recording_fading(*args, **kwargs):
-        seen["fading"] = real_fading(*args, **kwargs)
-        return seen["fading"]
+        seen["taps"] = real_fading(*args, **kwargs)
+        return seen["taps"]
 
     def recording_spectra(tx, gains, noise):
         seen.update(tx=tx, noise=noise, values=real_spectra(tx, gains, noise))
@@ -62,7 +62,13 @@ def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
         noise_grid[..., bins] = noise
         noise = timechain.ofdm_modulate(noise_grid, cfg.cp_len).reshape(3, -1)
     expected = timechain.frame_spectra(
-        grid, seen["fading"], cfg.cp_len, engine.sigma, engine.iqi, noise
+        grid,
+        seen["taps"],
+        tap_grid(engine.profile, cfg.sample_period)[0],
+        cfg.cp_len,
+        engine.sigma,
+        engine.iqi,
+        noise,
     )[..., bins]
     # a wrong tap, bin, mirror or noise sample moves a bin by about its rms
     # (about 1); rounding in the two chains moves it by about 1e-15

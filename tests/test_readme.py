@@ -1,8 +1,9 @@
-"""The README's code examples run against the package as it is."""
+"""The README's code examples and the package metadata match the package as it is."""
 import pathlib
 import re
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def python_block_after(marker: str) -> str:
@@ -16,19 +17,32 @@ def python_block_after(marker: str) -> str:
 def test_lower_level_example_runs(capsys):
     exec(compile(python_block_after("Lower-level pieces"), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3:] == ["(42, 2, 6)", "True"]
+    assert lines[3:] == ["(1, 42, 2, 6)", "[ 0  1  4  6 12 19]", "True"]
 
 
 def test_config_example_loads(tmp_path):
     from dstbc_ofdm import SimConfig
-    from dstbc_ofdm.cli import load_config_file
+    from dstbc_ofdm.cli import _SCHEMA, load_config_file
 
     match = re.search(r"## Configuration files.*?```ini\n(.*?)```", README.read_text(), re.S)
     assert match, "no ini block in the configuration section"
+    block = match.group(1)
+    # every INI key, by its short name where it has one; commented lines count
+    shown = set(re.findall(r"^(?:# )?(\w+) =", block, re.M))
+    assert {alias or name for name, (_, alias, _, _) in _SCHEMA.items()} <= shown
     path = tmp_path / "example.cfg"
-    path.write_text(match.group(1))
+    path.write_text(block)
     cfg = SimConfig(**load_config_file(str(path)))
-    assert (cfg.iqi_kappa_db, cfg.iqi_phi_deg, cfg.max_block_pairs) == (2.0, 8.0, 50_000_000)
+    assert (cfg.iqi_kappa_db, cfg.iqi_phi_deg) == (2.0, 8.0)
+
+
+def test_version_matches_pyproject():
+    import dstbc_ofdm
+
+    # a regex, not tomllib, which Python 3.10 lacks
+    match = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert match, "no version in pyproject.toml"
+    assert dstbc_ofdm.__version__ == match.group(1)
 
 
 def test_analytic_transcript_matches_the_cli(capsys):

@@ -24,16 +24,17 @@ def ofdm_demodulate(samples: np.ndarray, cp_len: int) -> np.ndarray:
     return np.fft.fft(samples[..., cp_len:], axis=-1, norm="ortho")
 
 
-def apply_channel(streams: np.ndarray, fading, samples_per_symbol: int) -> np.ndarray:
+def apply_channel(streams: np.ndarray, taps, tap_sample_delays, samples_per_symbol: int) -> np.ndarray:
     """Per frame, the sum of per-antenna linear convolutions with symbol-rate tap updates.
 
-    ``streams`` is (frame, antenna, sample); ``fading.taps`` is (frame,
-    symbol, antenna, tap), and each output sample sees its symbol's taps.
+    ``streams`` is (frame, antenna, sample); ``taps`` is (frame, symbol,
+    antenna, tap), at the sample delays ``tap_sample_delays``, and each
+    output sample sees its symbol's taps.
     """
     n_frames, n_antennas, total = streams.shape
     received = np.zeros((n_frames, total), dtype=np.complex128)
-    for l, pos in enumerate(fading.tap_sample_delays):
-        gains = np.repeat(fading.taps[..., l], samples_per_symbol, axis=1)
+    for l, pos in enumerate(tap_sample_delays):
+        gains = np.repeat(taps[..., l], samples_per_symbol, axis=1)
         for ant in range(n_antennas):
             received[:, pos:] += gains[:, pos:, ant] * streams[:, ant, : total - pos]
     return received
@@ -44,7 +45,7 @@ def apply_time_iqi(samples: np.ndarray, params) -> np.ndarray:
     return params.alpha * samples + params.beta * np.conj(samples)
 
 
-def frame_spectra(freq_symbols, fading, cp_len, sigma, iqi_params, noise):
+def frame_spectra(freq_symbols, taps, tap_sample_delays, cp_len, sigma, iqi_params, noise):
     """Transmit, propagate, distort and demodulate a chunk of frames.
 
     ``freq_symbols`` is (frame, antenna, symbol, subcarrier), on the full
@@ -55,7 +56,7 @@ def frame_spectra(freq_symbols, fading, cp_len, sigma, iqi_params, noise):
     n_frames, _, n_sym, n_sub = freq_symbols.shape
     samples_per_symbol = n_sub + cp_len
     streams = ofdm_modulate(freq_symbols, cp_len).reshape(n_frames, 2, n_sym * samples_per_symbol)
-    received = apply_channel(streams, fading, samples_per_symbol)
+    received = apply_channel(streams, taps, tap_sample_delays, samples_per_symbol)
     if noise is not None:
         received = received + (sigma / math.sqrt(2.0)) * noise
     received = apply_time_iqi(received, iqi_params)
