@@ -12,11 +12,12 @@ compensator's whole state.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .iqi import IqiParams
-from .numerics import PskConstellation
+from .numerics import SUPPORTED_PSK_ORDERS, PskConstellation, psk_decisions_with_margin
 from .stbc import alamouti_detect, ml_differential_detect_indices
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -79,6 +80,12 @@ def lms_step(gamma: complex, step_size: float, xi: complex, delta: complex) -> c
     return gamma - step_size * (xi + gamma * delta) * delta.conjugate()
 
 
+# Rounding allowance of a certified decision, as a multiple of U_k * U_n (see
+# ``_anchor``).  The roundings it covers add up to less than 200 * 2**-53
+# times U_k * U_n; 2**-40 is 8192 * 2**-53.
+_ROUNDING_BOUND = 2.0**-40
+
+
 def decision_directed_pass(
     low: np.ndarray,
     image: np.ndarray,
@@ -99,6 +106,13 @@ def decision_directed_pass(
     decision-directed residuals.  Detection of the frame's bits is left to
     ``detect_pairs``.
 
+    The decisions are first taken for the whole frame at the input gamma
+    ``g0`` (``_anchor``), with a radius per observation within which they
+    provably do not change.  An observation whose gamma lies inside its
+    radius takes the anchor's residuals and runs only the two LMS steps;
+    any other runs the full per-observation body.  Both give the same
+    gamma, byte for byte.
+
     Returns the gamma value after every update, two per observation; the
     last entry is the final gamma.  Observation i saw the input gamma for
     i = 0 and entry 2i - 1 after it.
@@ -107,30 +121,157 @@ def decision_directed_pass(
     # the transmit chain scales each info matrix by 1/sqrt(2) to keep
     # blocks unitary, so the block-to-block ratio carries that factor
     ratios = [p * _INV_SQRT2 for p in constellation.points.tolist()]
-    gamma = complex(gamma)
+    gamma = g0 = complex(gamma)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices
     residuals = build_residuals
     step = lms_step
-    low_rows = low.tolist()
-    image_rows = image.tolist()
+    n_pairs = low.shape[1]
+    rows = None
     trajectory: list[complex] = []
-    for j in range(2, low.shape[0] - 1, 2):
-        for values in zip(
-            low_rows[j - 2], low_rows[j - 1], low_rows[j], low_rows[j + 1],
-            image_rows[j - 2], image_rows[j - 1], image_rows[j], image_rows[j + 1],
-        ):
-            zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
-            i1, i2 = detect(
-                zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
-                order,
-            )
-            (xi1, delta1), (xi2, delta2) = residuals(values, ratios[i1], ratios[i2])
-            gamma = step(gamma, step_size, xi1, delta1)
-            trajectory.append(gamma)
-            gamma = step(gamma, step_size, xi2, delta2)
-            trajectory.append(gamma)
+    append = trajectory.append
+    for i, (r, a1, d1, c1, a2, d2, c2) in enumerate(zip(*_anchor(low, image, g0, tuple(ratios)))):
+        if abs(gamma - g0) < r:
+            # lms_step's expression, twice, on the anchor decision's residuals
+            gamma = gamma - step_size * (a1 + gamma * d1) * c1
+            append(gamma)
+            gamma = gamma - step_size * (a2 + gamma * d2) * c2
+            append(gamma)
+            continue
+        if rows is None:
+            rows = low.tolist(), image.tolist()
+        low_rows, image_rows = rows
+        k, p = divmod(i, n_pairs)
+        j = 2 * k + 2
+        values = (
+            low_rows[j - 2][p], low_rows[j - 1][p], low_rows[j][p], low_rows[j + 1][p],
+            image_rows[j - 2][p], image_rows[j - 1][p], image_rows[j][p], image_rows[j + 1][p],
+        )
+        zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+        i1, i2 = detect(
+            zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
+            order,
+        )
+        (xi1, delta1), (xi2, delta2) = residuals(values, ratios[i1], ratios[i2])
+        gamma = step(gamma, step_size, xi1, delta1)
+        trajectory.append(gamma)
+        gamma = step(gamma, step_size, xi2, delta2)
+        trajectory.append(gamma)
     return np.asarray(trajectory, dtype=np.complex128)
+
+
+def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: tuple) -> list[list]:
+    """Certified radii and residual pairs of a frame's decisions at ``g0``.
+
+    Returns the lists ``radius, xi1, delta1, conj(delta1), xi2, delta2,
+    conj(delta2)``, each in observation order.  At any gamma with
+    ``|gamma - g0| < radius`` the scalar detector makes the decisions made
+    here, so ``build_residuals`` would return these residual pairs; a
+    radius that is not positive, or NaN, certifies nothing.
+
+    With ``Delta = gamma - g0`` each decision statistic moves by exactly
+    ``Delta*P + conj(Delta)*Q + |Delta|**2 * R'``, and the sizes of P, Q and
+    R' are bounded by ``S = C_k*B_n + B_k*C_n`` and ``R = B_k*B_n``: ``C``
+    sums the two compensated desired magnitudes of a block at g0 and ``B``
+    the two image magnitudes.  Within ``r = 2m / (S + sqrt(S**2 + 4*R*m))``,
+    the root of ``S*r + R*r**2 = m``, no statistic moves by its margin
+    ``m``, the distance to the nearest PSK decision boundary of the smaller
+    of the two.  ``m`` is first reduced by a bound on every rounding
+    involved: both statistics' products and sums, at g0 here and at gamma in
+    the scalar detector, the two phase roundings and this arithmetic.  While
+    ``|Delta| <= 1`` every term involved is at most ``U_k*U_n`` in size, with
+    ``U = Z + (|g0| + 1)*B`` and ``Z`` the raw desired magnitudes, and the
+    roundings add up to less than ``200 * 2**-53 * U_k*U_n``; so ``m`` loses
+    ``_ROUNDING_BOUND * U_k * U_n`` and ``r`` is capped at 1.
+    """
+    n_sym, n_pairs = low.shape
+    planes = np.empty((3, n_sym, n_pairs), dtype=np.complex128)
+    planes[0] = low
+    planes[1] = image
+    # a non-finite g0 or overflowing magnitudes give NaN or negative radii
+    with np.errstate(all="ignore"):
+        np.multiply(image, g0, out=planes[2])
+        planes[2] += low
+        # |a| + |b| per block: raw desired (Z), image (B), compensated (C)
+        mag = np.abs(planes)
+        z, b, c = mag[:, 0::2] + mag[:, 1::2]
+        s = c[:-1] * b[1:]
+        s += b[:-1] * c[1:]
+        r4 = b[:-1] * b[1:]
+        r4 *= 4.0
+        u = b * (abs(g0) + 1.0)
+        u += z
+        allowance = u[:-1] * u[1:]
+        allowance *= _ROUNDING_BOUND
+        # the two statistics of ml_differential_detect_indices, per observation
+        ca, cb = planes[2, 0::2], planes[2, 1::2]
+        cka_c = np.conj(ca[:-1])
+        stat = np.empty((2,) + s.shape, dtype=np.complex128)
+        np.multiply(cka_c, ca[1:], out=stat[0])
+        stat[0] += cb[:-1] * np.conj(cb[1:])
+        np.multiply(cka_c, cb[1:], out=stat[1])
+        stat[1] -= cb[:-1] * np.conj(ca[1:])
+        indices, margins = psk_decisions_with_margin(stat, len(ratios))
+        m = np.minimum(margins[0], margins[1])
+        m -= allowance
+        r4 *= m
+        r4 += s * s
+        np.sqrt(r4, out=r4)
+        r4 += s
+        m += m
+        radius = np.minimum(m / r4, 1.0, out=m)
+    xi1, delta1, xi2, delta2 = _residual_planes(planes[:2], indices, ratios)
+    return [
+        a.ravel().tolist()
+        for a in (radius, xi1, delta1, np.conj(delta1), xi2, delta2, np.conj(delta2))
+    ]
+
+
+@lru_cache(maxsize=len(SUPPORTED_PSK_ORDERS))
+def _ratio_tables(ratios: tuple) -> np.ndarray:
+    """Rows ``u``, ``swap(u)``, ``conj(u)`` and ``swap(conj(u))`` of the ratios,
+    where ``swap`` exchanges real and imaginary parts."""
+    conj = [u.conjugate() for u in ratios]
+    tables = np.array([
+        ratios, [complex(u.imag, u.real) for u in ratios],
+        conj, [complex(u.imag, u.real) for u in conj],
+    ])
+    tables.flags.writeable = False
+    return tables
+
+
+def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: tuple) -> tuple:
+    """``build_residuals`` over a frame, byte for byte, for given decisions.
+
+    ``planes`` stacks ``low`` and ``image``, and ``indices`` the two
+    decisions of every observation, shape (2, block pair, pair).  numpy's
+    complex product rounds differently from CPython's in the last bit, so
+    each product is formed on float planes as CPython forms it,
+    ``(ar*br - ai*bi, ar*bi + ai*br)``; complex sums and negation are exact
+    componentwise either way.  Returns ``(xi1, delta1, xi2, delta2)``.
+    """
+    n_sym, n_pairs = planes.shape[1:]
+    # float view (low/image, symbol, pair, re/im) and its blocks k and k + 1
+    flat = planes.view(np.float64).reshape(2, n_sym, n_pairs, 2)
+    k_a, k_b = flat[:, 0:-2:2], flat[:, 1:-2:2]
+    # (row of _ratio_tables, first/second ratio, 1, block pair, pair, re/im)
+    u = _ratio_tables(ratios).take(indices, axis=1)
+    u = u.view(np.float64).reshape(u.shape + (2,))[:, :, None]
+    # products[0] = (z_k.a * u1, z_k.a * u2), products[1] = (z_k.b * conj(u2),
+    # z_k.b * conj(u1)), for the raw and the image values alike
+    products = np.empty((2, 2) + planes[:, 2::2].shape, dtype=np.complex128)
+    for prod, k, plain, swapped in (
+        (products[0], k_a, u[0], u[1]), (products[1], k_b, u[2, ::-1], u[3, ::-1])
+    ):
+        terms = k * plain
+        np.subtract(terms[..., 0], terms[..., 1], out=prod.real)
+        terms = k * swapped
+        np.add(terms[..., 0], terms[..., 1], out=prod.imag)
+    # zn_a - (zk_a*u1 - zk_b*conj(u2)) and -(zn_b - (zk_a*u2 + zk_b*conj(u1)))
+    first = planes[:, 2::2] - (products[0, 0] - products[1, 0])
+    second = planes[:, 3::2] - (products[0, 1] + products[1, 1])
+    np.negative(second, out=second)
+    return first[0], first[1], second[0], second[1]
 
 
 def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.ndarray]:

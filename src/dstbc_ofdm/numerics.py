@@ -58,9 +58,35 @@ def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
     to the larger phase.
     """
     check_psk_order(order)
-    step = 2.0 * np.pi / order
-    raw = np.floor(np.angle(values) / step + 0.5).astype(np.int64)
+    raw = np.floor(_half_step_phase(values, order)).astype(np.int64)
     return np.mod(raw, order)
+
+
+def psk_decisions_with_margin(values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest_psk_indices`` and a lower bound on each value's distance to its boundaries.
+
+    The nearer boundary ray lies at ``|v| * sin(t * 2*pi/M)``, where ``t``,
+    at most 1/2, is the angular distance to it in PSK steps.  As ``sin`` is
+    concave up to ``pi/M``, that is at least ``|v| * 2*sin(pi/M) * t``, the
+    bound returned.  Both outputs come from the computed phase, so a caller
+    that relies on the bound allows for its rounding.
+    """
+    check_psk_order(order)
+    position = _half_step_phase(values, order)
+    raw = np.floor(position)
+    position -= raw
+    position -= 0.5
+    margin = np.abs(position, out=position)
+    np.subtract(0.5, margin, out=margin)
+    margin *= np.abs(values)
+    margin *= 2.0 * math.sin(math.pi / order)
+    return np.mod(raw.astype(np.int64), order), margin
+
+
+def _half_step_phase(values: np.ndarray, order: int) -> np.ndarray:
+    """Phase in PSK steps plus one half, whose floor modulo M is the decision."""
+    # np.angle's own arithmetic, without its per-call checks
+    return np.arctan2(values.imag, values.real) / (2.0 * np.pi / order) + 0.5
 
 
 def nearest_psk_index(value: complex, order: int) -> int:

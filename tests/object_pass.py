@@ -1,10 +1,15 @@
-"""Object-based decision-directed pass, kept as the oracle for the scalar one.
+"""Oracles for the package's decision-directed pass.
 
-This is the compensator loop as it was written on ``AlamoutiMatrix`` and
-``SubcarrierObservation`` values, with its per-point argmax PSK decision
-(ties go to the first maximum), and the observation packing it read.
-``tests/test_lms_pass.py`` checks that the package's scalar recurrence gives
-the same gamma trajectory, and ``detect_pairs`` the same bits.
+``decision_directed_pass`` is the compensator loop as it was written on
+``AlamoutiMatrix`` and ``SubcarrierObservation`` values, with its per-point
+argmax PSK decision (ties go to the first maximum), and the observation
+packing it read.  ``tests/test_lms_pass.py`` checks that the package's pass
+gives the same gamma trajectory, and ``detect_pairs`` the same bits.
+
+``scalar_decision_directed_pass`` is the package's pass as it was before
+decisions were certified per frame: every observation is detected, its
+residuals built and two LMS steps taken, in plain complex arithmetic.  It
+is the byte oracle: the package's pass must give the same gamma bytes.
 """
 from __future__ import annotations
 
@@ -180,3 +185,56 @@ def decision_directed_pass(
     values = bits_of_index[index_arr]
     bits = ((values[:, None] >> shifts) & 1).astype(np.int8).reshape(-1)
     return bits, state, np.asarray(trajectory, dtype=np.complex128)
+
+
+def _scalar_detect(k_a, k_b, n_a, n_b, order):
+    """The two PSK decisions on the top row of ``Z_k^H @ Z_next``, rounding in angle."""
+    k_a_c = k_a.conjugate()
+    return tuple(
+        math.floor(math.atan2(d.imag, d.real) / (2.0 * math.pi / order) + 0.5) % order
+        for d in (k_a_c * n_a + k_b * n_b.conjugate(), k_a_c * n_b - k_b * n_a.conjugate())
+    )
+
+
+def _scalar_residuals(values, u1, u2):
+    """The two ``(xi, delta)`` pairs of an 8-tuple observation for the ratio ``(u1, u2)``."""
+    zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+    u1_c = u1.conjugate()
+    u2_c = u2.conjugate()
+    return (
+        (zn_a - (zk_a * u1 - zk_b * u2_c), bn_a - (bk_a * u1 - bk_b * u2_c)),
+        (-(zn_b - (zk_a * u2 + zk_b * u1_c)), -(bn_b - (bk_a * u2 + bk_b * u1_c))),
+    )
+
+
+def _scalar_lms_step(gamma, step_size, xi, delta):
+    return gamma - step_size * (xi + gamma * delta) * delta.conjugate()
+
+
+def scalar_decision_directed_pass(low, image, gamma, step_size, constellation):
+    """The per-observation scalar pass, on the package pass's arguments."""
+    order = constellation.order
+    ratios = [p * _INV_SQRT2 for p in constellation.points.tolist()]
+    gamma = complex(gamma)
+    detect = _scalar_detect
+    residuals = _scalar_residuals
+    step = _scalar_lms_step
+    low_rows = low.tolist()
+    image_rows = image.tolist()
+    trajectory: list[complex] = []
+    for j in range(2, low.shape[0] - 1, 2):
+        for values in zip(
+            low_rows[j - 2], low_rows[j - 1], low_rows[j], low_rows[j + 1],
+            image_rows[j - 2], image_rows[j - 1], image_rows[j], image_rows[j + 1],
+        ):
+            zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+            i1, i2 = detect(
+                zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
+                order,
+            )
+            (xi1, delta1), (xi2, delta2) = residuals(values, ratios[i1], ratios[i2])
+            gamma = step(gamma, step_size, xi1, delta1)
+            trajectory.append(gamma)
+            gamma = step(gamma, step_size, xi2, delta2)
+            trajectory.append(gamma)
+    return np.asarray(trajectory, dtype=np.complex128)

@@ -281,17 +281,22 @@ def test_chunks_hold_one_default_frame_of_samples(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, chunk_scale",
     [
-        dict(blocks_per_frame=2),
-        dict(blocks_per_frame=3, compensation="genie_gamma"),
-        dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0),
-        dict(blocks_per_frame=2, compensation="lms"),
+        (dict(blocks_per_frame=2), 1),
+        (dict(blocks_per_frame=3, compensation="genie_gamma"), 1),
+        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 1),
+        (dict(blocks_per_frame=2, compensation="lms"), 1),
+        # eight 512-subcarrier frames to a chunk: the chunk's arrays pass
+        # numpy's 256 KiB size for reusing temporaries in place
+        (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=512, cp_len=40), 8),
     ],
+    ids=[f"overrides{i}" for i in range(5)],
 )
-def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides):
+def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides, chunk_scale):
     cfg = small_cfg(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=15_000, **overrides)
     chunk_sizes = record_chunk_sizes(monkeypatch)
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", chunk_scale * harness._CHUNK_SAMPLES)
     chunked, chunked_trace = run_point_with_trace(cfg, 20.0)
     assert max(chunk_sizes) > 1
     chunk_sizes.clear()
@@ -302,7 +307,7 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides):
     assert chunked_trace.shape == single_trace.shape
     if cfg.compensation == "lms":
         assert chunked_trace.shape[0] > 0
-        assert np.max(np.abs(chunked_trace - single_trace)) <= 1e-12
+        assert chunked_trace.tobytes() == single_trace.tobytes()
 
 
 @pytest.mark.parametrize("step_size", [100.0, 1e6])

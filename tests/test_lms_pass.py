@@ -1,15 +1,20 @@
-"""The scalar decision-directed pass against its object-based oracle,
+"""The decision-directed pass against its object-based and byte oracles,
 a golden run of the LMS link, the pass's kernel calls and the oracle's
 observation packing."""
+import cmath
 import importlib
+import math
 import sys
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstbc_ofdm import (
     SimConfig,
+    compensator,
     harness,
     psk_constellation,
     run_point_with_trace,
@@ -117,9 +122,12 @@ def test_lms_point_reproduces_golden_record(snr_db, bit_errors, gamma_final):
     assert abs(trace[-1] - gamma_final) <= 1e-12
 
 
-def test_pass_calls_each_kernel_per_observation(monkeypatch):
-    # swap every package binding of each kernel, as perfbench's tracer does,
-    # so the count sees calls however the caller looks the kernel up
+def count_kernel_calls(monkeypatch):
+    """Call counts of every ``KERNELS`` entry, however the caller binds it.
+
+    Every package binding of each kernel is swapped, as perfbench's tracer
+    does, so a kernel bound at import time under another name is counted too.
+    """
     calls = {}
     for module, name in KERNELS:
         original = getattr(importlib.import_module(f"dstbc_ofdm.{module}"), name)
@@ -134,20 +142,134 @@ def test_pass_calls_each_kernel_per_observation(monkeypatch):
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, counted)
-    cfg = SimConfig(
-        iqi_kappa_db=2.0, iqi_phi_deg=8.0, compensation="lms", min_bits=1, blocks_per_frame=5
+    return calls
+
+
+def test_pass_calls_kernels_only_on_fallback(monkeypatch):
+    cfg = bundled_lms_config(min_bits=3 * FRAME_BITS)
+    frames = record_frames(monkeypatch, cfg, 30.0)
+    assert len(frames) == 3
+    calls = count_kernel_calls(monkeypatch)
+    constellation = psk_constellation(cfg.psk_order)
+    observations = 20 * 31
+    fallbacks = []
+    # the first frame starts from gamma = 0, the last from a converged gamma
+    for low, image, gamma, trajectory in (frames[0], frames[-1]):
+        for name in calls:
+            calls[name] = 0
+        again = compensator.decision_directed_pass(
+            low, image, gamma, cfg.lms_step_size, constellation
+        )
+        assert again.tobytes() == trajectory.tobytes()
+        # an observation outside its certified radius detects, builds its
+        # residuals and steps twice; every other one only steps, inline
+        assert calls["ml_differential_detect_indices"] == calls["build_residuals"]
+        assert calls["lms_step"] == 2 * calls["build_residuals"]
+        assert calls["compensate_observation"] == 0
+        fallbacks.append(calls["build_residuals"])
+    assert frames[0][2] == 0
+    assert 0 < fallbacks[0] <= observations
+    assert fallbacks[1] < observations
+
+
+def scalar_oracle_bytes(frames, cfg):
+    constellation = psk_constellation(cfg.psk_order)
+    for low, image, gamma, trajectory in frames:
+        oracle = object_pass.scalar_decision_directed_pass(
+            low, image, gamma, cfg.lms_step_size, constellation
+        )
+        assert trajectory.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0, math.inf])
+def test_pass_bytes_match_scalar_oracle(monkeypatch, snr_db):
+    cfg = bundled_lms_config(min_bits=8 * FRAME_BITS)
+    frames = record_frames(monkeypatch, cfg, snr_db)
+    assert len(frames) == 8
+    scalar_oracle_bytes(frames, cfg)
+
+
+def test_large_frame_bytes_match_scalar_oracle(monkeypatch):
+    # 20,440 observations: the frame-wide arrays of the certified decisions
+    # pass numpy's 16,384-value size for reusing temporaries in place
+    cfg = bundled_lms_config(n_subcarriers=1024, cp_len=64, blocks_per_frame=40, min_bits=1)
+    frames = record_frames(monkeypatch, cfg, 20.0)
+    assert (frames[0][0].shape[0] // 2 - 1) * frames[0][0].shape[1] == 20440
+    scalar_oracle_bytes(frames, cfg)
+
+
+def random_frame(seed, blocks=4, pairs=5):
+    rng = np.random.default_rng(seed)
+    shape = (2 * blocks + 2, pairs)
+    low = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    image = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    gamma = 0.1 * complex(rng.standard_normal(), rng.standard_normal())
+    return low, image, gamma
+
+
+def assert_bytes_match_oracle(low, image, gamma, step_size, order):
+    constellation = psk_constellation(order)
+    trajectory = compensator.decision_directed_pass(low, image, gamma, step_size, constellation)
+    oracle = object_pass.scalar_decision_directed_pass(low, image, gamma, step_size, constellation)
+    assert trajectory.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from([2, 4, 8, 16]),
+    target=st.integers(0, 19),
+    boundary=st.integers(0, 15),
+    ulps=st.integers(-4, 4),
+    step_size=st.sampled_from([0.005, 0.05]),
+)
+def test_statistic_near_a_boundary_matches_oracle(seed, order, target, boundary, ulps, step_size):
+    # the target observation's first statistic, at the gamma it sees, is put
+    # within a few ulps of a PSK decision boundary by its z_next.a entry;
+    # observations before it, and so that gamma, do not change
+    low, image, gamma = random_frame(seed)
+    oracle = object_pass.scalar_decision_directed_pass(
+        low, image, gamma, step_size, psk_constellation(order)
     )
-    _, trace = run_point_with_trace(cfg, 25.0)
-    observations = 5 * 31
-    assert trace.shape == (2 * observations,)
-    # one frame: the desired decisions run per observation and the mirror
-    # half is compensated once per pass
-    assert calls == {
-        "ml_differential_detect_indices": observations,
-        "compensate_observation": 1,
-        "build_residuals": observations,
-        "lms_step": 2 * observations,
-    }
+    seen = complex(gamma if target == 0 else oracle[2 * target - 1])
+    k, p = divmod(target, low.shape[1])
+    k_a, k_b, _, n_b = (
+        complex(low[2 * k + i, p]) + seen * complex(image[2 * k + i, p]) for i in range(4)
+    )
+    on_boundary = abs(k_a) * cmath.exp(1j * (boundary + 0.5) * 2.0 * math.pi / order)
+    n_a = (on_boundary - k_b * n_b.conjugate()) / k_a.conjugate()
+    z = n_a - seen * complex(image[2 * k + 2, p])
+    real = z.real
+    for _ in range(abs(ulps)):
+        real = float(np.nextafter(real, math.copysign(math.inf, ulps)))
+    low[2 * k + 2, p] = complex(real, z.imag)
+    assert_bytes_match_oracle(low, image, gamma, step_size, order)
+
+
+@pytest.mark.parametrize(
+    "order, on_boundary",
+    [(2, 1j), (2, -2j), (4, 1 + 1j), (4, -1 - 1j), (4, 0.5 - 0.5j)],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_statistic_on_a_boundary_matches_oracle(order, on_boundary, seed):
+    # at gamma = 0 the first observation's statistics are exactly z_next.a
+    # and z_next.b when z_k = (1, 0); on a boundary the detector takes the
+    # larger phase, which the certificate must leave to it
+    low, image, _ = random_frame(seed)
+    low[0:4, 0] = (1.0, 0.0, on_boundary, on_boundary.conjugate())
+    assert_bytes_match_oracle(low, image, 0j, 0.05, order)
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(-math.inf, 1)],
+)
+def test_non_finite_gamma_raises_from_the_fallback(gamma):
+    low, image, _ = random_frame(4)
+    constellation = psk_constellation(8)
+    for pass_ in (object_pass.scalar_decision_directed_pass, compensator.decision_directed_pass):
+        with pytest.raises((ValueError, OverflowError)):
+            pass_(low, image, gamma, 0.005, constellation)
 
 
 def test_observation_packing(rng):

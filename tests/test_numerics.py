@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import nearest_psk_indices, psk_constellation
-from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS, nearest_psk_index
+from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS, nearest_psk_index, psk_decisions_with_margin
 
 from conftest import bits_to_indices, indices_to_bits
 
@@ -95,3 +95,21 @@ def test_nearest_index_scalar_method():
     c = psk_constellation(8)
     for g in range(8):
         assert nearest_psk_index(1.3 * c.points[g], 8) == g
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_margin_bounds_distance_to_the_decision_boundaries(order, rng):
+    values = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+    values[:4] = (0.0, -1.0, 1j * np.exp(-1j * np.pi / order), 2.0 * np.exp(1j * np.pi / order))
+    indices, margin = psk_decisions_with_margin(values, order)
+    np.testing.assert_array_equal(indices, nearest_psk_indices(values, order))
+    # each decided sector lies between the rays at its point's phase -/+ pi/M;
+    # the distance to the nearer ray is |v| * sin(pi/M - |angle from the point|)
+    offset = np.abs(np.angle(values * np.exp(-2j * np.pi * indices / order)))
+    distance = np.abs(values) * np.sin(np.pi / order - offset)
+    assert np.all(margin >= 0.0)
+    assert np.all(margin <= distance + 1e-12)
+    # the chord bound is within sin(pi/M) / (pi/M) of the distance
+    interior = distance > 1e-9
+    ratio = margin[interior] / distance[interior]
+    assert np.all(ratio >= np.sin(np.pi / order) / (np.pi / order) - 1e-9)
