@@ -83,26 +83,20 @@ def custom_profile(delays_ns, powers_db, doppler_hz: float) -> ChannelProfile:
     )
 
 
-def _draw_oscillators(rng: np.random.Generator, draws: np.ndarray) -> None:
-    """Fill one tap's ``draws``, shape (3, DEFAULT_OSCILLATORS), from ``rng``.
+def _oscillators(
+    mean_power, doppler_hz: float, uniforms: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angular rates and complex weights of oscillators.
 
-    In this order: the uniform variates of the arrival angles, the real
-    parts of the weights and their imaginary parts.
+    ``uniforms`` has shape (..., oscillator) and gives the arrival angles,
+    uniform on [0, 2*pi); ``normals`` has shape (..., 2, oscillator) and
+    gives the real, then the imaginary parts of the weights, circular
+    Gaussian with total power ``mean_power``, which broadcasts against the
+    leading axes.
     """
-    rng.random(out=draws[0])
-    rng.standard_normal(out=draws[1:])
-
-
-def _oscillators(mean_power, doppler_hz: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angular rates and complex weights from draws of shape (..., 3, oscillator).
-
-    ``mean_power`` broadcasts against the leading axes.  Angles are uniform
-    on [0, 2*pi), and the weights circular Gaussian with total power
-    ``mean_power``.
-    """
-    angles = 2.0 * np.pi * draws[..., 0, :]
-    scale = np.sqrt(mean_power / (2.0 * draws.shape[-1]))
-    weights = scale * (draws[..., 1, :] + 1j * draws[..., 2, :])
+    angles = 2.0 * np.pi * uniforms
+    scale = np.sqrt(mean_power / (2.0 * uniforms.shape[-1]))
+    weights = scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
     return 2.0 * np.pi * doppler_hz * np.cos(angles), weights
 
 
@@ -118,9 +112,11 @@ class JakesFadingProcess:
     def __init__(self, mean_power: float, doppler_hz: float, rng: np.random.Generator) -> None:
         if mean_power <= 0:
             raise ValueError("mean_power must be positive")
-        draws = np.empty((3, DEFAULT_OSCILLATORS))
-        _draw_oscillators(rng, draws)
-        self._rates, self._weights = _oscillators(mean_power, doppler_hz, draws)
+        # the angles' uniform variates, then the weights' real parts, then
+        # their imaginary parts
+        uniforms = rng.random(DEFAULT_OSCILLATORS)
+        normals = rng.standard_normal((2, DEFAULT_OSCILLATORS))
+        self._rates, self._weights = _oscillators(mean_power, doppler_hz, uniforms, normals)
         self.mean_power = mean_power
         self.doppler_hz = doppler_hz
 
@@ -151,7 +147,8 @@ def realize_fading(
     profile: ChannelProfile,
     sample_period: float,
     n_ofdm_symbols: int,
-    rng,
+    angle_rng: np.random.Generator,
+    weight_rng: np.random.Generator,
     *,
     samples_per_symbol: int,
     frames: int,
@@ -162,11 +159,13 @@ def realize_fading(
     ``i`` during OFDM symbol ``s`` of frame ``f``, with the taps merged onto
     the sample grid whose delays ``tap_grid`` gives.
 
-    Each frame spawns two child generators from ``rng``, one per antenna,
-    and draws every tap's oscillators from its antenna's child in the order
-    ``JakesFadingProcess`` does.  Spawning never advances ``rng``'s own
-    stream.  The frames are drawn in turn, so frame ``f`` equals what the
-    ``f``-th of F one-frame calls on the same generator would return.
+    The oscillators' arrival angles come from ``angle_rng`` and their
+    weights from ``weight_rng``, one call each: uniforms of shape (frame,
+    antenna, tap, oscillator) and normals of shape (frame, antenna, tap, 2,
+    oscillator), the real parts of a tap's weights before their imaginary
+    parts.  Each stream is consumed in frame order, so frame ``f`` equals
+    what the ``f``-th of F one-frame calls on the same two generators would
+    return.
 
     The oscillators are sampled by a phasor recurrence rather than an ``exp``
     per symbol: each one's phasor at the first midpoint,
@@ -185,14 +184,10 @@ def realize_fading(
     if frames < 1:
         raise ValueError(f"frames must be positive, got {frames}")
     _, powers = tap_grid(profile, sample_period)
-    rng = np.random.default_rng(rng)
-    n_taps = powers.shape[0]
-    draws = np.empty((frames, N_TX_ANTENNAS, n_taps, 3, DEFAULT_OSCILLATORS))
-    for f in range(frames):
-        for i, antenna_rng in enumerate(rng.spawn(N_TX_ANTENNAS)):
-            for l in range(n_taps):
-                _draw_oscillators(antenna_rng, draws[f, i, l])
-    rates, weights = _oscillators(powers[:, None], profile.doppler_hz, draws)
+    shape = (frames, N_TX_ANTENNAS, powers.shape[0])
+    uniforms = angle_rng.random(shape + (DEFAULT_OSCILLATORS,))
+    normals = weight_rng.standard_normal(shape + (2, DEFAULT_OSCILLATORS))
+    rates, weights = _oscillators(powers[:, None], profile.doppler_hz, uniforms, normals)
     symbol_period = samples_per_symbol * sample_period
     # exp(1j * rate * (s + 0.5) * T) as a running product over the symbols s
     phases = np.empty(rates.shape[:-1] + (n_ofdm_symbols, DEFAULT_OSCILLATORS), dtype=np.complex128)

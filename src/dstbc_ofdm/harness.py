@@ -19,9 +19,10 @@ already in pair order.
 
 Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
 samples (or one frame, if that is longer), each stage running once per chunk
-over a leading frame axis.  The point's generator makes every frame's draws
-in frame order (its two fading substreams, then its symbol indices, then its
-noise), so records do not depend on the chunk size.
+over a leading frame axis.  A point's seed spawns four independent streams:
+the fading's arrival angles, its oscillator weights, the symbol indices and
+the noise.  A chunk draws from each stream once, in frame order, so records
+do not depend on the chunk size.
 
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
@@ -207,11 +208,6 @@ def _snr_key(snr_db: float) -> int:
     raise ConfigError(f"snr_db {snr_db:g} out of supported range: finite within 1000 dB, or inf")
 
 
-def _point_rng(seed: int, snr_db: float) -> np.random.Generator:
-    """Per-point generator keyed by (seed, SNR value) so grid order is irrelevant."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), _snr_key(snr_db)]))
-
-
 class _PointEngine:
     """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
@@ -222,7 +218,11 @@ class _PointEngine:
         self.tap_sample_delays = tap_grid(self.profile, cfg.sample_period)[0]
         self.constellation = psk_constellation(cfg.psk_order)
         self.iqi = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
-        self.rng = _point_rng(cfg.seed, snr_db)
+        # keyed by (seed, SNR value), so grid order is irrelevant
+        streams = np.random.SeedSequence([cfg.seed, _snr_key(snr_db)]).spawn(4)
+        self.angle_rng, self.weight_rng, self.index_rng, self.noise_rng = (
+            np.random.default_rng(s) for s in streams
+        )
         self.sigma = 0.0 if math.isinf(snr_db) else math.sqrt(10.0 ** (-snr_db / 10.0))
         n = cfg.n_subcarriers
         self.samples_per_symbol = n + cfg.cp_len
@@ -240,22 +240,21 @@ class _PointEngine:
     # ---- per-chunk steps; arrays carry a leading frame axis -------------
 
     def _draw_indices_and_noise(self, n_frames: int, noisy: bool):
-        """Each frame's symbol indices, then its noise, frame after frame.
+        """The symbol indices and the noise of the next ``n_frames`` frames.
 
         Returns the two symbol indices of every block, each (frame, block,
         pair bin), and the noise, (frame, symbol, pair bin) or None: complex
         values whose real and imaginary parts are consecutive standard normal
-        draws.
+        draws.  Each stream is consumed value by value (the bit generator
+        keeps the unused half of a 64-bit word for the next ``integers``
+        call), so one call for F frames equals F one-frame calls.
         """
-        shape = (self.n_blocks, self.pair_bins.shape[0], 2)
-        indices = np.empty((n_frames,) + shape, dtype=np.int64)
-        noise = (
-            np.empty((n_frames, self.n_symbols, shape[1]), dtype=np.complex128) if noisy else None
-        )
-        for k in range(n_frames):
-            indices[k] = self.rng.integers(0, self.cfg.psk_order, size=shape)
-            if noisy:
-                self.rng.standard_normal(out=noise[k].view(np.float64))
+        shape = (n_frames, self.n_blocks, self.pair_bins.shape[0], 2)
+        indices = self.index_rng.integers(0, self.cfg.psk_order, size=shape)
+        noise = None
+        if noisy:
+            normals = self.noise_rng.standard_normal((n_frames, self.n_symbols) + shape[2:])
+            noise = normals.view(np.complex128)[..., 0]
         return indices[..., 0], indices[..., 1], noise
 
     def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
@@ -327,7 +326,8 @@ class _PointEngine:
             self.profile,
             cfg.sample_period,
             self.n_symbols,
-            self.rng,
+            self.angle_rng,
+            self.weight_rng,
             samples_per_symbol=self.samples_per_symbol,
             frames=n_frames,
         )

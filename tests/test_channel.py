@@ -17,6 +17,27 @@ from dstbc_ofdm import (
 SAMPLE_PERIOD = 1.0 / 5e6
 
 
+def fading_rngs(seed):
+    """An (angle, weight) generator pair for ``realize_fading``."""
+    return np.random.default_rng(seed), np.random.default_rng(seed + 1)
+
+
+class ReplayedDraws:
+    """Stands in for a generator: returns given arrival-angle uniforms and
+    weight normals to ``JakesFadingProcess``, one set of each."""
+
+    def __init__(self, uniforms, normals):
+        self.uniforms, self.normals = uniforms, normals
+
+    def random(self, size):
+        assert self.uniforms.shape == (size,)
+        return self.uniforms
+
+    def standard_normal(self, size):
+        assert self.normals.shape == size
+        return self.normals
+
+
 def test_pedestrian_profile_sample_grid():
     prof = load_profile("itu-pb", 11.6)
     positions, powers = tap_grid(prof, SAMPLE_PERIOD)
@@ -64,17 +85,19 @@ def test_profile_names_are_case_sensitive():
 
 
 def test_jakes_rejects_small_oscillator_count():
-    rng = np.random.default_rng(0)
     # the tap process and the engine's draw always use the default count;
-    # neither takes another
-    with pytest.raises(TypeError):
-        JakesFadingProcess(1.0, 10.0, rng, n_oscillators=8)
-    with pytest.raises(TypeError):
+    # neither takes another, and both accept the same call without it
+    prof = load_profile("flat", 10.0)
+    JakesFadingProcess(1.0, 10.0, np.random.default_rng(0))
+    realize_fading(prof, SAMPLE_PERIOD, 2, *fading_rngs(0), samples_per_symbol=84, frames=1)
+    with pytest.raises(TypeError, match="n_oscillators"):
+        JakesFadingProcess(1.0, 10.0, np.random.default_rng(0), n_oscillators=8)
+    with pytest.raises(TypeError, match="n_oscillators"):
         realize_fading(
-            load_profile("flat", 10.0),
+            prof,
             SAMPLE_PERIOD,
             2,
-            rng,
+            *fading_rngs(0),
             samples_per_symbol=84,
             frames=1,
             n_oscillators=1,
@@ -103,8 +126,10 @@ def test_jakes_zero_doppler_is_constant():
 
 def test_realization_shape_and_determinism():
     prof = load_profile("itu-pb", 11.6)
-    taps_a = realize_fading(prof, SAMPLE_PERIOD, 10, 99, samples_per_symbol=84, frames=1)
-    taps_b = realize_fading(prof, SAMPLE_PERIOD, 10, 99, samples_per_symbol=84, frames=1)
+    taps_a, taps_b = (
+        realize_fading(prof, SAMPLE_PERIOD, 10, *fading_rngs(99), samples_per_symbol=84, frames=1)
+        for _ in range(2)
+    )
     assert taps_a.shape == (1, 10, 2, 6)
     np.testing.assert_array_equal(taps_a, taps_b)
     assert not taps_a.flags.writeable
@@ -135,22 +160,26 @@ def test_jakes_process_draw_order():
     ],
 )
 def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, frames):
-    # frame f of a batch is what JakesFadingProcess draws from the f-th pair
-    # of antenna generators spawned off the same generator
+    # every tap of every frame is the JakesFadingProcess fed the same angle
+    # and weight draws
     prof = load_profile(name, doppler)
     _, powers = tap_grid(prof, SAMPLE_PERIOD)
     batch = realize_fading(
-        prof, SAMPLE_PERIOD, n_sym, np.random.default_rng(8), samples_per_symbol=84, frames=frames
+        prof, SAMPLE_PERIOD, n_sym, *fading_rngs(8), samples_per_symbol=84, frames=frames
     )
-    assert batch.shape == (frames, n_sym, 2, powers.shape[0])
-    rng = np.random.default_rng(8)
+    n_taps = powers.shape[0]
+    assert batch.shape == (frames, n_sym, 2, n_taps)
+    angle_rng, weight_rng = fading_rngs(8)
+    uniforms = angle_rng.random((frames, 2, n_taps, 32))
+    normals = weight_rng.standard_normal((frames, 2, n_taps, 2, 32))
     times = (np.arange(n_sym) + 0.5) * (84 * SAMPLE_PERIOD)
     for f in range(frames):
-        expected = np.empty((n_sym, 2, powers.shape[0]), dtype=complex)
-        weight_sum = np.empty((2, powers.shape[0]))
-        for i, antenna_rng in enumerate(rng.spawn(2)):
+        expected = np.empty((n_sym, 2, n_taps), dtype=complex)
+        weight_sum = np.empty((2, n_taps))
+        for i in range(2):
             for l, power in enumerate(powers):
-                process = JakesFadingProcess(power, doppler, antenna_rng)
+                draws = ReplayedDraws(uniforms[f, i, l], normals[f, i, l])
+                process = JakesFadingProcess(power, doppler, draws)
                 expected[:, i, l] = process.sample(times)
                 weight_sum[i, l] = np.abs(process._weights).sum()
         if doppler == 0.0:
@@ -166,19 +195,20 @@ def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, f
 
 def test_batch_equals_successive_single_draws():
     prof = load_profile("itu-pb", 11.6)
-    rng_batch = np.random.default_rng(3)
-    rng_single = np.random.default_rng(3)
-    batch = realize_fading(prof, SAMPLE_PERIOD, 8, rng_batch, samples_per_symbol=84, frames=4)
+    rngs_batch = fading_rngs(3)
+    rngs_single = fading_rngs(3)
+    batch = realize_fading(prof, SAMPLE_PERIOD, 8, *rngs_batch, samples_per_symbol=84, frames=4)
     singles = [
-        realize_fading(prof, SAMPLE_PERIOD, 8, rng_single, samples_per_symbol=84, frames=1)
+        realize_fading(prof, SAMPLE_PERIOD, 8, *rngs_single, samples_per_symbol=84, frames=1)
         for _ in range(4)
     ]
     assert np.array_equal(batch, np.concatenate(singles))
     assert not batch.flags.writeable
-    # spawning the antenna substreams leaves the generator's own stream alone
-    assert rng_batch.random() == rng_single.random() == np.random.default_rng(3).random()
+    # both streams end where the four single draws left them
+    for batch_rng, single_rng in zip(rngs_batch, rngs_single):
+        assert batch_rng.random() == single_rng.random()
     with pytest.raises(ValueError):
-        realize_fading(prof, SAMPLE_PERIOD, 8, 0, samples_per_symbol=84, frames=0)
+        realize_fading(prof, SAMPLE_PERIOD, 8, *fading_rngs(0), samples_per_symbol=84, frames=0)
 
 
 def test_realization_rejects_delay_spread_beyond_cp():
@@ -193,11 +223,11 @@ def test_realization_rejects_delay_spread_beyond_cp():
 def test_tap_powers_match_profile_when_pooled():
     # one realization is not ergodic; pool many independent ones instead
     prof = load_profile("itu-pb", 11.6)
-    rng = np.random.default_rng(11)
+    rngs = fading_rngs(11)
     acc = np.zeros(6)
     n_real, n_sym = 400, 50
     for _ in range(n_real):
-        taps = realize_fading(prof, SAMPLE_PERIOD, n_sym, rng, samples_per_symbol=84, frames=1)[0]
+        taps = realize_fading(prof, SAMPLE_PERIOD, n_sym, *rngs, samples_per_symbol=84, frames=1)[0]
         acc += np.mean(np.abs(taps) ** 2, axis=(0, 1))
     _, powers = tap_grid(prof, SAMPLE_PERIOD)
     np.testing.assert_allclose(acc / n_real, powers, rtol=0.08)
@@ -219,7 +249,7 @@ def test_ensemble_autocorrelation_follows_bessel():
 def test_gains_match_explicit_sum(rng):
     # gains[..., n] = sum_l h_l * exp(-2j*pi*n*d_l/N) over any leading axes
     prof = load_profile("itu-pb", 11.6)
-    taps = realize_fading(prof, SAMPLE_PERIOD, 3, rng, samples_per_symbol=84, frames=2)
+    taps = realize_fading(prof, SAMPLE_PERIOD, 3, rng, rng, samples_per_symbol=84, frames=2)
     delays, _ = tap_grid(prof, SAMPLE_PERIOD)
     n = 64
     gains = subcarrier_gains(taps, delays, n)
@@ -232,7 +262,7 @@ def test_gains_match_explicit_sum(rng):
 def test_gains_diagonalize_circular_convolution(rng):
     # per-subcarrier gains are the eigenvalues of the circulant channel matrix
     prof = load_profile("itu-va", 50.0)
-    taps = realize_fading(prof, SAMPLE_PERIOD, 2, rng, samples_per_symbol=84, frames=1)[0]
+    taps = realize_fading(prof, SAMPLE_PERIOD, 2, rng, rng, samples_per_symbol=84, frames=1)[0]
     delays, _ = tap_grid(prof, SAMPLE_PERIOD)
     n = 64
     dense = np.zeros(n, dtype=complex)

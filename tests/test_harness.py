@@ -15,6 +15,7 @@ from dstbc_ofdm import (
 )
 from dstbc_ofdm import harness
 from dstbc_ofdm.harness import resolve_profile
+from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS
 
 
 def small_cfg(**overrides):
@@ -236,20 +237,22 @@ def test_frame_count_matches_frame_by_frame_loop():
 @pytest.mark.parametrize(
     "overrides, snr_db, bits, bit_errors",
     [
-        (dict(blocks_per_frame=2), 15.0, 30504, 1690),
-        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1097),
-        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2226),
-        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1051),
+        (dict(blocks_per_frame=2), 15.0, 30504, 1705),
+        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1120),
+        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2167),
+        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1038),
         (
             dict(blocks_per_frame=2, detection="coherent", psk_order=16, channel="flat"),
-            20.0, 30752, 1210,
+            20.0, 30752, 1348,
         ),
-        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 525),
+        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 526),
     ],
+    ids=[f"overrides{i}" for i in range(6)],
 )
 def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_errors):
-    # recorded once symbol indices and noise came to be drawn per pair bin;
-    # these frames are short enough that every chunk holds several of them
+    # recorded once each point drew from four streams (fading angles,
+    # fading weights, symbol indices, noise); these frames are short enough
+    # that every chunk holds several of them
     cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=30_000, seed=31337, **overrides)
     r = run_point(cfg, snr_db)
     assert (r.bits, r.bit_errors) == (bits, bit_errors)
@@ -290,8 +293,12 @@ def test_chunks_hold_one_default_frame_of_samples(monkeypatch):
         # eight 512-subcarrier frames to a chunk: the chunk's arrays pass
         # numpy's 256 KiB size for reusing temporaries in place
         (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=512, cp_len=40), 8),
+        # both 1,024-subcarrier frames of the point in one chunk
+        (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=1024, cp_len=40), 16),
+        # 61 frames of 2-PSK, seven to a chunk, leave a chunk of five
+        (dict(blocks_per_frame=2, psk_order=2), 1),
     ],
-    ids=[f"overrides{i}" for i in range(5)],
+    ids=[f"overrides{i}" for i in range(7)],
 )
 def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides, chunk_scale):
     cfg = small_cfg(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=15_000, **overrides)
@@ -308,6 +315,24 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides, chunk_scale
     if cfg.compensation == "lms":
         assert chunked_trace.shape[0] > 0
         assert chunked_trace.tobytes() == single_trace.tobytes()
+
+
+@pytest.mark.parametrize("psk_order", SUPPORTED_PSK_ORDERS)
+def test_index_and_noise_draws_do_not_depend_on_chunk_size(psk_order):
+    # one draw of five frames equals five one-frame draws from each stream;
+    # a frame of three blocks on the six pair bins of 8 subcarriers draws
+    # 3 x 6 x 2 indices and 8 x 6 noise values
+    cfg = small_cfg(
+        psk_order=psk_order, n_subcarriers=8, cp_len=4, channel="flat", blocks_per_frame=3
+    )
+    batch = harness._PointEngine(cfg, 10.0)._draw_indices_and_noise(5, True)
+    single = harness._PointEngine(cfg, 10.0)
+    singles = [single._draw_indices_and_noise(1, True) for _ in range(5)]
+    for batched, parts in zip(batch, zip(*singles)):
+        assert batched.tobytes() == np.concatenate(parts).tobytes()
+    assert batch[0].shape == batch[1].shape == (5, 3, 6)
+    assert batch[2].shape == (5, 8, 6)
+    assert set(np.unique(batch[0])) == set(range(psk_order))
 
 
 @pytest.mark.parametrize("step_size", [100.0, 1e6])
