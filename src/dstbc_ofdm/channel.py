@@ -134,10 +134,8 @@ def tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.ndarray,
     delays = np.asarray(profile.tap_delays_s, dtype=float)
     positions = np.floor(delays / sample_period + 0.5).astype(np.int64)
     powers = profile.tap_powers_linear
-    unique = np.unique(positions)
-    merged = np.zeros(unique.shape[0])
-    for pos, pwr in zip(positions, powers):
-        merged[np.searchsorted(unique, pos)] += pwr
+    unique, inverse = np.unique(positions, return_inverse=True)
+    merged = np.bincount(inverse, weights=powers)
     unique.flags.writeable = False
     merged.flags.writeable = False
     return unique, merged

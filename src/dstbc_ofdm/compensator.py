@@ -11,16 +11,11 @@ compensator's whole state.
 """
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
 from .iqi import IqiParams
-from .numerics import SUPPORTED_PSK_ORDERS, PskConstellation, psk_decisions_with_margin
-from .stbc import alamouti_detect, ml_differential_detect_indices
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from .numerics import PskConstellation, psk_decisions_with_margin
+from .stbc import INFO_SCALE, alamouti_detect, alamouti_statistics, ml_differential_detect_indices
 
 
 def gamma_true(params: IqiParams) -> complex:
@@ -118,9 +113,9 @@ def decision_directed_pass(
     i = 0 and entry 2i - 1 after it.
     """
     order = constellation.order
-    # the transmit chain scales each info matrix by 1/sqrt(2) to keep
-    # blocks unitary, so the block-to-block ratio carries that factor
-    ratios = [p * _INV_SQRT2 for p in constellation.points.tolist()]
+    # the block-to-block ratio is the transmitted, scaled info matrix
+    ratios = constellation.points * INFO_SCALE
+    ratio_list = ratios.tolist()
     gamma = g0 = complex(gamma)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices
@@ -130,7 +125,7 @@ def decision_directed_pass(
     rows = None
     trajectory: list[complex] = []
     append = trajectory.append
-    for i, (r, a1, d1, c1, a2, d2, c2) in enumerate(zip(*_anchor(low, image, g0, tuple(ratios)))):
+    for i, (r, a1, d1, c1, a2, d2, c2) in enumerate(zip(*_anchor(low, image, g0, ratios))):
         if abs(gamma - g0) < r:
             # lms_step's expression, twice, on the anchor decision's residuals
             gamma = gamma - step_size * (a1 + gamma * d1) * c1
@@ -152,7 +147,7 @@ def decision_directed_pass(
             zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
             order,
         )
-        (xi1, delta1), (xi2, delta2) = residuals(values, ratios[i1], ratios[i2])
+        (xi1, delta1), (xi2, delta2) = residuals(values, ratio_list[i1], ratio_list[i2])
         gamma = step(gamma, step_size, xi1, delta1)
         trajectory.append(gamma)
         gamma = step(gamma, step_size, xi2, delta2)
@@ -160,7 +155,7 @@ def decision_directed_pass(
     return np.asarray(trajectory, dtype=np.complex128)
 
 
-def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: tuple) -> list[list]:
+def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: np.ndarray) -> list[list]:
     """Certified radii and residual pairs of a frame's decisions at ``g0``.
 
     Returns the lists ``radius, xi1, delta1, conj(delta1), xi2, delta2,
@@ -203,14 +198,9 @@ def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: tuple) -> l
         u += z
         allowance = u[:-1] * u[1:]
         allowance *= _ROUNDING_BOUND
-        # the two statistics of ml_differential_detect_indices, per observation
+        # both decision statistics of every observation, block k the reference
         ca, cb = planes[2, 0::2], planes[2, 1::2]
-        cka_c = np.conj(ca[:-1])
-        stat = np.empty((2,) + s.shape, dtype=np.complex128)
-        np.multiply(cka_c, ca[1:], out=stat[0])
-        stat[0] += cb[:-1] * np.conj(cb[1:])
-        np.multiply(cka_c, cb[1:], out=stat[1])
-        stat[1] -= cb[:-1] * np.conj(ca[1:])
+        stat = np.stack(alamouti_statistics(ca[:-1], cb[:-1], ca[1:], cb[1:]))
         indices, margins = psk_decisions_with_margin(stat, len(ratios))
         m = np.minimum(margins[0], margins[1])
         m -= allowance
@@ -227,50 +217,29 @@ def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: tuple) -> l
     ]
 
 
-@lru_cache(maxsize=len(SUPPORTED_PSK_ORDERS))
-def _ratio_tables(ratios: tuple) -> np.ndarray:
-    """Rows ``u``, ``swap(u)``, ``conj(u)`` and ``swap(conj(u))`` of the ratios,
-    where ``swap`` exchanges real and imaginary parts."""
-    conj = [u.conjugate() for u in ratios]
-    tables = np.array([
-        ratios, [complex(u.imag, u.real) for u in ratios],
-        conj, [complex(u.imag, u.real) for u in conj],
-    ])
-    tables.flags.writeable = False
-    return tables
-
-
-def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: tuple) -> tuple:
+def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray) -> tuple:
     """``build_residuals`` over a frame, byte for byte, for given decisions.
 
     ``planes`` stacks ``low`` and ``image``, and ``indices`` the two
-    decisions of every observation, shape (2, block pair, pair).  numpy's
-    complex product rounds differently from CPython's in the last bit, so
-    each product is formed on float planes as CPython forms it,
-    ``(ar*br - ai*bi, ar*bi + ai*br)``; complex sums and negation are exact
-    componentwise either way.  Returns ``(xi1, delta1, xi2, delta2)``.
+    decisions of every observation, shape (2, block pair, pair), which pick
+    ``u1`` and ``u2`` from ``ratios``.  numpy's complex product rounds
+    differently from CPython's in the last bit, so each product is written
+    as CPython forms it, ``(xr*yr - xi*yi, xr*yi + xi*yr)``; complex sums
+    and negation are exact componentwise either way.  Returns ``(xi1,
+    delta1, xi2, delta2)``.
     """
-    n_sym, n_pairs = planes.shape[1:]
-    # float view (low/image, symbol, pair, re/im) and its blocks k and k + 1
-    flat = planes.view(np.float64).reshape(2, n_sym, n_pairs, 2)
-    k_a, k_b = flat[:, 0:-2:2], flat[:, 1:-2:2]
-    # (row of _ratio_tables, first/second ratio, 1, block pair, pair, re/im)
-    u = _ratio_tables(ratios).take(indices, axis=1)
-    u = u.view(np.float64).reshape(u.shape + (2,))[:, :, None]
-    # products[0] = (z_k.a * u1, z_k.a * u2), products[1] = (z_k.b * conj(u2),
-    # z_k.b * conj(u1)), for the raw and the image values alike
-    products = np.empty((2, 2) + planes[:, 2::2].shape, dtype=np.complex128)
-    for prod, k, plain, swapped in (
-        (products[0], k_a, u[0], u[1]), (products[1], k_b, u[2, ::-1], u[3, ::-1])
-    ):
-        terms = k * plain
-        np.subtract(terms[..., 0], terms[..., 1], out=prod.real)
-        terms = k * swapped
-        np.add(terms[..., 0], terms[..., 1], out=prod.imag)
-    # zn_a - (zk_a*u1 - zk_b*conj(u2)) and -(zn_b - (zk_a*u2 + zk_b*conj(u1)))
-    first = planes[:, 2::2] - (products[0, 0] - products[1, 0])
-    second = planes[:, 3::2] - (products[0, 1] + products[1, 1])
-    np.negative(second, out=second)
+    u1, u2 = ratios[indices]
+    k_a, k_b = planes[:, 0:-2:2], planes[:, 1:-2:2]
+    # z_k.a * u1, z_k.a * u2, z_k.b * conj(u2) and z_k.b * conj(u1), for the
+    # raw and the image values alike
+    x = np.stack((k_a, k_a, k_b, k_b))
+    y = np.stack((u1, u2, np.conj(u2), np.conj(u1)))[:, None]
+    products = np.empty(x.shape, dtype=np.complex128)
+    products.real = x.real * y.real - x.imag * y.imag
+    products.imag = x.real * y.imag + x.imag * y.real
+    ka_u1, ka_u2, kb_cu2, kb_cu1 = products
+    first = planes[:, 2::2] - (ka_u1 - kb_cu2)
+    second = -(planes[:, 3::2] - (ka_u2 + kb_cu1))
     return first[0], first[1], second[0], second[1]
 
 

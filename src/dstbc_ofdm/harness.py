@@ -49,7 +49,7 @@ from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import check_psk_order, psk_constellation
 from .ofdm import pair_bins
-from .stbc import alamouti_detect, differential_encode
+from .stbc import INFO_SCALE, alamouti_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
 COMPENSATION_MODES = ("off", "genie_gamma", "lms")
@@ -260,8 +260,8 @@ class _PointEngine:
     def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
         """Both antennas' symbols on the pair bins, (frame, symbol, antenna, pair bin)."""
         points = self.constellation.points
-        u_a = points[idx1] * _INV_SQRT2
-        u_b = points[idx2] * _INV_SQRT2
+        u_a = points[idx1] * INFO_SCALE
+        u_b = points[idx2] * INFO_SCALE
         if self.cfg.detection == "differential":
             # block-major, so that each step of the recursion reads and
             # writes whole (frame, subcarrier) planes

@@ -10,9 +10,14 @@ per-observation detector.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import nearest_psk_index, nearest_psk_indices
+
+# Scale of every transmitted information matrix; keeps the blocks unitary.
+INFO_SCALE = 1.0 / math.sqrt(2.0)
 
 
 def differential_encode(u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -22,8 +27,8 @@ def differential_encode(u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, n
     first: shape (block, ...).  The chain starts from the identity
     reference block, so the result has shape (block + 1, ...) with the
     reference first.  The caller is responsible for power normalisation
-    (the link engine feeds info matrices scaled by 1/sqrt(2) so the chain
-    stays unitary).
+    (the link engine feeds info matrices scaled by ``INFO_SCALE``, 1/sqrt(2),
+    so the chain stays unitary).
     """
     cu_a = np.conj(u_a)
     cu_b = np.conj(u_b)
@@ -38,18 +43,26 @@ def differential_encode(u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, n
     return s_a, s_b
 
 
-def alamouti_detect(ref_a, ref_b, z_a, z_b, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """PSK decisions on the top row of ``R^H @ Z``, elementwise.
+def alamouti_statistics(ref_a, ref_b, z_a, z_b) -> tuple[np.ndarray, np.ndarray]:
+    """The top row ``(d_a, d_b)`` of ``R^H @ Z``, elementwise.
 
     ``(z_a, z_b)`` is the top row of the received block ``Z`` and
     ``(ref_a, ref_b)`` that of the reference block ``R``: the channel matrix
     for coherent detection, or the previous received block for differential
-    detection, where this is the array form of
+    detection.
+    """
+    ref_a_c = np.conj(ref_a)
+    return ref_a_c * z_a + ref_b * np.conj(z_b), ref_a_c * z_b - ref_b * np.conj(z_a)
+
+
+def alamouti_detect(ref_a, ref_b, z_a, z_b, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """PSK decisions on ``alamouti_statistics``, elementwise.
+
+    For differential detection this is the array form of
     ``ml_differential_detect_indices``.  Either way the two decisions
     maximise ``Re(trace(U^H R^H Z))`` over the info pair.
     """
-    d_a = np.conj(ref_a) * z_a + ref_b * np.conj(z_b)
-    d_b = np.conj(ref_a) * z_b - ref_b * np.conj(z_a)
+    d_a, d_b = alamouti_statistics(ref_a, ref_b, z_a, z_b)
     return nearest_psk_indices(d_a, order), nearest_psk_indices(d_b, order)
 
 

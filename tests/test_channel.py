@@ -67,6 +67,21 @@ def test_colliding_delays_merge_power():
     assert powers[1] == pytest.approx(2 * 10 ** -0.3 / total, rel=1e-12)
 
 
+def test_tap_grid_merges_like_a_loop_in_tap_order(rng):
+    # 50 ns steps put up to four taps on one 200 ns grid point
+    for _ in range(50):
+        delays = np.unique(rng.integers(1, 60, rng.integers(1, 12))) * 50.0
+        prof = custom_profile((0.0, *delays), rng.uniform(-20.0, 0.0, delays.size + 1), 5.0)
+        grid = np.floor(np.asarray(prof.tap_delays_s) / SAMPLE_PERIOD + 0.5).astype(int)
+        expected = {}
+        for pos, pwr in zip(grid.tolist(), prof.tap_powers_linear.tolist()):
+            expected[pos] = expected.get(pos, 0.0) + pwr
+        positions, powers = tap_grid(prof, SAMPLE_PERIOD)
+        assert positions.tolist() == sorted(expected)
+        assert powers.tolist() == [expected[pos] for pos in sorted(expected)]
+        assert not positions.flags.writeable and not powers.flags.writeable
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         load_profile("cost207", 10.0)

@@ -53,3 +53,17 @@ def test_analytic_transcript_matches_the_cli(capsys):
     assert match, "no analytic transcript in the README"
     assert main(["analytic", "--kappa-db", "2", "--phi-deg", "8"]) == 0
     assert capsys.readouterr().out == match.group(1)
+
+
+def test_simulate_transcript_matches_the_cli(capsys):
+    from dstbc_ofdm.cli import main
+
+    match = re.search(r"## Command line quick start.*?```text\n(.*?)```", README.read_text(), re.S)
+    assert match, "no simulate transcript in the README"
+    shown = [line for line in match.group(1).splitlines() if line.startswith("snr_db=")]
+    snrs = [re.match(r"snr_db=(\S+) ", line).group(1) for line in shown]
+    assert len(shown) >= 2
+    # records are keyed by (seed, SNR), so the shown points alone reproduce their lines
+    config = str(ROOT / "src" / "dstbc_ofdm" / "configs" / "iqi_baseline.cfg")
+    assert main(["simulate", "--config", config, "--snr", ",".join(snrs)]) == 0
+    assert capsys.readouterr().out.splitlines() == shown

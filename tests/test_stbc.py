@@ -10,6 +10,7 @@ from dstbc_ofdm import (
     ml_differential_detect_indices,
     psk_constellation,
 )
+from dstbc_ofdm.stbc import alamouti_statistics
 
 from alamouti import AlamoutiMatrix, alamouti_encode
 from conftest import random_alamouti, random_unitary_alamouti
@@ -41,6 +42,11 @@ def test_algebra_matches_explicit_matrices(rng):
         diag = np.diag([c, c.conjugate()])
         np.testing.assert_allclose(x.diag_mul(c).matrix, diag @ x.matrix, atol=1e-12)
         assert x.frobenius() == pytest.approx(np.linalg.norm(x.matrix), rel=1e-12)
+        # the detectors' statistic is the top row of R^H @ Z, R = x and Z = y
+        top = x.hermitian() @ y
+        np.testing.assert_allclose(
+            alamouti_statistics(x.a, x.b, y.a, y.b), (top.a, top.b), rtol=1e-12, atol=1e-12
+        )
 
 
 def test_scaled_rejects_complex_factor():
