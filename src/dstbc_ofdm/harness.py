@@ -18,11 +18,13 @@ indices are drawn uniformly (uniform bits under the Gray labelling),
 already in pair order.
 
 Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
-samples (or one frame, if that is longer), each stage running once per chunk
-over a leading frame axis.  A point's seed spawns four independent streams:
-the fading's arrival angles, its oscillator weights, the symbol indices and
-the noise.  A chunk draws from each stream once, in frame order, so records
-do not depend on the chunk size.
+samples (or one frame, if that is longer): four default frames, more of
+shorter ones.  Each stage runs once per chunk over a leading frame axis, so
+its numpy call overhead is paid once per chunk, not once per frame.  A
+point's seed spawns four independent streams: the fading's arrival angles,
+its oscillator weights, the symbol indices and the noise.  A chunk draws
+from each stream once, in frame order, so records do not depend on the
+chunk size.
 
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
@@ -56,17 +58,19 @@ COMPENSATION_MODES = ("off", "genie_gamma", "lms")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Air time per chunk of frames, in sample periods: one default differential
-# frame, 42 OFDM symbols (2 * 20 information symbols plus the reference
-# block) of 64 + 20 samples.  Shorter frames are batched max(1,
-# _CHUNK_SAMPLES // frame samples) at a time; on the default grid that is
-# 42 // n_symbols.  As N < N + cp_len, a chunk of several frames holds fewer
-# than _CHUNK_SAMPLES (frame, symbol, bin) values per antenna, so its
-# per-bin arrays, the N-bin gains included, stay below numpy's 256 KiB
-# threshold for reusing temporaries in place, whose loops round differently
-# in the last bit; chunks thus give the same bits as frame-by-frame
-# simulation.
-_CHUNK_SAMPLES = 42 * 84
+# Air time per chunk of frames, in sample periods: four default differential
+# frames, each 42 OFDM symbols (2 * 20 information symbols plus the
+# reference block) of 64 + 20 samples.  A chunk holds max(1, _CHUNK_SAMPLES
+# // frame samples) frames; on the default grid that is 168 // n_symbols, so
+# 4 default frames and 21 four-block coherent ones.  As N < N + cp_len, a
+# chunk holds fewer than _CHUNK_SAMPLES (frame, symbol, bin) values per
+# antenna, and 14,112 is below 16,384: its per-bin arrays stay under numpy's
+# 256 KiB size for reusing temporaries in place, whose loops round
+# differently in the last bit, so chunks give the same bits as
+# frame-by-frame simulation.  Eight default frames were measured and
+# rejected: peak memory rose about 9-10% (lms-track 42.8 -> 47.0 MB in the
+# benchmark), at its 10% bound.
+_CHUNK_SAMPLES = 4 * 42 * 84
 
 
 class ConfigError(ValueError):

@@ -50,9 +50,16 @@ def alamouti_statistics(ref_a, ref_b, z_a, z_b) -> tuple[np.ndarray, np.ndarray]
     ``(ref_a, ref_b)`` that of the reference block ``R``: the channel matrix
     for coherent detection, or the previous received block for differential
     detection.
+
+    The conjugates are bound to names so that numpy never multiplies into
+    one of them in place: it reuses a temporary operand of 256 KiB or more
+    as the output, and that loop rounds differently in the last bit, so a
+    call on a chunk of frames would not equal the calls on its frames.
     """
     ref_a_c = np.conj(ref_a)
-    return ref_a_c * z_a + ref_b * np.conj(z_b), ref_a_c * z_b - ref_b * np.conj(z_a)
+    z_a_c = np.conj(z_a)
+    z_b_c = np.conj(z_b)
+    return ref_a_c * z_a + ref_b * z_b_c, ref_a_c * z_b - ref_b * z_a_c
 
 
 def alamouti_detect(ref_a, ref_b, z_a, z_b, order: int) -> tuple[np.ndarray, np.ndarray]:

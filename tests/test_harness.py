@@ -271,16 +271,16 @@ def record_chunk_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_chunks_hold_one_default_frame_of_samples(monkeypatch):
-    # 6-symbol frames go seven to a chunk on the default 64 + 20 sample grid,
-    # but one at a time at 1024 + 40, where a chunk of several would pass
-    # numpy's 256 KiB threshold for reusing temporaries in place
+def test_chunks_hold_four_default_frames_of_samples(monkeypatch):
+    # 6-symbol frames go 28 to a chunk on the default 64 + 20 sample grid,
+    # 168 // 6, so 30 frames leave a chunk of two; at 1024 + 40 only two fit
+    # in the 14,112 samples, and three frames leave a chunk of one
     chunk_sizes = record_chunk_sizes(monkeypatch)
-    run_point(small_cfg(blocks_per_frame=2, min_bits=8 * 744), 20.0)
-    assert chunk_sizes == [7, 1]
+    run_point(small_cfg(blocks_per_frame=2, min_bits=30 * 744), 20.0)
+    assert chunk_sizes == [28, 2]
     chunk_sizes.clear()
     run_point(small_cfg(blocks_per_frame=2, n_subcarriers=1024, cp_len=40, min_bits=30_000), 20.0)
-    assert chunk_sizes == [1, 1, 1]
+    assert chunk_sizes == [2, 1]
 
 
 @pytest.mark.parametrize(
@@ -290,18 +290,21 @@ def test_chunks_hold_one_default_frame_of_samples(monkeypatch):
         (dict(blocks_per_frame=3, compensation="genie_gamma"), 1),
         (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 1),
         (dict(blocks_per_frame=2, compensation="lms"), 1),
-        # eight 512-subcarrier frames to a chunk: the chunk's arrays pass
-        # numpy's 256 KiB size for reusing temporaries in place
+        # the point's three 512-subcarrier frames in one chunk, whose N-bin
+        # gains pass numpy's 256 KiB size for reusing temporaries in place
         (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=512, cp_len=40), 8),
         # both 1,024-subcarrier frames of the point in one chunk
         (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=1024, cp_len=40), 16),
-        # 61 frames of 2-PSK, seven to a chunk, leave a chunk of five
+        # 61 frames of 2-PSK, 28 to a chunk, leave a chunk of five
         (dict(blocks_per_frame=2, psk_order=2), 1),
+        # fourteen default frames in one chunk of sixteen: the detector's
+        # statistics of 14 x 20 x 62 values pass 256 KiB
+        (dict(compensation="lms", min_bits=14 * 7440), 4),
     ],
-    ids=[f"overrides{i}" for i in range(7)],
+    ids=[f"overrides{i}" for i in range(8)],
 )
 def test_records_do_not_depend_on_chunk_size(monkeypatch, overrides, chunk_scale):
-    cfg = small_cfg(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=15_000, **overrides)
+    cfg = small_cfg(**{"iqi_kappa_db": 2.0, "iqi_phi_deg": 8.0, "min_bits": 15_000, **overrides})
     chunk_sizes = record_chunk_sizes(monkeypatch)
     monkeypatch.setattr(harness, "_CHUNK_SAMPLES", chunk_scale * harness._CHUNK_SAMPLES)
     chunked, chunked_trace = run_point_with_trace(cfg, 20.0)

@@ -146,3 +146,16 @@ def test_array_differential_detect_matches_scalar(order, rng):
     ]
     assert list(zip(det1.flat, det2.flat)) == expected
     assert (det1[-1, -1], det2[-1, -1]) == (0, 0)
+
+
+def test_statistics_of_a_large_stack_equal_its_per_frame_calls(rng):
+    # 14 default frames of 20 block pairs on 62 pair bins: 17,360 complex
+    # values, past numpy's 256 KiB size for multiplying into a temporary in
+    # place, while each frame's 1,240 values stay below it
+    shape = (14, 20, 62)
+    ref_a, ref_b, z_a, z_b = rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+    assert ref_a.nbytes > 256 * 1024
+    whole = alamouti_statistics(ref_a, ref_b, z_a, z_b)
+    frames = [alamouti_statistics(ref_a[f], ref_b[f], z_a[f], z_b[f]) for f in range(shape[0])]
+    for stat, per_frame in zip(whole, zip(*frames)):
+        assert stat.tobytes() == np.stack(per_frame).tobytes()
