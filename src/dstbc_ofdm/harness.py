@@ -6,8 +6,10 @@ the differential modes) followed by ``blocks_per_frame`` information blocks;
 coherent frames carry information blocks only.
 
 The link is evaluated per OFDM symbol and per bin, on the active (k, mirror)
-pairs: ``Y = H0*X0 + H1*X1 + N`` with the gains of the symbol's taps, then
-the receiver I/Q imbalance ``alpha*Y + beta*conj(Y of the mirror)``.  That is
+pairs, straight from each space-time block's top row ``(s_a, s_b)``: the
+block's two symbols receive ``Y = H0*s_a - H1*conj(s_b) + N`` and ``Y =
+H0*s_b + H1*conj(s_a) + N`` with the gains of each symbol's taps, then the
+receiver I/Q imbalance ``alpha*Y + beta*conj(Y of the mirror)``.  That is
 exactly what a cyclic-prefix modem, a time-domain convolution with
 symbol-rate tap updates, imbalance on the samples and a DFT would give:
 taps are constant over a symbol and ``SimConfig.validate`` bounds the delay
@@ -25,6 +27,9 @@ point's seed spawns four independent streams: the fading's arrival angles,
 its oscillator weights, the symbol indices and the noise.  A chunk draws
 from each stream once, in frame order, so records do not depend on the
 chunk size.
+
+A differential receiver's one compensation state is gamma: none, the
+genie's exact value, or the LMS pass's running estimate.
 
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
@@ -65,8 +70,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # 4 default frames and 21 four-block coherent ones.  As N < N + cp_len, a
 # chunk holds fewer than _CHUNK_SAMPLES (frame, symbol, bin) values per
 # antenna, and 14,112 is below 16,384: its per-bin arrays stay under numpy's
-# 256 KiB size for reusing temporaries in place, whose loops round
-# differently in the last bit, so chunks give the same bits as
+# 256 KiB size for multiplying into a temporary in place, a loop that rounds
+# differently in the last bit.  Past it (long frames, larger chunks) the link
+# step and stbc.alamouti_statistics bind their conjugates to names, which
+# leaves numpy no temporary to multiply into, so chunks give the same bits as
 # frame-by-frame simulation.  Eight default frames were measured and
 # rejected: peak memory rose about 9-10% (lms-track 42.8 -> 47.0 MB in the
 # benchmark), at its 10% bound.
@@ -215,7 +222,7 @@ def _snr_key(snr_db: float) -> int:
 class _PointEngine:
     """Shared state for simulating one (config, SNR) point in chunks of frames."""
 
-    def __init__(self, cfg: SimConfig, snr_db: float):
+    def __init__(self, cfg: SimConfig, snr_db: float, keep_trace: bool = False):
         self.cfg = cfg
         self.snr_db = float(snr_db)
         self.profile = resolve_profile(cfg)
@@ -235,15 +242,16 @@ class _PointEngine:
         # differ; the M x M table is kept flat, as one-axis lookups are faster
         labels = self.constellation.bits_of_index.tolist()
         self.bit_errors = np.array([bin(d ^ t).count("1") for d in labels for t in labels])
-        self.gamma = 0.0 + 0.0j
-        self.gamma_trace: list[np.ndarray] = []
-        is_differential = cfg.detection == "differential"
+        # the one compensation state: none, the genie's exact gamma, or the
+        # LMS pass's running estimate, whose trajectory is kept on request
+        self.gamma = {"off": None, "genie_gamma": gamma_true(self.iqi), "lms": 0j}[cfg.compensation]
+        self.gamma_trace: list[np.ndarray] | None = [] if keep_trace else None
         self.n_blocks = cfg.blocks_per_frame
-        self.n_symbols = 2 * self.n_blocks + (2 if is_differential else 0)
+        self.n_symbols = 2 * self.n_blocks + (2 if cfg.detection == "differential" else 0)
 
     # ---- per-chunk steps; arrays carry a leading frame axis -------------
 
-    def _draw_indices_and_noise(self, n_frames: int, noisy: bool):
+    def _draw_indices_and_noise(self, n_frames: int):
         """The symbol indices and the noise of the next ``n_frames`` frames.
 
         Returns the two symbol indices of every block, each (frame, block,
@@ -256,44 +264,40 @@ class _PointEngine:
         shape = (n_frames, self.n_blocks, self.pair_bins.shape[0], 2)
         indices = self.index_rng.integers(0, self.cfg.psk_order, size=shape)
         noise = None
-        if noisy:
+        if self.sigma > 0.0:
             normals = self.noise_rng.standard_normal((n_frames, self.n_symbols) + shape[2:])
             noise = normals.view(np.complex128)[..., 0]
         return indices[..., 0], indices[..., 1], noise
 
-    def _transmit_symbols(self, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
-        """Both antennas' symbols on the pair bins, (frame, symbol, antenna, pair bin)."""
+    def _received_spectra(self, idx1, idx2, gains, noise) -> np.ndarray:
+        """The received spectra at the pair bins, (frame, symbol, pair bin).
+
+        ``idx1``, ``idx2`` and ``noise`` are ``_draw_indices_and_noise``'s
+        draws and ``gains`` the antennas' subcarrier gains, (frame, symbol,
+        antenna, pair bin).  A block with top row (s_a, s_b) sends s_a and
+        -conj(s_b) from the two antennas, then s_b and conj(s_a).
+        """
         points = self.constellation.points
-        u_a = points[idx1] * INFO_SCALE
-        u_b = points[idx2] * INFO_SCALE
+        s_a = points[idx1] * INFO_SCALE
+        s_b = points[idx2] * INFO_SCALE
         if self.cfg.detection == "differential":
             # block-major, so that each step of the recursion reads and
             # writes whole (frame, subcarrier) planes
-            s_a, s_b = differential_encode(u_a.transpose(1, 0, 2), u_b.transpose(1, 0, 2))
-            u_a = s_a.transpose(1, 0, 2)
-            u_b = s_b.transpose(1, 0, 2)
-        n_frames, _, n_bins = idx1.shape
-        tx = np.empty((n_frames, self.n_symbols, 2, n_bins), dtype=np.complex128)
-        tx[:, 0::2, 0] = u_a
-        tx[:, 0::2, 1] = -np.conj(u_b)
-        tx[:, 1::2, 0] = u_b
-        tx[:, 1::2, 1] = np.conj(u_a)
-        return tx
-
-    def _received_spectra(self, tx: np.ndarray, gains: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-        """The received spectra at the pair bins, (frame, symbol, pair bin).
-
-        ``tx`` holds the antennas' symbols and ``gains`` their subcarrier
-        gains, both (frame, symbol, antenna, pair bin).  ``noise`` holds each
-        bin's noise with standard normal real and imaginary parts, (frame,
-        symbol, pair bin), or is None when there is no noise.
-        """
-        y = gains[:, :, 0] * tx[:, :, 0] + gains[:, :, 1] * tx[:, :, 1]
+            s_a, s_b = differential_encode(s_a.transpose(1, 0, 2), s_b.transpose(1, 0, 2))
+            s_a = s_a.transpose(1, 0, 2)
+            s_b = s_b.transpose(1, 0, 2)
+        # bound to names, as in stbc.alamouti_statistics, so that numpy
+        # never multiplies into them in place
+        s_a_c = np.conj(s_a)
+        s_b_c = np.conj(s_b)
+        y = np.empty(gains.shape[:2] + gains.shape[3:], dtype=np.complex128)
+        y[:, 0::2] = gains[:, 0::2, 0] * s_a - gains[:, 0::2, 1] * s_b_c
+        y[:, 1::2] = gains[:, 1::2, 0] * s_b + gains[:, 1::2, 1] * s_a_c
         if noise is not None:
             y += (self.sigma * _INV_SQRT2) * noise
         return apply_rx_iqi(y, self.iqi)
 
-    def _adapt_gamma(self, values: np.ndarray, collect_trace: bool) -> np.ndarray:
+    def _adapt_gamma(self, values: np.ndarray) -> np.ndarray:
         """The gamma each observation of a chunk saw, (frame, block pair, pair).
 
         ``values`` is the chunk's spectra in pair order; the LMS pass runs
@@ -314,16 +318,15 @@ class _PointEngine:
                 ) from exc
             seen.append(np.concatenate([[self.gamma], trajectory[1:-1:2]]))
             self.gamma = trajectory[-1]
-            if collect_trace:
+            if self.gamma_trace is not None:
                 self.gamma_trace.append(trajectory)
         return np.reshape(seen, (values.shape[0], self.n_blocks, half))
 
-    def _chunk_errors(self, n_frames: int, gamma, collect_trace: bool) -> int:
+    def _chunk_errors(self, n_frames: int) -> int:
         """Simulate the next ``n_frames`` frames and count their bit errors.
 
-        ``gamma`` is the genie's compensation coefficient, or None.  The
-        chunk's arrays are freed on return, before the next chunk draws its
-        own, which keeps the working set to one chunk.
+        The chunk's arrays are freed on return, before the next chunk draws
+        its own, which keeps the working set to one chunk.
         """
         cfg = self.cfg
         taps = realize_fading(
@@ -335,9 +338,9 @@ class _PointEngine:
             samples_per_symbol=self.samples_per_symbol,
             frames=n_frames,
         )
-        idx1, idx2, noise = self._draw_indices_and_noise(n_frames, self.sigma > 0.0)
+        idx1, idx2, noise = self._draw_indices_and_noise(n_frames)
         gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)[..., self.pair_bins]
-        values = self._received_spectra(self._transmit_symbols(idx1, idx2), gains, noise)
+        values = self._received_spectra(idx1, idx2, gains, noise)
         if cfg.detection == "coherent":
             # the channel is the reference block: its gains at the first
             # symbol of each block, at both antennas
@@ -346,25 +349,23 @@ class _PointEngine:
                 ref[:, :, 0], ref[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
             )
         else:
-            if cfg.compensation == "lms":
-                gamma = self._adapt_gamma(values, collect_trace)
+            gamma = self._adapt_gamma(values) if cfg.compensation == "lms" else self.gamma
             det1, det2 = detect_pairs(values, gamma, cfg.psk_order)
         return int(
             self.bit_errors[det1 * cfg.psk_order + idx1].sum()
             + self.bit_errors[det2 * cfg.psk_order + idx2].sum()
         )
 
-    def run(self, collect_trace: bool = False) -> BerRecord:
+    def run(self) -> BerRecord:
         cfg = self.cfg
         start = time.perf_counter()
         bps = self.constellation.bits_per_symbol
         bits_per_frame = self.n_blocks * self.pair_bins.shape[0] * 2 * bps
         n_frames = -(-cfg.min_bits // bits_per_frame)
         chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
-        gamma = gamma_true(self.iqi) if cfg.compensation == "genie_gamma" else None
         total_errors = 0
         for first in range(0, n_frames, chunk):
-            total_errors += self._chunk_errors(min(chunk, n_frames - first), gamma, collect_trace)
+            total_errors += self._chunk_errors(min(chunk, n_frames - first))
         total_bits = n_frames * bits_per_frame
         elapsed = time.perf_counter() - start
         return BerRecord(
@@ -388,13 +389,10 @@ def run_point(cfg: SimConfig, snr_db: float) -> BerRecord:
 
 def run_point_with_trace(cfg: SimConfig, snr_db: float) -> tuple[BerRecord, np.ndarray]:
     """Like run_point but also returns the LMS gamma trajectory (per update)."""
-    engine = _PointEngine(cfg, snr_db)
-    record = engine.run(collect_trace=True)
-    if engine.gamma_trace:
-        trace = np.concatenate(engine.gamma_trace)
-    else:
-        trace = np.empty(0, dtype=np.complex128)
-    return record, trace
+    engine = _PointEngine(cfg, snr_db, keep_trace=True)
+    record = engine.run()
+    trace = engine.gamma_trace
+    return record, np.concatenate(trace) if trace else np.empty(0, dtype=np.complex128)
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:

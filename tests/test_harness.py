@@ -1,5 +1,6 @@
 """Unit tests for the end-to-end simulation harness."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -258,6 +259,39 @@ def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_erro
     assert (r.bits, r.bit_errors) == (bits, bit_errors)
 
 
+@pytest.mark.parametrize(
+    "overrides, bit_errors, trace_sha256",
+    [
+        (dict(compensation="off"), 7826, None),
+        (dict(compensation="genie_gamma"), 2925, None),
+        (
+            dict(compensation="lms"),
+            2956,
+            "f63f96fea146cab628ea07750d94c48796e8b8fef5e766e8e1de872d420269c5",
+        ),
+        (dict(detection="coherent"), 3223, None),
+    ],
+    ids=["off", "genie_gamma", "lms", "coherent"],
+)
+def test_long_frames_reproduce_golden_records(overrides, bit_errors, trace_sha256):
+    # two 1,024-subcarrier frames, one to a chunk: each antenna's per-bin
+    # arrays pass numpy's 256 KiB size for multiplying into a temporary in
+    # place, whose loop rounds differently in the last bit; the gamma
+    # trajectory's bytes show such a change where the decisions do not
+    cfg = SimConfig(
+        n_subcarriers=1024, cp_len=64, iqi_kappa_db=2.0, iqi_phi_deg=8.0,
+        min_bits=200_000, seed=1024, **overrides,
+    )
+    record, trace = run_point_with_trace(cfg, 20.0)
+    assert (record.bits, record.bit_errors) == (245_280, bit_errors)
+    if trace_sha256 is None:
+        assert trace.shape == (0,)
+    else:
+        # 2 frames x 20 block pairs x 511 pairs, two updates each
+        assert trace.shape == (40_880,)
+        assert hashlib.sha256(trace.tobytes()).hexdigest() == trace_sha256
+
+
 def record_chunk_sizes(monkeypatch) -> list:
     """The frame count of every chunk the engine simulates from now on."""
     sizes = []
@@ -328,9 +362,9 @@ def test_index_and_noise_draws_do_not_depend_on_chunk_size(psk_order):
     cfg = small_cfg(
         psk_order=psk_order, n_subcarriers=8, cp_len=4, channel="flat", blocks_per_frame=3
     )
-    batch = harness._PointEngine(cfg, 10.0)._draw_indices_and_noise(5, True)
+    batch = harness._PointEngine(cfg, 10.0)._draw_indices_and_noise(5)
     single = harness._PointEngine(cfg, 10.0)
-    singles = [single._draw_indices_and_noise(1, True) for _ in range(5)]
+    singles = [single._draw_indices_and_noise(1) for _ in range(5)]
     for batched, parts in zip(batch, zip(*singles)):
         assert batched.tobytes() == np.concatenate(parts).tobytes()
     assert batch[0].shape == batch[1].shape == (5, 3, 6)

@@ -1,12 +1,14 @@
-"""The engine's per-bin link equals the time-domain chain on the same draws."""
+"""The engine's per-bin link equals the time-domain chain on the same draws,
+and one link step on a chunk equals its per-frame steps byte for byte."""
 import math
 
 import numpy as np
 import pytest
 
-from dstbc_ofdm import SimConfig, harness, tap_grid
+from dstbc_ofdm import SimConfig, harness, psk_constellation, tap_grid
 
 import timechain
+from alamouti import AlamoutiMatrix
 
 LINKS = {
     "itu-pb": dict(channel="itu-pb", doppler_hz=11.6),
@@ -25,7 +27,7 @@ LINKS = {
 
 
 def chunk_draws(monkeypatch, engine, n_frames):
-    """The fading taps, transmit symbols, noise and per-bin spectra of one engine chunk."""
+    """The fading taps, symbol indices, noise and per-bin spectra of one engine chunk."""
     seen = {}
     real_fading = harness.realize_fading
     real_spectra = engine._received_spectra
@@ -34,14 +36,36 @@ def chunk_draws(monkeypatch, engine, n_frames):
         seen["taps"] = real_fading(*args, **kwargs)
         return seen["taps"]
 
-    def recording_spectra(tx, gains, noise):
-        seen.update(tx=tx, noise=noise, values=real_spectra(tx, gains, noise))
-        return seen["values"]
+    def recording_spectra(idx1, idx2, gains, noise):
+        values = real_spectra(idx1, idx2, gains, noise)
+        seen.update(idx1=idx1, idx2=idx2, noise=noise, values=values)
+        return values
 
     monkeypatch.setattr(harness, "realize_fading", recording_fading)
     monkeypatch.setattr(engine, "_received_spectra", recording_spectra)
-    engine._chunk_errors(n_frames, None, False)
+    engine._chunk_errors(n_frames)
     return seen
+
+
+def antenna_grid(idx1, idx2, order, differential):
+    """Both antennas' symbols, (frame, antenna, symbol, pair bin), from the block indices.
+
+    Each block is the info matrix of the two indexed points scaled by
+    1/sqrt(2), or for differential frames the chain of their products after
+    the identity reference.  The matrix ``[[a, b], [-conj(b), conj(a)]]``
+    puts its first row on antenna 0 and its second on antenna 1, over the
+    block's two symbols.
+    """
+    points = psk_constellation(order).points / math.sqrt(2.0)
+    blocks = [AlamoutiMatrix(points[idx1[:, j]], points[idx2[:, j]]) for j in range(idx1.shape[1])]
+    if differential:
+        ones = np.ones(idx1[:, 0].shape, dtype=np.complex128)
+        chain = [AlamoutiMatrix(ones, 0.0 * ones)]
+        for block in blocks:
+            chain.append(chain[-1] @ block)
+        blocks = chain
+    # each matrix is (antenna, symbol, frame, pair bin)
+    return np.concatenate([block.matrix for block in blocks], axis=1).transpose(2, 0, 1, 3)
 
 
 @pytest.mark.parametrize("iqi", [(0.0, 0.0), (2.0, 8.0)], ids=["ideal", "iqi"])
@@ -54,7 +78,9 @@ def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
     assert (seen["noise"] is None) == math.isinf(snr_db)
     bins = engine.pair_bins
     grid = np.zeros((3, 2, engine.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
-    grid[..., bins] = seen["tx"].transpose(0, 2, 1, 3)
+    grid[..., bins] = antenna_grid(
+        seen["idx1"], seen["idx2"], cfg.psk_order, cfg.detection == "differential"
+    )
     noise = seen["noise"]
     if noise is not None:
         # the per-bin noise, as the time-domain samples whose body it is the DFT of
@@ -74,3 +100,23 @@ def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
     # (about 1); rounding in the two chains moves it by about 1e-15
     assert np.sqrt(np.mean(np.abs(expected) ** 2)) > 0.5
     np.testing.assert_allclose(seen["values"], expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("detection", ["differential", "coherent"])
+def test_link_step_of_a_large_chunk_equals_its_per_frame_calls(detection):
+    # 14 default frames: an antenna's (conjugated) block top rows are 14 x 21
+    # x 62 complex values (14 x 20 x 62 coherent), past numpy's 256 KiB size
+    # for multiplying into a temporary in place, while one frame's stay below it
+    cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, detection=detection)
+    engine = harness._PointEngine(cfg, 10.0)
+    idx1, idx2, noise = engine._draw_indices_and_noise(14)
+    shape = (14, engine.n_symbols, 2, engine.pair_bins.shape[0])
+    rng = np.random.default_rng(14)
+    gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert idx1.size * 16 > 256 * 1024
+    whole = engine._received_spectra(idx1, idx2, gains, noise)
+    frames = [
+        engine._received_spectra(idx1[f : f + 1], idx2[f : f + 1], gains[f : f + 1], noise[f : f + 1])
+        for f in range(14)
+    ]
+    assert whole.tobytes() == np.concatenate(frames).tobytes()
