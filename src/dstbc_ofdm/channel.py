@@ -96,7 +96,10 @@ def _oscillators(
     """
     angles = 2.0 * np.pi * uniforms
     scale = np.sqrt(mean_power / (2.0 * uniforms.shape[-1]))
-    weights = scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
+    # scale * (real + 1j * imag), written plane by plane: the same bytes
+    weights = np.empty(uniforms.shape, dtype=np.complex128)
+    np.multiply(scale, normals[..., 0, :], out=weights.real)
+    np.multiply(scale, normals[..., 1, :], out=weights.imag)
     return 2.0 * np.pi * doppler_hz * np.cos(angles), weights
 
 

@@ -38,8 +38,8 @@ variance per complex sample, both taken before the imbalance stage.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -228,6 +228,8 @@ class _PointEngine:
         self.profile = resolve_profile(cfg)
         self.tap_sample_delays = tap_grid(self.profile, cfg.sample_period)[0]
         self.constellation = psk_constellation(cfg.psk_order)
+        # the info matrices' entries: the same bytes as scaling after the gather
+        self.info_points = self.constellation.points * INFO_SCALE
         self.iqi = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
         # keyed by (seed, SNR value), so grid order is irrelevant
         streams = np.random.SeedSequence([cfg.seed, _snr_key(snr_db)]).spawn(4)
@@ -277,9 +279,8 @@ class _PointEngine:
         antenna, pair bin).  A block with top row (s_a, s_b) sends s_a and
         -conj(s_b) from the two antennas, then s_b and conj(s_a).
         """
-        points = self.constellation.points
-        s_a = points[idx1] * INFO_SCALE
-        s_b = points[idx2] * INFO_SCALE
+        s_a = self.info_points[idx1]
+        s_b = self.info_points[idx2]
         if self.cfg.detection == "differential":
             # block-major, so that each step of the recursion reads and
             # writes whole (frame, subcarrier) planes
@@ -403,6 +404,17 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
     grid = sorted(set(float(s) for s in cfg.snr_grid_db))
     workers = min(workers, len(grid))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up on the module, so that __getattr__ imports it on first use
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_point, [cfg] * len(grid), grid))
     return [run_point(cfg, s) for s in grid]
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor, imported on first use: concurrent.futures loads
+    # multiprocessing and logging, which only a parallel sweep needs
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+# powers of two only: the decisions wrap the phase index by the mask M - 1
 SUPPORTED_PSK_ORDERS = (2, 4, 8, 16)
 
 
@@ -55,11 +56,11 @@ def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
 
     ``floor(angle / (2*pi/M) + 0.5) mod M``: the package's one PSK decision
     rule.  A value exactly on a decision boundary rounds half up in angle,
-    to the larger phase.
+    to the larger phase.  As M is a power of two, the wrap is a mask.
     """
     check_psk_order(order)
     raw = np.floor(_half_step_phase(values, order)).astype(np.int64)
-    return np.mod(raw, order)
+    return np.bitwise_and(raw, order - 1)
 
 
 def psk_decisions_with_margin(values: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +81,7 @@ def psk_decisions_with_margin(values: np.ndarray, order: int) -> tuple[np.ndarra
     np.subtract(0.5, margin, out=margin)
     margin *= np.abs(values)
     margin *= 2.0 * math.sin(math.pi / order)
-    return np.mod(raw.astype(np.int64), order), margin
+    return np.bitwise_and(raw.astype(np.int64), order - 1), margin
 
 
 def _half_step_phase(values: np.ndarray, order: int) -> np.ndarray:

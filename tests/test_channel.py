@@ -13,6 +13,7 @@ from dstbc_ofdm import (
     subcarrier_gains,
     tap_grid,
 )
+from dstbc_ofdm.channel import _oscillators
 
 SAMPLE_PERIOD = 1.0 / 5e6
 
@@ -162,6 +163,36 @@ def test_jakes_process_draw_order():
     expected = np.exp(1j * np.outer(times, 2.0 * np.pi * 40.0 * np.cos(angles))) @ weights
     actual = JakesFadingProcess(0.3, 40.0, np.random.default_rng(17)).sample(times)
     assert np.array_equal(actual, expected)
+
+
+def _weights_oracle(mean_power, normals):
+    """The oscillator weights as one complex expression."""
+    scale = np.sqrt(mean_power / (2.0 * normals.shape[-1]))
+    return scale * (normals[..., 0, :] + 1j * normals[..., 1, :])
+
+
+def test_process_weights_equal_their_complex_oracle(rng):
+    # a scalar mean power, as JakesFadingProcess passes it
+    for power in (0.3, 1.0, 1e-9, 7.25):
+        uniforms = rng.random(32)
+        normals = rng.standard_normal((2, 32))
+        rates, weights = _oscillators(power, 40.0, uniforms, normals)
+        assert weights.shape == (32,)
+        assert weights.tobytes() == _weights_oracle(power, normals).tobytes()
+        assert rates.tobytes() == (2.0 * np.pi * 40.0 * np.cos(2.0 * np.pi * uniforms)).tobytes()
+
+
+@pytest.mark.parametrize("frames, n_taps", [(1, 1), (1, 13), (4, 6), (21, 5), (200, 1), (200, 13)])
+def test_realization_weights_equal_their_complex_oracle(frames, n_taps, rng):
+    # (tap, 1) powers broadcast against (frame, antenna, tap, oscillator), as
+    # realize_fading passes them
+    powers = rng.random(n_taps)
+    powers /= powers.sum()
+    uniforms = rng.random((frames, 2, n_taps, 32))
+    normals = rng.standard_normal((frames, 2, n_taps, 2, 32))
+    _, weights = _oscillators(powers[:, None], 11.6, uniforms, normals)
+    assert weights.shape == uniforms.shape
+    assert weights.tobytes() == _weights_oracle(powers[:, None], normals).tobytes()
 
 
 @pytest.mark.parametrize(

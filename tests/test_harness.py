@@ -2,6 +2,8 @@
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -403,6 +405,18 @@ def test_snr_key_rejects_extreme_values():
 def test_parallel_sweep_matches_serial():
     cfg = small_cfg(snr_grid_db=(10.0, 14.0))
     assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
+
+
+def test_package_import_leaves_process_pools_unloaded(package_env):
+    # concurrent.futures and what it loads are imported by a parallel sweep only
+    code = (
+        "import sys, dstbc_ofdm, dstbc_ofdm.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'logging')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

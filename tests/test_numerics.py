@@ -113,3 +113,42 @@ def test_margin_bounds_distance_to_the_decision_boundaries(order, rng):
     interior = distance > 1e-9
     ratio = margin[interior] / distance[interior]
     assert np.all(ratio >= np.sin(np.pi / order) / (np.pi / order) - 1e-9)
+
+
+def test_supported_orders_are_powers_of_two():
+    # the decisions wrap the phase index by the mask M - 1, which equals
+    # mod M on every int64, negative ones and the extremes included
+    info = np.iinfo(np.int64)
+    raw = np.concatenate([np.arange(-70, 70), [info.min, info.min + 1, info.max - 1, info.max]])
+    for order in SUPPORTED_PSK_ORDERS:
+        assert order > 1 and order & (order - 1) == 0
+        np.testing.assert_array_equal(np.bitwise_and(raw, order - 1), np.mod(raw, order))
+
+
+def _mod_decisions(values, order):
+    """The decision rule with its wrap written as ``mod M``."""
+    phase = np.arctan2(np.imag(values), np.real(values)) / (2.0 * np.pi / order) + 0.5
+    return np.mod(np.floor(phase).astype(np.int64), order)
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_decisions_equal_their_mod_oracle(order, rng):
+    tiny = 1e-12
+    boundaries = np.exp(1j * np.pi * (2 * np.arange(order) + 1) / order)
+    near_pi = np.exp(1j * np.array([np.pi - tiny, -np.pi + tiny, np.pi, -np.pi]))
+    edges = np.array([-1.0 + 0.0j, complex(-1.0, -0.0), 0.0, complex(0.0, -0.0), complex(-0.0, 0.0),
+                      complex(-0.0, -0.0), -1e-300 + 1e-300j, -1e-300 - 1e-300j])
+    values = np.concatenate([
+        rng.standard_normal(5000) + 1j * rng.standard_normal(5000),
+        boundaries, 3.0 * boundaries, near_pi, edges,
+    ])
+    expected = _mod_decisions(values, order)
+    for actual in (nearest_psk_indices(values, order), psk_decisions_with_margin(values, order)[0]):
+        assert actual.dtype == np.int64
+        np.testing.assert_array_equal(actual, expected)
+    # scalars, as the exhaustive-search check passes them, and 0-d arrays
+    for value in values[-len(edges) - len(near_pi):]:
+        for scalar in (complex(value), value, np.array(value)):
+            decision = nearest_psk_indices(scalar, order)
+            assert np.ndim(decision) == 0
+            assert decision == _mod_decisions(value, order) == nearest_psk_index(complex(value), order)

@@ -1,4 +1,5 @@
 """Unit tests for the 2x2 Alamouti reference algebra and the block kernels."""
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from dstbc_ofdm import (
     ml_differential_detect_indices,
     psk_constellation,
 )
-from dstbc_ofdm.stbc import alamouti_statistics
+from dstbc_ofdm.stbc import INFO_SCALE, alamouti_statistics
 
+import differential_steps
 from alamouti import AlamoutiMatrix, alamouti_encode
 from conftest import random_alamouti, random_unitary_alamouti
 
@@ -78,6 +80,24 @@ def test_differential_encode_is_raw_product(rng):
     np.testing.assert_allclose(
         AlamoutiMatrix(s_a[2], s_b[2]).matrix, prev.matrix @ info.matrix, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_differential_encode_equals_its_stepwise_oracle_byte_for_byte(order, rng):
+    # fed as the link step feeds it: (frame, block, pair) gathers of the
+    # scaled points, transposed block first; other forms of the recursion
+    # differ in the last bit on some of these shapes
+    info_points = psk_constellation(order).points * INFO_SCALE
+    for shape in itertools.product((1, 2, 20), (1, 14, 32), (1, 62, 510)):
+        blocks, frames, pairs = shape
+        idx1, idx2 = rng.integers(0, order, size=(2, frames, blocks, pairs))
+        u_a = info_points[idx1].transpose(1, 0, 2)
+        u_b = info_points[idx2].transpose(1, 0, 2)
+        actual = differential_encode(u_a, u_b)
+        expected = differential_steps.differential_encode(u_a, u_b)
+        for got, want in zip(actual, expected):
+            assert got.shape == (blocks + 1, frames, pairs)
+            assert got.tobytes() == want.tobytes(), shape
 
 
 def test_differential_chain_stays_unitary(rng):
