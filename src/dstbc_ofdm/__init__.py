@@ -24,7 +24,6 @@ from .analysis import (
 from .channel import (
     ChannelProfile,
     JakesFadingProcess,
-    custom_profile,
     load_profile,
     realize_fading,
     subcarrier_gains,
@@ -71,7 +70,6 @@ __all__ = [
     "ber_floor",
     "build_residuals",
     "compensate_observation",
-    "custom_profile",
     "decision_directed_pass",
     "derive_iqi_params",
     "detect_pairs",

@@ -1,12 +1,14 @@
 """Tapped-delay-line Rayleigh channels with Jakes Doppler correlation.
 
 Profiles follow the ITU outdoor tapped-delay-line tables (delays in seconds,
-relative powers in dB, normalised so linear powers sum to one).  Each tap and
-each of the two transmit antennas gets an independent sum-of-sinusoids fading
-process: oscillators at ``f_d*cos(angle)`` with uniform random arrival angles
-and circular complex Gaussian weights.  Gaussian weights make every tap
-sample exactly complex normal with the profile power while keeping the Jakes
-autocorrelation ``J0(2*pi*f_d*tau)`` over the oscillator ensemble.
+relative powers in dB, normalised so linear powers sum to one).
+``load_profile`` builds every profile: a named one from its table, and
+"custom", the only one that takes tables, from the caller's.  Each tap and
+each of the two transmit antennas gets an independent sum-of-sinusoids
+fading process: oscillators at ``f_d*cos(angle)`` with uniform random
+arrival angles and circular complex Gaussian weights.  Gaussian weights make
+every tap sample exactly complex normal with the profile power while keeping
+the Jakes autocorrelation ``J0(2*pi*f_d*tau)`` over the oscillator ensemble.
 """
 from __future__ import annotations
 
@@ -62,20 +64,21 @@ class ChannelProfile:
         return linear / linear.sum()
 
 
-def load_profile(name: str, doppler_hz: float) -> ChannelProfile:
-    """Named profile ("itu-pb", "itu-va" or "flat") with the given Doppler."""
-    if name not in _PROFILE_TABLES:
+def load_profile(name: str, doppler_hz: float, delays_ns=None, powers_db=None) -> ChannelProfile:
+    """Profile ``name`` with the given Doppler.
+
+    A named profile ("itu-pb", "itu-va" or "flat") reads its delay (ns) and
+    power (dB) lists from its table and takes none; "custom" takes both.
+    """
+    if name == "custom":
+        if delays_ns is None or powers_db is None:
+            raise ValueError("custom channel requires custom_delays_ns and custom_powers_db")
+    elif delays_ns is not None or powers_db is not None:
+        raise ValueError(f"custom tap tables require channel 'custom', got {name!r}")
+    elif name not in _PROFILE_TABLES:
         raise ValueError(f"unknown channel profile {name!r}; expected one of {PROFILE_NAMES}")
-    delays_ns, powers_db = _PROFILE_TABLES[name]
-    return ChannelProfile(
-        tap_delays_s=tuple(d * 1e-9 for d in delays_ns),
-        tap_powers_db=powers_db,
-        doppler_hz=doppler_hz,
-    )
-
-
-def custom_profile(delays_ns, powers_db, doppler_hz: float) -> ChannelProfile:
-    """Profile from explicit delay (ns) and power (dB) lists."""
+    else:
+        delays_ns, powers_db = _PROFILE_TABLES[name]
     return ChannelProfile(
         tap_delays_s=tuple(float(d) * 1e-9 for d in delays_ns),
         tap_powers_db=tuple(float(p) for p in powers_db),

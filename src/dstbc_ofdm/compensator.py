@@ -255,15 +255,14 @@ def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.
     za = values[..., 0::2, :]
     zb = values[..., 1::2, :]
     planes = (za[..., :-1, :], zb[..., :-1, :], za[..., 1:, :], zb[..., 1:, :])
-    if gamma is not None:
-        half = values.shape[-1] // 2
-        low = tuple(p[..., :half] for p in planes)
-        image = tuple(np.conj(p[..., half:]) for p in planes)
-        comp = compensate_observation(low + image, gamma)
-        # conjugating the compensated mirror pair turns its differential
-        # relation back into the direct form, so the same detector applies
-        planes = tuple(
-            np.concatenate([desired, np.conj(mirror)], axis=-1)
-            for desired, mirror in zip(comp[:4], comp[4:])
-        )
-    return alamouti_detect(*planes, order)
+    if gamma is None:
+        return alamouti_detect(*planes, order)
+    half = values.shape[-1] // 2
+    low = tuple(p[..., :half] for p in planes)
+    image = tuple(np.conj(p[..., half:]) for p in planes)
+    comp = compensate_observation(low + image, gamma)
+    desired = alamouti_detect(*comp[:4], order)
+    # conjugating the compensated mirror pair turns its differential
+    # relation back into the direct form, so the same detector applies
+    mirror = alamouti_detect(*(np.conj(p) for p in comp[4:]), order)
+    return tuple(np.concatenate(pair, axis=-1) for pair in zip(desired, mirror))

@@ -31,6 +31,10 @@ chunk size.
 A differential receiver's one compensation state is gamma: none, the
 genie's exact value, or the LMS pass's running estimate.
 
+A config names its channel, and ``SimConfig.profile`` builds it with
+``channel.load_profile``, which owns the profile tables and the rule that
+only "custom" takes tap tables.
+
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
 variance per complex sample, both taken before the imbalance stage.
@@ -38,20 +42,12 @@ variance per complex sample, both taken before the imbalance stage.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import (
-    ChannelProfile,
-    custom_profile,
-    load_profile,
-    realize_fading,
-    subcarrier_gains,
-    tap_grid,
-)
+from .channel import ChannelProfile, load_profile, realize_fading, subcarrier_gains, tap_grid
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import check_psk_order, psk_constellation
@@ -111,6 +107,10 @@ class SimConfig:
     def sample_period(self) -> float:
         return 1.0 / self.bandwidth_hz
 
+    @property
+    def profile(self) -> ChannelProfile:
+        return load_profile(self.channel, self.doppler_hz, self.custom_delays_ns, self.custom_powers_db)
+
     def validate(self) -> None:
         """Raise ConfigError for any config that would fail later; construction calls it.
 
@@ -167,7 +167,7 @@ class SimConfig:
         # imbalance are checked by the code that builds them
         try:
             check_psk_order(self.psk_order)
-            profile = resolve_profile(self)
+            profile = self.profile
             derive_iqi_params(self.iqi_kappa_db, self.iqi_phi_deg)
         except OverflowError as exc:
             raise ConfigError(
@@ -180,18 +180,6 @@ class SimConfig:
         spread = np.floor(profile.tap_delays_s[-1] / self.sample_period + 0.5)
         if spread > self.cp_len:
             raise ConfigError(f"channel delay spread {spread:.15g} samples exceeds cp_len {self.cp_len}")
-
-
-def resolve_profile(cfg: SimConfig) -> ChannelProfile:
-    """Channel profile named by the config; only channel "custom" takes tap tables."""
-    tables = (cfg.custom_delays_ns, cfg.custom_powers_db)
-    if cfg.channel != "custom":
-        if tables != (None, None):
-            raise ValueError(f"custom tap tables require channel 'custom', got {cfg.channel!r}")
-        return load_profile(cfg.channel, cfg.doppler_hz)
-    if None in tables:
-        raise ValueError("custom channel requires custom_delays_ns and custom_powers_db")
-    return custom_profile(*tables, cfg.doppler_hz)
 
 
 @dataclass(frozen=True)
@@ -225,7 +213,7 @@ class _PointEngine:
     def __init__(self, cfg: SimConfig, snr_db: float, keep_trace: bool = False):
         self.cfg = cfg
         self.snr_db = float(snr_db)
-        self.profile = resolve_profile(cfg)
+        self.profile = cfg.profile
         self.tap_sample_delays = tap_grid(self.profile, cfg.sample_period)[0]
         self.constellation = psk_constellation(cfg.psk_order)
         # the info matrices' entries: the same bytes as scaling after the gather
@@ -404,17 +392,10 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
     grid = sorted(set(float(s) for s in cfg.snr_grid_db))
     workers = min(workers, len(grid))
     if workers > 1:
-        # looked up on the module, so that __getattr__ imports it on first use
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        # imported here: concurrent.futures loads multiprocessing and
+        # logging, which only a parallel sweep needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_point, [cfg] * len(grid), grid))
     return [run_point(cfg, s) for s in grid]
-
-
-def __getattr__(name: str):
-    # ProcessPoolExecutor, imported on first use: concurrent.futures loads
-    # multiprocessing and logging, which only a parallel sweep needs
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor

@@ -75,12 +75,7 @@ def psk_decisions_with_margin(values: np.ndarray, order: int) -> tuple[np.ndarra
     check_psk_order(order)
     position = _half_step_phase(values, order)
     raw = np.floor(position)
-    position -= raw
-    position -= 0.5
-    margin = np.abs(position, out=position)
-    np.subtract(0.5, margin, out=margin)
-    margin *= np.abs(values)
-    margin *= 2.0 * math.sin(math.pi / order)
+    margin = (0.5 - np.abs(position - raw - 0.5)) * np.abs(values) * (2.0 * math.sin(math.pi / order))
     return np.bitwise_and(raw.astype(np.int64), order - 1), margin
 
 

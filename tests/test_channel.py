@@ -1,19 +1,21 @@
 """Unit tests for multipath profiles and the Rayleigh fading generator."""
+import re
+
 import numpy as np
 import pytest
 from scipy.special import j0
 
 from dstbc_ofdm import (
+    ChannelProfile,
     ConfigError,
     JakesFadingProcess,
     SimConfig,
-    custom_profile,
     load_profile,
     realize_fading,
     subcarrier_gains,
     tap_grid,
 )
-from dstbc_ofdm.channel import _oscillators
+from dstbc_ofdm.channel import PROFILE_NAMES, _PROFILE_TABLES, _oscillators
 
 SAMPLE_PERIOD = 1.0 / 5e6
 
@@ -61,7 +63,7 @@ def test_flat_profile_single_tap():
 
 def test_colliding_delays_merge_power():
     # both taps round to sample 1; their linear powers must add
-    prof = custom_profile((0.0, 150.0, 250.0), (0.0, -3.0, -3.0), 5.0)
+    prof = load_profile("custom", 5.0, (0.0, 150.0, 250.0), (0.0, -3.0, -3.0))
     positions, powers = tap_grid(prof, SAMPLE_PERIOD)
     assert positions.tolist() == [0, 1]
     total = 1.0 + 10 ** -0.3 + 10 ** -0.3
@@ -72,7 +74,7 @@ def test_tap_grid_merges_like_a_loop_in_tap_order(rng):
     # 50 ns steps put up to four taps on one 200 ns grid point
     for _ in range(50):
         delays = np.unique(rng.integers(1, 60, rng.integers(1, 12))) * 50.0
-        prof = custom_profile((0.0, *delays), rng.uniform(-20.0, 0.0, delays.size + 1), 5.0)
+        prof = load_profile("custom", 5.0, (0.0, *delays), rng.uniform(-20.0, 0.0, delays.size + 1))
         grid = np.floor(np.asarray(prof.tap_delays_s) / SAMPLE_PERIOD + 0.5).astype(int)
         expected = {}
         for pos, pwr in zip(grid.tolist(), prof.tap_powers_linear.tolist()):
@@ -89,15 +91,65 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         load_profile("itu-pb", -1.0)
     with pytest.raises(ValueError):
-        custom_profile((100.0, 200.0), (0.0, 0.0), 5.0)  # first delay must be zero
+        load_profile("custom", 5.0, (100.0, 200.0), (0.0, 0.0))  # first delay must be zero
     with pytest.raises(ValueError):
-        custom_profile((0.0, 200.0, 100.0), (0.0, 0.0, 0.0), 5.0)
+        load_profile("custom", 5.0, (0.0, 200.0, 100.0), (0.0, 0.0, 0.0))
 
 
 def test_profile_names_are_case_sensitive():
     # the one name check, shared with SimConfig, which rejects "ITU-PB" too
     with pytest.raises(ValueError, match="unknown channel profile 'ITU-PB'"):
         load_profile("ITU-PB", 1.0)
+
+
+def test_only_the_custom_profile_takes_tap_tables():
+    message = "custom channel requires custom_delays_ns and custom_powers_db"
+    for tables in ((None, None), ((0.0, 400.0), None), (None, (0.0, -3.0))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_profile("custom", 5.0, *tables)
+    # the table rule comes before the name check
+    for name in ("itu-pb", "flat", "cost207"):
+        message = f"custom tap tables require channel 'custom', got {name!r}"
+        for tables in (((0.0, 400.0), (0.0, -3.0)), (None, (0.0,)), ((0.0,), None)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_profile(name, 5.0, *tables)
+
+
+def profile_bytes(profile):
+    return np.array(profile.tap_delays_s).tobytes(), np.array(profile.tap_powers_db).tobytes()
+
+
+def test_custom_profile_equals_its_former_constructor(rng):
+    # load_profile("custom", ...) forms both tuples as the former
+    # custom_profile(delays_ns, powers_db, doppler_hz) did
+    tables = [
+        ((0.0, 150.0, 250.0), (0.0, -3.0, -3.0)),
+        ((0, 310, 2510), (0, -1, -20)),
+        (np.array([0.0, 125.5, 3700.0]), rng.uniform(-20.0, 0.0, 3)),
+        ([np.float32(0.0), np.int64(200)], [np.float32(-0.0), np.float64(-23.9)]),
+    ]
+    for delays, powers in tables:
+        prof = load_profile("custom", 7.0, delays, powers)
+        former = ChannelProfile(
+            tap_delays_s=tuple(float(d) * 1e-9 for d in delays),
+            tap_powers_db=tuple(float(p) for p in powers),
+            doppler_hz=7.0,
+        )
+        assert prof == former and hash(prof) == hash(former)
+        assert profile_bytes(prof) == profile_bytes(former)
+        assert all(type(v) is float for v in prof.tap_delays_s + prof.tap_powers_db)
+
+
+@pytest.mark.parametrize("name", PROFILE_NAMES)
+def test_named_profile_equals_its_table(name):
+    # the former load_profile scaled the table's delays and kept its powers
+    delays_ns, powers_db = _PROFILE_TABLES[name]
+    former = ChannelProfile(tuple(d * 1e-9 for d in delays_ns), powers_db, 11.6)
+    prof = load_profile(name, 11.6)
+    assert prof == former and hash(prof) == hash(former)
+    assert profile_bytes(prof) == profile_bytes(former)
+    # so tap_grid's cache serves both from one entry
+    assert tap_grid(prof, SAMPLE_PERIOD) is tap_grid(former, SAMPLE_PERIOD)
 
 
 def test_jakes_rejects_small_oscillator_count():

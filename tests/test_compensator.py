@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import (
+    SimConfig,
     alamouti_detect,
     build_residuals,
     compensate_observation,
@@ -12,9 +13,11 @@ from dstbc_ofdm import (
     derive_iqi_params,
     detect_pairs,
     gamma_true,
+    harness,
     lms_step,
     pair_bins,
     psk_constellation,
+    run_point,
 )
 
 from alamouti import AlamoutiMatrix
@@ -140,8 +143,52 @@ def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
         old_planes = (za[:, :-1], zb[:, :-1], za[:, 1:], zb[:, 1:])
         old1, old2 = alamouti_detect(*old_planes, order)
         det1, det2 = detect_pairs(z[..., bins], g, order)
-        # the same values reach the detector, bit for bit
-        for got, old in zip(planes.pop(), old_planes):
+        # the same values reach the detector, bit for bit: with gamma, the
+        # compensated desired planes and the mirror planes in two calls
+        assert len(planes) == (1 if g is None else 2)
+        got_planes = [np.concatenate(p, axis=-1) for p in zip(*planes)]
+        planes.clear()
+        for got, old in zip(got_planes, old_planes):
             assert got.tobytes() == np.ascontiguousarray(old[..., position]).tobytes()
         np.testing.assert_array_equal(det1, old1[..., position])
         np.testing.assert_array_equal(det2, old2[..., position])
+
+
+def test_detect_pairs_of_fourteen_frames_equal_their_per_frame_calls(monkeypatch):
+    # fourteen default LMS frames, one chunk's spectra and the gamma each
+    # observation saw, as the engine passes them
+    calls = []
+    real_detect_pairs = harness.detect_pairs
+
+    def recording_pairs(values, gamma, order):
+        calls.append((values, gamma))
+        return real_detect_pairs(values, gamma, order)
+
+    monkeypatch.setattr(harness, "detect_pairs", recording_pairs)
+    monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 4 * harness._CHUNK_SAMPLES)
+    cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, compensation="lms", min_bits=14 * 7440, seed=5)
+    run_point(cfg, 20.0)
+    [(values, gamma)] = calls
+    assert values.shape == (14, 42, 62) and gamma.shape == (14, 20, 31)
+    # a last-bit change in the planes that reach the detector need not flip
+    # a decision, so the planes themselves are compared
+    planes = []
+    real_detect = compensator.alamouti_detect
+
+    def recording(*args):
+        planes.append(args[:4])
+        return real_detect(*args)
+
+    monkeypatch.setattr(compensator, "alamouti_detect", recording)
+    batch = detect_pairs(values, gamma, 8)
+    batch_planes = planes[:]
+    planes.clear()
+    singles = [detect_pairs(v, g, 8) for v, g in zip(values, gamma)]
+    # the compensated desired planes, then the conjugated mirror planes
+    assert len(batch_planes) == 2 and len(planes) == 2 * 14
+    for call in range(2):
+        for got, parts in zip(batch_planes[call], zip(*planes[call::2])):
+            assert got.shape == (14, 20, 31)
+            assert got.tobytes() == np.stack(parts).tobytes()
+    for got, parts in zip(batch, zip(*singles)):
+        np.testing.assert_array_equal(got, np.stack(parts))

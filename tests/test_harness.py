@@ -1,4 +1,5 @@
 """Unit tests for the end-to-end simulation harness."""
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -17,7 +18,6 @@ from dstbc_ofdm import (
     run_sweep,
 )
 from dstbc_ofdm import harness
-from dstbc_ofdm.harness import resolve_profile
 from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS
 
 
@@ -148,7 +148,7 @@ def test_custom_channel_profile_resolution():
         doppler_hz=7.0,
     )
     cfg.validate()
-    prof = resolve_profile(cfg)
+    prof = cfg.profile
     assert prof.doppler_hz == 7.0
     assert len(prof.tap_delays_s) == 2
 
@@ -447,7 +447,7 @@ def test_sweep_starts_at_most_one_worker_per_point(monkeypatch, workers, grid, p
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = small_cfg(snr_grid_db=grid)
     records = run_sweep(cfg, workers=workers)
     assert started == pools

@@ -1,4 +1,6 @@
 """Unit tests for Gray labels, PSK constellations and the PSK decision rule."""
+import math
+
 import numpy as np
 import pytest
 
@@ -143,12 +145,48 @@ def test_decisions_equal_their_mod_oracle(order, rng):
         boundaries, 3.0 * boundaries, near_pi, edges,
     ])
     expected = _mod_decisions(values, order)
-    for actual in (nearest_psk_indices(values, order), psk_decisions_with_margin(values, order)[0]):
+    indices, margins = psk_decisions_with_margin(values, order)
+    for actual in (nearest_psk_indices(values, order), indices):
         assert actual.dtype == np.int64
         np.testing.assert_array_equal(actual, expected)
-    # scalars, as the exhaustive-search check passes them, and 0-d arrays
-    for value in values[-len(edges) - len(near_pi):]:
+    # scalars, as the exhaustive-search check passes them, and 0-d arrays;
+    # the margin function takes them too, and gives each its array margin
+    first = len(values) - len(edges) - len(near_pi)
+    for value, margin in zip(values[first:], margins[first:]):
         for scalar in (complex(value), value, np.array(value)):
             decision = nearest_psk_indices(scalar, order)
             assert np.ndim(decision) == 0
             assert decision == _mod_decisions(value, order) == nearest_psk_index(complex(value), order)
+            scalar_index, scalar_margin = psk_decisions_with_margin(scalar, order)
+            assert np.ndim(scalar_index) == np.ndim(scalar_margin) == 0
+            assert scalar_index == decision
+            assert np.float64(scalar_margin).tobytes() == margin.tobytes()
+
+
+def _in_place_margins(values, order):
+    """The margins as ``psk_decisions_with_margin`` once formed them, in place."""
+    position = np.arctan2(values.imag, values.real) / (2.0 * np.pi / order) + 0.5
+    raw = np.floor(position)
+    position -= raw
+    position -= 0.5
+    margin = np.abs(position, out=position)
+    np.subtract(0.5, margin, out=margin)
+    margin *= np.abs(values)
+    margin *= 2.0 * math.sin(math.pi / order)
+    return margin
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_margins_equal_their_in_place_form(order, rng):
+    # the same operations in the same order, out of place: the same bytes,
+    # on random values, on the boundaries and on the shape of a frame's
+    # stacked statistics
+    boundaries = np.exp(1j * np.pi * (2 * np.arange(order) + 1) / order)
+    for values in (
+        rng.standard_normal(5000) + 1j * rng.standard_normal(5000),
+        np.concatenate([boundaries, 3.0 * boundaries, [0.0, -1.0, 1e-300j]]),
+        rng.standard_normal((2, 20, 31)) * np.exp(2j * np.pi * rng.random((2, 20, 31))),
+    ):
+        margins = psk_decisions_with_margin(values, order)[1]
+        assert margins.shape == values.shape
+        assert margins.tobytes() == _in_place_margins(values, order).tobytes()
