@@ -11,6 +11,8 @@ compensator's whole state.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .iqi import IqiParams
@@ -80,6 +82,14 @@ def lms_step(gamma: complex, step_size: float, xi: complex, delta: complex) -> c
 # times U_k * U_n; 2**-40 is 8192 * 2**-53.
 _ROUNDING_BOUND = 2.0**-40
 
+# Block pairs a pass from gamma = 0 runs uncertified before it anchors.  gamma
+# settles within about 1 / (step_size * E|delta|**2), some 80 updates at the
+# default step size, so decisions anchored at 0 hold for few observations.
+# On 9-frame lms_compensation.cfg points (medians of 4 seeds) 3 cut the
+# fallbacks, warm-up included, at 30 dB from 586 to 95 and at 20 dB from 927
+# to 666; 1 left 871 at 20 dB, 9 left 280 at 30 dB, and 2 to 4 were close.
+_WARM_UP_BLOCK_PAIRS = 3
+
 
 def decision_directed_pass(
     low: np.ndarray,
@@ -101,12 +111,14 @@ def decision_directed_pass(
     decision-directed residuals.  Detection of the frame's bits is left to
     ``detect_pairs``.
 
-    The decisions are first taken for the whole frame at the input gamma
-    ``g0`` (``_anchor``), with a radius per observation within which they
-    provably do not change.  An observation whose gamma lies inside its
-    radius takes the anchor's residuals and runs only the two LMS steps;
-    any other runs the full per-observation body.  Both give the same
-    gamma, byte for byte.
+    The decisions are taken for the frame at one gamma ``g0`` (``_anchor``),
+    with a radius per observation within which they provably do not change.
+    An observation whose gamma lies inside its radius takes the anchor's
+    residuals and runs only the two LMS steps; any other runs the full
+    per-observation body.  Both give the same gamma, byte for byte.  ``g0``
+    is the input gamma, unless that is 0: gamma is then still converging,
+    so the first ``_WARM_UP_BLOCK_PAIRS`` block pairs run the full body
+    and the rest of the frame is anchored at the gamma they reach.
 
     Returns the gamma value after every update, two per observation; the
     last entry is the final gamma.  Observation i saw the input gamma for
@@ -116,42 +128,55 @@ def decision_directed_pass(
     # the block-to-block ratio is the transmitted, scaled info matrix
     ratios = constellation.points * INFO_SCALE
     ratio_list = ratios.tolist()
-    gamma = g0 = complex(gamma)
+    gamma = complex(gamma)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices
     residuals = build_residuals
     step = lms_step
     n_pairs = low.shape[1]
+    n_blocks = low.shape[0] // 2 - 1
+    warm = min(_WARM_UP_BLOCK_PAIRS, n_blocks) if gamma == 0 else 0
+    g0 = gamma
     rows = None
     trajectory: list[complex] = []
     append = trajectory.append
-    for i, (r, a1, d1, c1, a2, d2, c2) in enumerate(zip(*_anchor(low, image, g0, ratios))):
-        if abs(gamma - g0) < r:
-            # lms_step's expression, twice, on the anchor decision's residuals
-            gamma = gamma - step_size * (a1 + gamma * d1) * c1
-            append(gamma)
-            gamma = gamma - step_size * (a2 + gamma * d2) * c2
-            append(gamma)
+    # the warm-up head, then the rest of the frame; either may hold no block pair
+    for first, last in ((0, warm), (warm, n_blocks)):
+        if first == last:
             continue
-        if rows is None:
-            rows = low.tolist(), image.tolist()
-        low_rows, image_rows = rows
-        k, p = divmod(i, n_pairs)
-        j = 2 * k + 2
-        values = (
-            low_rows[j - 2][p], low_rows[j - 1][p], low_rows[j][p], low_rows[j + 1][p],
-            image_rows[j - 2][p], image_rows[j - 1][p], image_rows[j][p], image_rows[j + 1][p],
-        )
-        zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
-        i1, i2 = detect(
-            zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
-            order,
-        )
-        (xi1, delta1), (xi2, delta2) = residuals(values, ratio_list[i1], ratio_list[i2])
-        gamma = step(gamma, step_size, xi1, delta1)
-        trajectory.append(gamma)
-        gamma = step(gamma, step_size, xi2, delta2)
-        trajectory.append(gamma)
+        if first < warm:
+            # a radius of 0 certifies nothing: the head falls back throughout
+            certificate = repeat((0.0,) * 7, warm * n_pairs)
+        else:
+            g0 = gamma
+            certificate = zip(*_anchor(low[2 * first :], image[2 * first :], g0, ratios))
+        for i, (r, a1, d1, c1, a2, d2, c2) in enumerate(certificate, first * n_pairs):
+            if abs(gamma - g0) < r:
+                # lms_step's expression, twice, on the anchor decision's residuals
+                gamma = gamma - step_size * (a1 + gamma * d1) * c1
+                append(gamma)
+                gamma = gamma - step_size * (a2 + gamma * d2) * c2
+                append(gamma)
+                continue
+            if rows is None:
+                rows = low.tolist(), image.tolist()
+            low_rows, image_rows = rows
+            k, p = divmod(i, n_pairs)
+            j = 2 * k + 2
+            values = (
+                low_rows[j - 2][p], low_rows[j - 1][p], low_rows[j][p], low_rows[j + 1][p],
+                image_rows[j - 2][p], image_rows[j - 1][p], image_rows[j][p], image_rows[j + 1][p],
+            )
+            zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+            i1, i2 = detect(
+                zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
+                order,
+            )
+            (xi1, delta1), (xi2, delta2) = residuals(values, ratio_list[i1], ratio_list[i2])
+            gamma = step(gamma, step_size, xi1, delta1)
+            trajectory.append(gamma)
+            gamma = step(gamma, step_size, xi2, delta2)
+            trajectory.append(gamma)
     return np.asarray(trajectory, dtype=np.complex128)
 
 

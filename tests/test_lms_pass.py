@@ -263,6 +263,76 @@ def test_statistic_on_a_boundary_matches_oracle(order, on_boundary, seed):
 
 
 @pytest.mark.parametrize(
+    "order, on_boundary",
+    [(2, 1j), (2, -2j), (4, 1 + 1j), (4, -1 - 1j), (4, 0.5 - 0.5j)],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_statistic_on_a_boundary_at_the_anchor_matches_oracle(order, on_boundary, seed):
+    # a pass from a non-zero gamma anchors at once, so its first observation
+    # is certified at that gamma; with dyadic values z + gamma * zbar is
+    # exact, so the statistics sit exactly on the boundary there, while the
+    # non-zero image keeps the decision in the residuals (with zbar = 0 both
+    # updates would leave gamma as it is, whatever the decision)
+    low, image, _ = random_frame(seed)
+    gamma = 0.25 - 0.5j
+    image[0:4, 0] = (0.5, -0.25j, 0.75 + 0.25j, -0.5)
+    low[0:4, 0] = np.array((1.0, 0.0, on_boundary, on_boundary.conjugate())) - gamma * image[0:4, 0]
+    assert_bytes_match_oracle(low, image, gamma, 0.05, order)
+
+
+def test_cold_start_frame_is_mostly_certified(monkeypatch):
+    # the first frame of a point starts from gamma = 0; anchored at 0 it fell
+    # back on 515-614 of its 620 observations at 30 dB
+    cfg = bundled_lms_config(min_bits=FRAME_BITS)
+    low, image, gamma, trajectory = record_frames(monkeypatch, cfg, 30.0)[0]
+    assert gamma == 0
+    calls = count_kernel_calls(monkeypatch)
+    again = compensator.decision_directed_pass(
+        low, image, gamma, cfg.lms_step_size, psk_constellation(cfg.psk_order)
+    )
+    assert again.tobytes() == trajectory.tobytes()
+    assert calls["ml_differential_detect_indices"] == calls["build_residuals"]
+    assert calls["build_residuals"] < 20 * 31 / 2
+
+
+WARM_UP = compensator._WARM_UP_BLOCK_PAIRS
+
+
+@pytest.mark.parametrize("blocks", [1, 2, WARM_UP, WARM_UP + 1])
+def test_cold_start_frames_match_scalar_oracle(monkeypatch, blocks):
+    cfg = bundled_lms_config(blocks_per_frame=blocks, min_bits=20_000)
+    frames = record_frames(monkeypatch, cfg, 20.0)
+    assert frames[0][2] == 0
+    scalar_oracle_bytes(frames, cfg)
+    for seed in range(3):
+        low, image, _ = random_frame(seed, blocks=blocks)
+        assert_bytes_match_oracle(low, image, 0j, 0.05, 8)
+
+
+@pytest.mark.parametrize(
+    "blocks, gamma, anchors",
+    [(1, 0j, 0), (WARM_UP, 0j, 0), (WARM_UP + 1, 0j, 1), (1, 0.1j, 1), (WARM_UP, 0.1j, 1)],
+)
+def test_cold_start_anchors_only_after_the_warm_up(monkeypatch, blocks, gamma, anchors):
+    calls = []
+    real_anchor = compensator._anchor
+
+    def counted(low, image, g0, ratios):
+        calls.append((low.shape[0], g0))
+        return real_anchor(low, image, g0, ratios)
+
+    monkeypatch.setattr(compensator, "_anchor", counted)
+    low, image, _ = random_frame(5, blocks=blocks)
+    trajectory = compensator.decision_directed_pass(low, image, gamma, 0.005, psk_constellation(8))
+    assert len(calls) == anchors
+    if anchors and gamma == 0:
+        # the rest of the frame, anchored at the gamma the warm-up reached
+        assert calls[0] == (low.shape[0] - 2 * WARM_UP, trajectory[2 * WARM_UP * low.shape[1] - 1])
+    elif anchors:
+        assert calls[0] == (low.shape[0], gamma)
+
+
+@pytest.mark.parametrize(
     "gamma",
     [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(-math.inf, 1)],
 )
