@@ -115,7 +115,7 @@ def floor_onset_and_ideal_snr(irr_db: float) -> tuple[float, float]:
     within 0.41 dB (10*log10(1.1)) of its floor value ``1/rho``.  It is not
     the SNR where the BER first comes within 2x of its floor, which lies
     well below it: for a 2 dB / 8 degree front end (IRR 17.4 dB) the
-    simulated curve gets there at about 19.7 dB and ``ber_closed_form`` at
+    simulated curve gets there at about 20.1 dB and ``ber_closed_form`` at
     about 18 dB.  The floor value equals the leakage-free BER at an SNR of
     IRR dB.
     """

@@ -33,7 +33,7 @@ from .harness import (
     BerRecord,
     ConfigError,
     SimConfig,
-    _snr_key,
+    _check_snr_db,
     run_point_with_trace,
     run_sweep,
 )
@@ -58,8 +58,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ConfigError(f"SNR range needs finite start, stop and step, got {text!r}")
         if step <= 0 or stop < start:
             raise ConfigError(f"SNR range needs step > 0 and stop >= start, got {text!r}")
-        _snr_key(start)
-        _snr_key(stop)
+        _check_snr_db(start)
+        _check_snr_db(stop)
         # bounded before the range is built; the span is inf if step underflows
         span = (stop - start) / step + 1e-9
         if span >= _MAX_RANGE_POINTS:

@@ -23,10 +23,26 @@ Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
 samples (or one frame, if that is longer): four default frames, more of
 shorter ones.  Each stage runs once per chunk over a leading frame axis, so
 its numpy call overhead is paid once per chunk, not once per frame.  A
-point's seed spawns four independent streams: the fading's arrival angles,
+config's seed spawns four independent streams: the fading's arrival angles,
 its oscillator weights, the symbol indices and the noise.  A chunk draws
 from each stream once, in frame order, so records do not depend on the
 chunk size.
+
+The streams are keyed by the seed alone, so every SNR point of a config
+sees the same fading, symbols and standard normal noise draws (common
+random numbers): only the noise scale, and with it the imbalance stage,
+the compensation and detection, differ between points.  A group of points
+therefore runs in lockstep: each chunk's fading, draws, subcarrier gains
+and clean spectra (differential encoding and antenna map) are formed once,
+then each point's receiver adds its scaled noise and runs the rest.  A
+point's record does not depend on the other points of its group, so a
+sweep, a single point, any grid order and any worker count agree record
+for record.  Each point's BER has the distribution an independent run
+would give it, so its per-point uncertainty is unchanged; but the points'
+errors are positively correlated, so differences between points (and
+between configs at one seed) are paired comparisons with less spread than
+independent runs give, while a whole curve can sit high or low together
+and its points are not independent samples of one another.
 
 A differential receiver's one compensation state is gamma: none, the
 genie's exact value, or the LMS pass's running estimate.
@@ -162,7 +178,7 @@ class SimConfig:
         for value in self.snr_grid_db:
             if math.isnan(value):
                 raise ConfigError("snr_grid_db values must not be NaN")
-            _snr_key(value)
+            _check_snr_db(value)
         # the PSK order, the channel profile (its Doppler included) and the
         # imbalance are checked by the code that builds them
         try:
@@ -184,7 +200,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """Outcome of one simulated SNR point (elapsed time excluded from equality)."""
+    """Outcome of one simulated SNR point (elapsed time excluded from equality).
+
+    Points simulated together in one group (a sweep, or one worker's share
+    of it) run in lockstep, so ``elapsed_s`` is an even share of the
+    group's wall time, not the point's own.
+    """
 
     snr_db: float
     detection: str
@@ -198,33 +219,54 @@ class BerRecord:
     elapsed_s: float = field(compare=False, default=0.0)
 
 
-def _snr_key(snr_db: float) -> int:
-    """Non-negative integer naming an SNR value: +inf, or finite within 1000 dB."""
-    if math.isinf(snr_db) and snr_db > 0:
-        return 1 << 41
-    if abs(snr_db) <= 1000.0:
-        return int(round(snr_db * 1e6)) + (1 << 40)
-    raise ConfigError(f"snr_db {snr_db:g} out of supported range: finite within 1000 dB, or inf")
+def _check_snr_db(snr_db: float) -> None:
+    """Raise ConfigError unless an SNR value is +inf, or finite within 1000 dB."""
+    if not (snr_db == math.inf or abs(snr_db) <= 1000.0):
+        raise ConfigError(f"snr_db {snr_db:g} out of supported range: finite within 1000 dB, or inf")
 
 
-class _PointEngine:
-    """Shared state for simulating one (config, SNR) point in chunks of frames."""
+@dataclass
+class _Receiver:
+    """One SNR point of a group: its noise scale and its compensation state.
 
-    def __init__(self, cfg: SimConfig, snr_db: float, keep_trace: bool = False):
+    ``gamma`` is none, the genie's exact value, or the LMS pass's running
+    estimate, whose trajectory ``gamma_trace`` keeps on request.
+    """
+
+    snr_db: float
+    sigma: float
+    gamma: complex | None
+    gamma_trace: list[np.ndarray] | None
+
+
+class _GroupEngine:
+    """Simulates a group of SNR points of one config in lockstep, in chunks of frames."""
+
+    def __init__(self, cfg: SimConfig, snr_dbs, keep_trace: bool = False):
+        for snr_db in snr_dbs:
+            _check_snr_db(snr_db)
         self.cfg = cfg
-        self.snr_db = float(snr_db)
         self.profile = cfg.profile
         self.tap_sample_delays = tap_grid(self.profile, cfg.sample_period)[0]
         self.constellation = psk_constellation(cfg.psk_order)
         # the info matrices' entries: the same bytes as scaling after the gather
         self.info_points = self.constellation.points * INFO_SCALE
         self.iqi = derive_iqi_params(cfg.iqi_kappa_db, cfg.iqi_phi_deg)
-        # keyed by (seed, SNR value), so grid order is irrelevant
-        streams = np.random.SeedSequence([cfg.seed, _snr_key(snr_db)]).spawn(4)
+        # keyed by the seed alone: every point of the config sees the same draws
+        streams = np.random.SeedSequence([cfg.seed]).spawn(4)
         self.angle_rng, self.weight_rng, self.index_rng, self.noise_rng = (
             np.random.default_rng(s) for s in streams
         )
-        self.sigma = 0.0 if math.isinf(snr_db) else math.sqrt(10.0 ** (-snr_db / 10.0))
+        gamma = {"off": None, "genie_gamma": gamma_true(self.iqi), "lms": 0j}[cfg.compensation]
+        self.receivers = [
+            _Receiver(
+                float(snr_db),
+                0.0 if math.isinf(snr_db) else math.sqrt(10.0 ** (-snr_db / 10.0)),
+                gamma,
+                [] if keep_trace else None,
+            )
+            for snr_db in snr_dbs
+        ]
         n = cfg.n_subcarriers
         self.samples_per_symbol = n + cfg.cp_len
         self.pair_bins = pair_bins(n)
@@ -232,10 +274,6 @@ class _PointEngine:
         # differ; the M x M table is kept flat, as one-axis lookups are faster
         labels = self.constellation.bits_of_index.tolist()
         self.bit_errors = np.array([bin(d ^ t).count("1") for d in labels for t in labels])
-        # the one compensation state: none, the genie's exact gamma, or the
-        # LMS pass's running estimate, whose trajectory is kept on request
-        self.gamma = {"off": None, "genie_gamma": gamma_true(self.iqi), "lms": 0j}[cfg.compensation]
-        self.gamma_trace: list[np.ndarray] | None = [] if keep_trace else None
         self.n_blocks = cfg.blocks_per_frame
         self.n_symbols = 2 * self.n_blocks + (2 if cfg.detection == "differential" else 0)
 
@@ -245,27 +283,28 @@ class _PointEngine:
         """The symbol indices and the noise of the next ``n_frames`` frames.
 
         Returns the two symbol indices of every block, each (frame, block,
-        pair bin), and the noise, (frame, symbol, pair bin) or None: complex
-        values whose real and imaginary parts are consecutive standard normal
-        draws.  Each stream is consumed value by value (the bit generator
-        keeps the unused half of a 64-bit word for the next ``integers``
-        call), so one call for F frames equals F one-frame calls.
+        pair bin), and the noise, (frame, symbol, pair bin), or None when no
+        receiver of the group is noisy: complex values whose real and
+        imaginary parts are consecutive standard normal draws.  Each stream
+        is consumed value by value (the bit generator keeps the unused half
+        of a 64-bit word for the next ``integers`` call), so one call for F
+        frames equals F one-frame calls.
         """
         shape = (n_frames, self.n_blocks, self.pair_bins.shape[0], 2)
         indices = self.index_rng.integers(0, self.cfg.psk_order, size=shape)
         noise = None
-        if self.sigma > 0.0:
+        if any(rx.sigma > 0.0 for rx in self.receivers):
             normals = self.noise_rng.standard_normal((n_frames, self.n_symbols) + shape[2:])
             noise = normals.view(np.complex128)[..., 0]
         return indices[..., 0], indices[..., 1], noise
 
-    def _received_spectra(self, idx1, idx2, gains, noise) -> np.ndarray:
-        """The received spectra at the pair bins, (frame, symbol, pair bin).
+    def _clean_spectra(self, idx1, idx2, gains) -> np.ndarray:
+        """The noiseless spectra at the pair bins, (frame, symbol, pair bin).
 
-        ``idx1``, ``idx2`` and ``noise`` are ``_draw_indices_and_noise``'s
-        draws and ``gains`` the antennas' subcarrier gains, (frame, symbol,
-        antenna, pair bin).  A block with top row (s_a, s_b) sends s_a and
-        -conj(s_b) from the two antennas, then s_b and conj(s_a).
+        ``idx1`` and ``idx2`` are ``_draw_indices_and_noise``'s indices and
+        ``gains`` the antennas' subcarrier gains, (frame, symbol, antenna,
+        pair bin).  A block with top row (s_a, s_b) sends s_a and -conj(s_b)
+        from the two antennas, then s_b and conj(s_a).
         """
         s_a = self.info_points[idx1]
         s_b = self.info_points[idx2]
@@ -282,14 +321,21 @@ class _PointEngine:
         y = np.empty(gains.shape[:2] + gains.shape[3:], dtype=np.complex128)
         y[:, 0::2] = gains[:, 0::2, 0] * s_a - gains[:, 0::2, 1] * s_b_c
         y[:, 1::2] = gains[:, 1::2, 0] * s_b + gains[:, 1::2, 1] * s_a_c
-        if noise is not None:
-            y += (self.sigma * _INV_SQRT2) * noise
-        return apply_rx_iqi(y, self.iqi)
+        return y
 
-    def _adapt_gamma(self, values: np.ndarray) -> np.ndarray:
+    def _received_spectra(self, clean, noise, sigma: float) -> np.ndarray:
+        """One receiver's spectra: ``clean`` plus ``sigma / sqrt(2)`` times
+        ``noise``, through the imbalance; ``clean`` is left as it is for the
+        group's other receivers.
+        """
+        if noise is not None and sigma > 0.0:
+            clean = clean + (sigma * _INV_SQRT2) * noise
+        return apply_rx_iqi(clean, self.iqi)
+
+    def _adapt_gamma(self, values: np.ndarray, rx: _Receiver) -> np.ndarray:
         """The gamma each observation of a chunk saw, (frame, block pair, pair).
 
-        ``values`` is the chunk's spectra in pair order; the LMS pass runs
+        ``values`` is the receiver's spectra in pair order; the LMS pass runs
         frame after frame, each starting from the gamma the last one ended with.
         """
         half = values.shape[-1] // 2
@@ -297,7 +343,7 @@ class _PointEngine:
         for frame in values:
             try:
                 trajectory = decision_directed_pass(
-                    frame[:, :half], np.conj(frame[:, half:]), self.gamma,
+                    frame[:, :half], np.conj(frame[:, half:]), rx.gamma,
                     self.cfg.lms_step_size, self.constellation,
                 )
             except (ValueError, OverflowError) as exc:
@@ -305,17 +351,20 @@ class _PointEngine:
                 raise ConfigError(
                     f"lms_step_size {self.cfg.lms_step_size:g} is too large: gamma diverged"
                 ) from exc
-            seen.append(np.concatenate([[self.gamma], trajectory[1:-1:2]]))
-            self.gamma = trajectory[-1]
-            if self.gamma_trace is not None:
-                self.gamma_trace.append(trajectory)
+            seen.append(np.concatenate([[rx.gamma], trajectory[1:-1:2]]))
+            rx.gamma = trajectory[-1]
+            if rx.gamma_trace is not None:
+                rx.gamma_trace.append(trajectory)
         return np.reshape(seen, (values.shape[0], self.n_blocks, half))
 
-    def _chunk_errors(self, n_frames: int) -> int:
-        """Simulate the next ``n_frames`` frames and count their bit errors.
+    def _chunk_errors(self, n_frames: int) -> list[int]:
+        """Simulate the next ``n_frames`` frames and count each receiver's bit errors.
 
-        The chunk's arrays are freed on return, before the next chunk draws
-        its own, which keeps the working set to one chunk.
+        The fading, the draws, the gains and the clean spectra are formed
+        once for the group; each receiver then adds its noise and runs the
+        imbalance, its compensation and detection.  The chunk's arrays are
+        freed on return, before the next chunk draws its own, which keeps
+        the working set to one chunk and one receiver's spectra.
         """
         cfg = self.cfg
         taps = realize_fading(
@@ -329,65 +378,88 @@ class _PointEngine:
         )
         idx1, idx2, noise = self._draw_indices_and_noise(n_frames)
         gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)[..., self.pair_bins]
-        values = self._received_spectra(idx1, idx2, gains, noise)
-        if cfg.detection == "coherent":
-            # the channel is the reference block: its gains at the first
-            # symbol of each block, at both antennas
-            ref = gains[:, 0::2]
-            det1, det2 = alamouti_detect(
-                ref[:, :, 0], ref[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
-            )
-        else:
-            gamma = self._adapt_gamma(values) if cfg.compensation == "lms" else self.gamma
-            det1, det2 = detect_pairs(values, gamma, cfg.psk_order)
-        return int(
-            self.bit_errors[det1 * cfg.psk_order + idx1].sum()
-            + self.bit_errors[det2 * cfg.psk_order + idx2].sum()
-        )
+        del taps
+        clean = self._clean_spectra(idx1, idx2, gains)
+        # the coherent receiver's channel is the reference block: its gains
+        # at the first symbol of each block, at both antennas
+        ref = gains[:, 0::2]
+        errors = []
+        for rx in self.receivers:
+            values = self._received_spectra(clean, noise, rx.sigma)
+            if cfg.detection == "coherent":
+                det1, det2 = alamouti_detect(
+                    ref[:, :, 0], ref[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
+                )
+            else:
+                gamma = self._adapt_gamma(values, rx) if cfg.compensation == "lms" else rx.gamma
+                det1, det2 = detect_pairs(values, gamma, cfg.psk_order)
+            errors.append(int(
+                self.bit_errors[det1 * cfg.psk_order + idx1].sum()
+                + self.bit_errors[det2 * cfg.psk_order + idx2].sum()
+            ))
+            # freed before the next receiver allocates its own, as the taps
+            # were once the gains were formed: with both kept alive a
+            # four-point floor-sweep rep took about 2,500 minor page faults
+            # (a median of 26 without), plausibly glibc trimming and
+            # regrowing its heap at every chunk
+            del values, det1, det2
+        return errors
 
-    def run(self) -> BerRecord:
+    def run(self) -> list[BerRecord]:
+        """One record per receiver; each gets an even share of the group's wall time."""
         cfg = self.cfg
         start = time.perf_counter()
         bps = self.constellation.bits_per_symbol
         bits_per_frame = self.n_blocks * self.pair_bins.shape[0] * 2 * bps
         n_frames = -(-cfg.min_bits // bits_per_frame)
         chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
-        total_errors = 0
+        total_errors = np.zeros(len(self.receivers), dtype=np.int64)
         for first in range(0, n_frames, chunk):
             total_errors += self._chunk_errors(min(chunk, n_frames - first))
         total_bits = n_frames * bits_per_frame
-        elapsed = time.perf_counter() - start
-        return BerRecord(
-            snr_db=self.snr_db,
-            detection=cfg.detection,
-            compensation=cfg.compensation,
-            channel=cfg.channel,
-            doppler_hz=cfg.doppler_hz,
-            bits=total_bits,
-            bit_errors=total_errors,
-            ber=total_errors / total_bits,
-            seed=cfg.seed,
-            elapsed_s=elapsed,
-        )
+        elapsed = (time.perf_counter() - start) / len(self.receivers)
+        return [
+            BerRecord(
+                snr_db=rx.snr_db,
+                detection=cfg.detection,
+                compensation=cfg.compensation,
+                channel=cfg.channel,
+                doppler_hz=cfg.doppler_hz,
+                bits=total_bits,
+                bit_errors=errors,
+                ber=errors / total_bits,
+                seed=cfg.seed,
+                elapsed_s=elapsed,
+            )
+            for rx, errors in zip(self.receivers, total_errors.tolist())
+        ]
+
+
+def _run_group(cfg: SimConfig, snr_dbs) -> list[BerRecord]:
+    """Records of a group of SNR points, in the group's order."""
+    return _GroupEngine(cfg, snr_dbs).run()
 
 
 def run_point(cfg: SimConfig, snr_db: float) -> BerRecord:
     """Simulate one SNR point; identical (cfg, snr_db) gives identical output."""
-    return _PointEngine(cfg, snr_db).run()
+    return _run_group(cfg, [snr_db])[0]
 
 
 def run_point_with_trace(cfg: SimConfig, snr_db: float) -> tuple[BerRecord, np.ndarray]:
     """Like run_point but also returns the LMS gamma trajectory (per update)."""
-    engine = _PointEngine(cfg, snr_db, keep_trace=True)
-    record = engine.run()
-    trace = engine.gamma_trace
+    engine = _GroupEngine(cfg, [snr_db], keep_trace=True)
+    [record] = engine.run()
+    trace = engine.receivers[0].gamma_trace
     return record, np.concatenate(trace) if trace else np.empty(0, dtype=np.complex128)
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
-    """Simulate every SNR grid point, sorted ascending; points are independent.
+    """Simulate every SNR grid point, sorted ascending.
 
-    Runs up to ``workers`` processes, never more than there are points.
+    The points share every draw (see the module docstring), so each record
+    equals ``run_point`` at its SNR, whatever the rest of the grid.  Runs up
+    to ``workers`` processes, never more than there are points, each on an
+    interleaved group of the grid.
     """
     grid = sorted(set(float(s) for s in cfg.snr_grid_db))
     workers = min(workers, len(grid))
@@ -396,6 +468,8 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
         # logging, which only a parallel sweep needs
         from concurrent.futures import ProcessPoolExecutor
 
+        groups = [grid[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_point, [cfg] * len(grid), grid))
-    return [run_point(cfg, s) for s in grid]
+            records = [r for group in pool.map(_run_group, [cfg] * workers, groups) for r in group]
+        return sorted(records, key=lambda r: r.snr_db)
+    return _run_group(cfg, grid)

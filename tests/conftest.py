@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import importlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,30 @@ def pair_decisions(low, image, gamma, trajectory, order):
     desired, mirror = np.s_[:, :pairs], np.s_[:, pairs:]
     columns = (det1[desired], det2[desired], det1[mirror], det2[mirror])
     return np.stack(columns, axis=-1).reshape(-1, 4)
+
+
+def count_package_calls(monkeypatch, targets):
+    """Call counts of every ``(module, function)`` target, however the caller binds it.
+
+    Every package binding of each target is swapped, as perfbench's tracer
+    does, so a function bound at import time under another name is counted
+    too.  The counts are keyed by function name.
+    """
+    calls = {}
+    for module, name in targets:
+        original = getattr(importlib.import_module(f"dstbc_ofdm.{module}"), name)
+        calls[name] = 0
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "dstbc_ofdm" or mod_name.startswith("dstbc_ofdm."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from dstbc_ofdm import (
     psk_constellation,
     run_point,
     run_point_with_trace,
+    run_sweep,
 )
 from dstbc_ofdm.stbc import alamouti_detect, ml_differential_detect_indices
 
@@ -64,10 +65,10 @@ class Curve:
 
 
 def sweep(grid, **cfg_kwargs) -> Curve:
-    cfg = SimConfig(seed=SEED, **cfg_kwargs)
+    cfg = SimConfig(seed=SEED, snr_grid_db=tuple(float(s) for s in grid), **cfg_kwargs)
     start = time.perf_counter()
-    bers = [run_point(cfg, float(s)).ber for s in grid]
-    return Curve([float(s) for s in grid], bers, time.perf_counter() - start)
+    records = run_sweep(cfg)
+    return Curve([r.snr_db for r in records], [r.ber for r in records], time.perf_counter() - start)
 
 
 @pytest.fixture(scope="module")

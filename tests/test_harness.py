@@ -20,6 +20,24 @@ from dstbc_ofdm import (
 from dstbc_ofdm import harness
 from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS
 
+from conftest import count_package_calls
+
+
+class SerialPool:
+    """A process pool that runs its map in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
 
 def small_cfg(**overrides):
     base = dict(min_bits=20_000, seed=5)
@@ -182,6 +200,58 @@ def test_grid_order_does_not_matter():
     assert fwd == singles
 
 
+@pytest.mark.parametrize(
+    "companions", [(10.0, 30.0), (10.0, 30.0, math.inf)], ids=["noisy", "with_inf"]
+)
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(), dict(compensation="lms"), dict(detection="coherent")],
+    ids=["off", "lms", "coherent"],
+)
+def test_sweep_records_do_not_depend_on_companion_points(overrides, companions):
+    # every point sees the same draws, and only its own receiver differs;
+    # six default frames are two chunks, so gamma crosses a chunk boundary
+    cfg = small_cfg(
+        iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=6 * 7440,
+        snr_grid_db=(20.0,) + companions, **overrides,
+    )
+    alone, alone_trace = run_point_with_trace(cfg, 20.0)
+    assert run_sweep(dataclasses.replace(cfg, snr_grid_db=(20.0,))) == [alone]
+    grid = sorted(cfg.snr_grid_db)
+    assert run_sweep(cfg) == [run_point(cfg, s) for s in grid]
+    # the 20 dB receiver's gamma trajectory keeps its bytes in the group
+    engine = harness._GroupEngine(cfg, grid, keep_trace=True)
+    records = engine.run()
+    [rx] = [rx for rx in engine.receivers if rx.snr_db == 20.0]
+    assert records[grid.index(20.0)] == alone
+    trace = np.concatenate(rx.gamma_trace) if rx.gamma_trace else np.empty(0, dtype=np.complex128)
+    assert trace.tobytes() == alone_trace.tobytes()
+    assert (trace.shape[0] > 0) == (cfg.compensation == "lms")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_draws_each_chunk_once_per_group(monkeypatch, workers):
+    # six default frames are two chunks, of four frames and two; each
+    # worker simulates one group of the four points
+    calls = count_package_calls(monkeypatch, (("channel", "realize_fading"), ("iqi", "apply_rx_iqi")))
+    draws = []
+    real_draws = harness._GroupEngine._draw_indices_and_noise
+
+    def counted_draws(engine, n_frames):
+        draws.append(n_frames)
+        return real_draws(engine, n_frames)
+
+    monkeypatch.setattr(harness._GroupEngine, "_draw_indices_and_noise", counted_draws)
+    # the groups run in this process, so the counters see them
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    records = run_sweep(small_cfg(min_bits=6 * 7440, snr_grid_db=(10.0, 20.0, 30.0, 40.0)), workers)
+    assert len(records) == 4
+    assert draws == [4, 2] * workers
+    assert calls["realize_fading"] == 2 * workers
+    # every point's receiver still runs on every chunk
+    assert calls["apply_rx_iqi"] == 2 * 4
+
+
 def test_record_fields():
     cfg = small_cfg(iqi_kappa_db=1.0, iqi_phi_deg=2.0, compensation="genie_gamma")
     r = run_point(cfg, 18.0)
@@ -240,22 +310,23 @@ def test_frame_count_matches_frame_by_frame_loop():
 @pytest.mark.parametrize(
     "overrides, snr_db, bits, bit_errors",
     [
-        (dict(blocks_per_frame=2), 15.0, 30504, 1705),
-        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 1120),
-        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2167),
-        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 1038),
+        (dict(blocks_per_frame=2), 15.0, 30504, 1635),
+        (dict(blocks_per_frame=3, compensation="genie_gamma"), 15.0, 30132, 925),
+        (dict(blocks_per_frame=4, detection="coherent", doppler_hz=463.0), 10.0, 31248, 2162),
+        (dict(blocks_per_frame=2, compensation="lms"), 15.0, 30504, 976),
         (
             dict(blocks_per_frame=2, detection="coherent", psk_order=16, channel="flat"),
-            20.0, 30752, 1348,
+            20.0, 30752, 1426,
         ),
-        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 526),
+        (dict(blocks_per_frame=2, psk_order=4), 15.0, 30256, 496),
     ],
     ids=[f"overrides{i}" for i in range(6)],
 )
 def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_errors):
-    # recorded once each point drew from four streams (fading angles,
-    # fading weights, symbol indices, noise); these frames are short enough
-    # that every chunk holds several of them
+    # recorded once every point of a config drew from the same four streams
+    # (fading angles, fading weights, symbol indices, noise), keyed by the
+    # seed alone; these frames are short enough that every chunk holds
+    # several of them
     cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=30_000, seed=31337, **overrides)
     r = run_point(cfg, snr_db)
     assert (r.bits, r.bit_errors) == (bits, bit_errors)
@@ -264,14 +335,14 @@ def test_short_frames_reproduce_golden_records(overrides, snr_db, bits, bit_erro
 @pytest.mark.parametrize(
     "overrides, bit_errors, trace_sha256",
     [
-        (dict(compensation="off"), 7826, None),
-        (dict(compensation="genie_gamma"), 2925, None),
+        (dict(compensation="off"), 7262, None),
+        (dict(compensation="genie_gamma"), 1772, None),
         (
             dict(compensation="lms"),
-            2956,
-            "f63f96fea146cab628ea07750d94c48796e8b8fef5e766e8e1de872d420269c5",
+            1811,
+            "6bd6a436f04c01233191a55de755355909adbb6dcacc27ac74a49798957bc2ee",
         ),
-        (dict(detection="coherent"), 3223, None),
+        (dict(detection="coherent"), 3022, None),
     ],
     ids=["off", "genie_gamma", "lms", "coherent"],
 )
@@ -364,8 +435,8 @@ def test_index_and_noise_draws_do_not_depend_on_chunk_size(psk_order):
     cfg = small_cfg(
         psk_order=psk_order, n_subcarriers=8, cp_len=4, channel="flat", blocks_per_frame=3
     )
-    batch = harness._PointEngine(cfg, 10.0)._draw_indices_and_noise(5)
-    single = harness._PointEngine(cfg, 10.0)
+    batch = harness._GroupEngine(cfg, [10.0])._draw_indices_and_noise(5)
+    single = harness._GroupEngine(cfg, [10.0])
     singles = [single._draw_indices_and_noise(1) for _ in range(5)]
     for batched, parts in zip(batch, zip(*singles)):
         assert batched.tobytes() == np.concatenate(parts).tobytes()
@@ -432,20 +503,11 @@ def test_package_import_leaves_process_pools_unloaded(package_env):
 def test_sweep_starts_at_most_one_worker_per_point(monkeypatch, workers, grid, pools):
     started = []
 
-    class RecordingPool:
-        """Runs the points serially and keeps the pool size asked for."""
+    class RecordingPool(SerialPool):
+        """Keeps the pool size asked for."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = small_cfg(snr_grid_db=grid)

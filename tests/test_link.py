@@ -30,18 +30,24 @@ def chunk_draws(monkeypatch, engine, n_frames):
     """The fading taps, symbol indices, noise and per-bin spectra of one engine chunk."""
     seen = {}
     real_fading = harness.realize_fading
+    real_draws = engine._draw_indices_and_noise
     real_spectra = engine._received_spectra
 
     def recording_fading(*args, **kwargs):
         seen["taps"] = real_fading(*args, **kwargs)
         return seen["taps"]
 
-    def recording_spectra(idx1, idx2, gains, noise):
-        values = real_spectra(idx1, idx2, gains, noise)
-        seen.update(idx1=idx1, idx2=idx2, noise=noise, values=values)
-        return values
+    def recording_draws(n):
+        draws = real_draws(n)
+        seen.update(zip(("idx1", "idx2", "noise"), draws))
+        return draws
+
+    def recording_spectra(*args, **kwargs):
+        seen["values"] = real_spectra(*args, **kwargs)
+        return seen["values"]
 
     monkeypatch.setattr(harness, "realize_fading", recording_fading)
+    monkeypatch.setattr(engine, "_draw_indices_and_noise", recording_draws)
     monkeypatch.setattr(engine, "_received_spectra", recording_spectra)
     engine._chunk_errors(n_frames)
     return seen
@@ -73,7 +79,7 @@ def antenna_grid(idx1, idx2, order, differential):
 @pytest.mark.parametrize("link", sorted(LINKS))
 def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
     cfg = SimConfig(blocks_per_frame=2, iqi_kappa_db=iqi[0], iqi_phi_deg=iqi[1], **LINKS[link])
-    engine = harness._PointEngine(cfg, snr_db)
+    engine = harness._GroupEngine(cfg, [snr_db])
     seen = chunk_draws(monkeypatch, engine, n_frames=3)
     assert (seen["noise"] is None) == math.isinf(snr_db)
     bins = engine.pair_bins
@@ -92,7 +98,7 @@ def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
         seen["taps"],
         tap_grid(engine.profile, cfg.sample_period)[0],
         cfg.cp_len,
-        engine.sigma,
+        engine.receivers[0].sigma,
         engine.iqi,
         noise,
     )[..., bins]
@@ -108,15 +114,17 @@ def test_link_step_of_a_large_chunk_equals_its_per_frame_calls(detection):
     # x 62 complex values (14 x 20 x 62 coherent), past numpy's 256 KiB size
     # for multiplying into a temporary in place, while one frame's stay below it
     cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, detection=detection)
-    engine = harness._PointEngine(cfg, 10.0)
+    engine = harness._GroupEngine(cfg, [10.0])
     idx1, idx2, noise = engine._draw_indices_and_noise(14)
     shape = (14, engine.n_symbols, 2, engine.pair_bins.shape[0])
     rng = np.random.default_rng(14)
     gains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert idx1.size * 16 > 256 * 1024
-    whole = engine._received_spectra(idx1, idx2, gains, noise)
-    frames = [
-        engine._received_spectra(idx1[f : f + 1], idx2[f : f + 1], gains[f : f + 1], noise[f : f + 1])
-        for f in range(14)
-    ]
+
+    def link(frames):
+        clean = engine._clean_spectra(idx1[frames], idx2[frames], gains[frames])
+        return engine._received_spectra(clean, noise[frames], engine.receivers[0].sigma)
+
+    whole = link(slice(None))
+    frames = [link(slice(f, f + 1)) for f in range(14)]
     assert whole.tobytes() == np.concatenate(frames).tobytes()

@@ -63,7 +63,8 @@ def test_simulate_transcript_matches_the_cli(capsys):
     shown = [line for line in match.group(1).splitlines() if line.startswith("snr_db=")]
     snrs = [re.match(r"snr_db=(\S+) ", line).group(1) for line in shown]
     assert len(shown) >= 2
-    # records are keyed by (seed, SNR), so the shown points alone reproduce their lines
+    # a record does not depend on the other points of its sweep, so the shown
+    # points alone reproduce their lines
     config = str(ROOT / "src" / "dstbc_ofdm" / "configs" / "iqi_baseline.cfg")
     assert main(["simulate", "--config", config, "--snr", ",".join(snrs)]) == 0
     assert capsys.readouterr().out.splitlines() == shown
