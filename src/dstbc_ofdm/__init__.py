@@ -5,9 +5,9 @@ Modules
 numerics     PSK constellations, Gray labels and the PSK decision rule.
 stbc         Alamouti top rows: differential encoding, one ML detector.
 channel      Tapped-delay-line profiles, Jakes fading, subcarrier gains.
-ofdm         Subcarrier layout: the active bins in (k, mirror) pair order.
-iqi          Receiver I/Q imbalance parameters and per-bin distortion.
-compensator  Decision-directed LMS image-leakage compensation.
+ofdm         Subcarrier layout: (k, mirror) pair order and its image map.
+iqi          Receiver I/Q imbalance: alpha*Y + beta*(the pair image of Y).
+compensator  Y + gamma*(the pair image of Y), gamma by decision-directed LMS.
 analysis     SINR, error floors and closed-form BER approximations.
 harness      Per-bin frame simulation and sweeps.
 cli          Command line front end; writes every output file.
@@ -51,7 +51,7 @@ from .numerics import (
     nearest_psk_indices,
     psk_constellation,
 )
-from .ofdm import pair_bins
+from .ofdm import pair_bins, pair_image
 from .stbc import alamouti_detect, differential_encode, ml_differential_detect_indices
 
 __version__ = "0.1.0"
@@ -83,6 +83,7 @@ __all__ = [
     "ml_differential_detect_indices",
     "nearest_psk_indices",
     "pair_bins",
+    "pair_image",
     "psk_constellation",
     "realize_fading",
     "run_point",

@@ -1,13 +1,12 @@
 """Decision-directed image-leakage compensation.
 
-A single complex coefficient ``gamma`` reconstructs the desired subcarrier
-from the observed pair: ``Zhat = Z' + diag(gamma, conj(gamma)) @ Zbar'`` and
-``Zbarhat = diag(conj(gamma), gamma) @ Z' + Zbar'``.  With
-``gamma = -beta / conj(alpha)`` the image leakage cancels exactly and both
-compensated pairs again satisfy the differential relation, so the running
-coefficient can be adapted from decision-directed residuals with scalar LMS
-steps; one shared gamma serves every subcarrier pair and is the
-compensator's whole state.
+A single complex coefficient ``gamma`` undoes the imbalance with its own
+widely-linear structure, ``Zhat = Z' + gamma * ofdm.pair_image(Z')`` at both
+members of every (k, mirror) pair.  With ``gamma = -beta / conj(alpha)`` the
+image leakage cancels exactly and both compensated subcarriers again
+satisfy the differential relation, so the running coefficient can be
+adapted from decision-directed residuals with scalar LMS steps; one shared
+gamma serves every subcarrier pair and is the compensator's whole state.
 """
 from __future__ import annotations
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .iqi import IqiParams
 from .numerics import PskConstellation, psk_decisions_with_margin
+from .ofdm import pair_image
 from .stbc import INFO_SCALE, alamouti_detect, alamouti_statistics, ml_differential_detect_indices
 
 
@@ -25,27 +25,21 @@ def gamma_true(params: IqiParams) -> complex:
     return -params.beta / np.conj(params.alpha)
 
 
-def compensate_observation(values: tuple, gamma: complex) -> tuple:
-    """Apply the widely-linear correction to both blocks of an observation.
+def compensate_observation(planes: tuple, gamma) -> tuple:
+    """``Z + gamma*ofdm.pair_image(Z)`` on each pair-order plane, shape (..., 2 * pair).
 
-    ``values`` is the 8-tuple ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a,
-    zbar_k.b, zbar_next.a, zbar_next.b)`` of the Alamouti top rows of blocks
-    k and k+1 at the desired subcarrier and of the elementwise-conjugated
-    image subcarrier; the result has the same layout.  The entries may be
-    arrays of one shape, with ``gamma`` a scalar or an array of that shape.
+    ``gamma`` is a scalar or one value per observation, shape (..., pair),
+    which serves both members of its pair.
     """
-    zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
-    gamma_c = gamma.conjugate()
-    return (
-        zk_a + gamma * bk_a,
-        zk_b + gamma * bk_b,
-        zn_a + gamma * bn_a,
-        zn_b + gamma * bn_b,
-        bk_a + gamma_c * zk_a,
-        bk_b + gamma_c * zk_b,
-        bn_a + gamma_c * zn_a,
-        bn_b + gamma_c * zn_b,
-    )
+    if np.ndim(gamma):
+        gamma = np.tile(gamma, 2)
+    result = []
+    for plane in planes:
+        # bound to a name, as in stbc.alamouti_statistics, so that numpy never
+        # multiplies into it in place: 14 frames' planes exceed 256 KiB
+        image = pair_image(plane)
+        result.append(plane + gamma * image)
+    return tuple(result)
 
 
 def build_residuals(
@@ -55,13 +49,15 @@ def build_residuals(
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """Scalar LMS sample pairs from the raw (uncompensated) observation.
 
-    ``values`` has the layout of ``compensate_observation``.  ``(u1, u2)``
-    is the top row of the block-to-block ratio actually transmitted (the
-    detected info matrix including any unitarity scaling).  With
-    ``Xi = Z'_next - Z'_k @ U`` and ``Delta = Zbar'_next - Zbar'_k @ U``
-    the two usable equations linear in gamma are the (1,1) entries and the
-    conjugated (2,1) entries: ``(Xi[0,0], Delta[0,0])`` and
-    ``(conj(Xi[1,0]), conj(Delta[1,0]))``.
+    ``values`` is the 8-tuple ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a,
+    zbar_k.b, zbar_next.a, zbar_next.b)`` of the Alamouti top rows of blocks
+    k and k+1 at the desired subcarrier and of the elementwise-conjugated
+    image subcarrier.  ``(u1, u2)`` is the top row of the block-to-block
+    ratio actually transmitted (the detected info matrix including any
+    unitarity scaling).  With ``Xi = Z'_next - Z'_k @ U`` and ``Delta =
+    Zbar'_next - Zbar'_k @ U`` the two usable equations linear in gamma are
+    the (1,1) entries and the conjugated (2,1) entries: ``(Xi[0,0],
+    Delta[0,0])`` and ``(conj(Xi[1,0]), conj(Delta[1,0]))``.
     """
     zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
     u1_c = u1.conjugate()
@@ -104,7 +100,7 @@ def decision_directed_pass(
     active (k, mirror) pair and ``image`` the conjugated values at its
     mirror, both of shape (OFDM symbol, pair); symbols 2k and 2k+1 carry
     block k.  Observations run pair after pair in ascending order, block
-    pair after block pair, each in the layout of ``compensate_observation``.
+    pair after block pair, each in the layout of ``build_residuals``.
     Gamma depends only on the desired-subcarrier decisions, so per
     observation the loop compensates the desired values with the current
     gamma, detects their info matrix and runs two LMS updates from the
@@ -271,23 +267,16 @@ def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray
 def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Differential decisions at both members of every (k, mirror) pair.
 
-    ``values`` holds spectra in pair order, shape (..., OFDM symbol, 2 * pair):
-    the lower members, then their mirrors, as ``ofdm.pair_bins`` lists them.  Unless ``gamma`` is None, each
-    lower member and its conjugated mirror are first compensated with it, a
-    scalar or one value per observation, shape (..., block pair, pair).
+    ``values`` holds spectra in pair order, shape (..., OFDM symbol, 2 *
+    pair).  Unless ``gamma`` is None, the block planes are first compensated
+    with it, a scalar or one value per observation, shape (..., block pair,
+    pair); a compensated mirror ``m + gamma*conj(z)`` is in the direct
+    differential form too, so one detector call decides both members.
     Returns the two symbol indices of each (block pair, pair member).
     """
     za = values[..., 0::2, :]
     zb = values[..., 1::2, :]
     planes = (za[..., :-1, :], zb[..., :-1, :], za[..., 1:, :], zb[..., 1:, :])
-    if gamma is None:
-        return alamouti_detect(*planes, order)
-    half = values.shape[-1] // 2
-    low = tuple(p[..., :half] for p in planes)
-    image = tuple(np.conj(p[..., half:]) for p in planes)
-    comp = compensate_observation(low + image, gamma)
-    desired = alamouti_detect(*comp[:4], order)
-    # conjugating the compensated mirror pair turns its differential
-    # relation back into the direct form, so the same detector applies
-    mirror = alamouti_detect(*(np.conj(p) for p in comp[4:]), order)
-    return tuple(np.concatenate(pair, axis=-1) for pair in zip(desired, mirror))
+    if gamma is not None:
+        planes = compensate_observation(planes, gamma)
+    return alamouti_detect(*planes, order)

@@ -67,7 +67,7 @@ from .channel import ChannelProfile, load_profile, realize_fading, subcarrier_ga
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import check_psk_order, psk_constellation
-from .ofdm import pair_bins
+from .ofdm import pair_bins, pair_image
 from .stbc import INFO_SCALE, alamouti_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
@@ -196,6 +196,9 @@ class SimConfig:
         spread = np.floor(profile.tap_delays_s[-1] / self.sample_period + 0.5)
         if spread > self.cp_len:
             raise ConfigError(f"channel delay spread {spread:.15g} samples exceeds cp_len {self.cp_len}")
+        # realize_fading's largest oscillator phase step per OFDM symbol, in its order
+        if not math.isfinite((n + self.cp_len) * self.sample_period * (2.0 * math.pi * self.doppler_hz)):
+            raise ConfigError(f"doppler_hz {self.doppler_hz:g} overflows the fading phase step per symbol")
 
 
 @dataclass(frozen=True)
@@ -343,7 +346,7 @@ class _GroupEngine:
         for frame in values:
             try:
                 trajectory = decision_directed_pass(
-                    frame[:, :half], np.conj(frame[:, half:]), rx.gamma,
+                    frame[:, :half], pair_image(frame)[:, :half], rx.gamma,
                     self.cfg.lms_step_size, self.constellation,
                 )
             except (ValueError, OverflowError) as exc:

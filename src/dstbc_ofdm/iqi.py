@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ofdm import pair_image
+
 
 @dataclass(frozen=True)
 class IqiParams:
@@ -42,13 +44,8 @@ def derive_iqi_params(kappa_db: float, phi_deg: float) -> IqiParams:
 
 
 def apply_rx_iqi(spectra: np.ndarray, params: IqiParams) -> np.ndarray:
-    """Distort spectra in pair order: ``alpha*Y + beta*conj(Y of the mirror)``.
-
-    The last axis holds the bins ``ofdm.pair_bins`` lists: the lower members
-    of the (k, N-k) pairs, then their mirrors in the same order, so each half
-    is the other's image.
-    """
+    """Distort spectra in pair order: ``alpha*Y + beta*ofdm.pair_image(Y)``."""
     spectra = np.asarray(spectra, dtype=np.complex128)
-    half = spectra.shape[-1] // 2
-    image = np.conj(np.concatenate([spectra[..., half:], spectra[..., :half]], axis=-1))
+    # named, as in stbc.alamouti_statistics: numpy never multiplies into it
+    image = pair_image(spectra)
     return params.alpha * spectra + params.beta * image

@@ -15,3 +15,13 @@ def pair_bins(n: int) -> np.ndarray:
     """The active bins in pair order: ``1..N/2-1``, then their mirrors ``N-k``."""
     low = np.arange(1, n // 2, dtype=np.int64)
     return np.concatenate([low, n - low])
+
+
+def pair_image(spectra: np.ndarray) -> np.ndarray:
+    """The conjugate of each bin's mirror, for spectra in pair order.
+
+    The last axis holds the bins ``pair_bins`` lists, so the mirrors of one
+    half are the other half in the same order: the halves swap.
+    """
+    half = spectra.shape[-1] // 2
+    return np.conj(np.concatenate([spectra[..., half:], spectra[..., :half]], axis=-1))

@@ -107,6 +107,12 @@ def synthetic_observation(rng, params, order=8, indices=None):
     return obs, ratio, mirror_ratio, indices
 
 
+def pair_planes(observation):
+    """The four pair-order planes of one 8-tuple observation, one pair wide:
+    each top-row entry at the desired subcarrier, then at its mirror."""
+    return tuple(np.array([z, np.conj(b)]) for z, b in zip(observation[:4], observation[4:]))
+
+
 def as_planes(observations):
     """``(low, image)`` arrays of one block pair, one pair per 8-tuple observation."""
     values = np.array(observations, dtype=np.complex128).T

@@ -10,6 +10,10 @@ gives the same gamma trajectory, and ``detect_pairs`` the same bits.
 decisions were certified per frame: every observation is detected, its
 residuals built and two LMS steps taken, in plain complex arithmetic.  It
 is the byte oracle: the package's pass must give the same gamma bytes.
+
+``tuple_compensate_observation`` is the package's array compensation as it
+was on the 8-value layout, desired and conjugated image values apart; the
+package's pair-order planes must hold the same bytes.
 """
 from __future__ import annotations
 
@@ -238,3 +242,26 @@ def scalar_decision_directed_pass(low, image, gamma, step_size, constellation):
             gamma = step(gamma, step_size, xi2, delta2)
             trajectory.append(gamma)
     return np.asarray(trajectory, dtype=np.complex128)
+
+
+def tuple_compensate_observation(values: tuple, gamma: complex) -> tuple:
+    """Apply the widely-linear correction to both blocks of an observation.
+
+    ``values`` is the 8-tuple ``(z_k.a, z_k.b, z_next.a, z_next.b, zbar_k.a,
+    zbar_k.b, zbar_next.a, zbar_next.b)`` of the Alamouti top rows of blocks
+    k and k+1 at the desired subcarrier and of the elementwise-conjugated
+    image subcarrier; the result has the same layout.  The entries may be
+    arrays of one shape, with ``gamma`` a scalar or an array of that shape.
+    """
+    zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+    gamma_c = gamma.conjugate()
+    return (
+        zk_a + gamma * bk_a,
+        zk_b + gamma * bk_b,
+        zn_a + gamma * bn_a,
+        zn_b + gamma * bn_b,
+        bk_a + gamma_c * zk_a,
+        bk_b + gamma_c * zk_b,
+        bn_a + gamma_c * zn_a,
+        bn_b + gamma_c * zn_b,
+    )

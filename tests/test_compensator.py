@@ -20,8 +20,9 @@ from dstbc_ofdm import (
     run_point,
 )
 
+import object_pass
 from alamouti import AlamoutiMatrix
-from conftest import as_planes, indices_to_bits, pair_decisions, synthetic_observation
+from conftest import as_planes, indices_to_bits, pair_decisions, pair_planes, synthetic_observation
 
 
 def test_gamma_true_value():
@@ -45,9 +46,11 @@ def test_compensation_restores_both_chains(rng):
     g = gamma_true(params)
     for _ in range(50):
         obs, ratio, mirror_ratio, _ = synthetic_observation(rng, params)
-        zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = compensate_observation(obs, g)
-        direct = AlamoutiMatrix(zn_a, zn_b) - AlamoutiMatrix(zk_a, zk_b) @ ratio
-        image = AlamoutiMatrix(bn_a, bn_b) - AlamoutiMatrix(bk_a, bk_b) @ mirror_ratio.conjugate()
+        zk_a, zk_b, zn_a, zn_b = compensate_observation(pair_planes(obs), g)
+        # each plane holds the desired subcarrier, then its mirror, whose
+        # compensated chain is in the direct form too
+        direct = AlamoutiMatrix(zn_a[0], zn_b[0]) - AlamoutiMatrix(zk_a[0], zk_b[0]) @ ratio
+        image = AlamoutiMatrix(zn_a[1], zn_b[1]) - AlamoutiMatrix(zk_a[1], zk_b[1]) @ mirror_ratio
         assert direct.frobenius() <= 1e-10
         assert image.frobenius() <= 1e-10
 
@@ -55,9 +58,33 @@ def test_compensation_restores_both_chains(rng):
 def test_zero_gamma_compensation_is_identity(rng):
     params = derive_iqi_params(2.0, 8.0)
     obs, _, _, _ = synthetic_observation(rng, params)
-    comp = compensate_observation(obs, 0.0)
-    assert comp[0:2] == obs[0:2]
-    assert comp[6:8] == obs[6:8]
+    planes = pair_planes(obs)
+    comp = compensate_observation(planes, 0.0)
+    for got, plane in zip(comp, planes):
+        np.testing.assert_array_equal(got, plane)
+
+
+@pytest.mark.parametrize("frames", [None, 14])
+def test_pair_order_compensation_equals_the_eight_value_form(rng, frames):
+    # one frame with the genie's scalar gamma, and a 14-frame stack with a
+    # gamma per observation, whose planes exceed numpy's 256 KiB threshold
+    # for multiplying into a temporary in place
+    shape = (42, 62) if frames is None else (frames, 42, 62)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if frames is None:
+        gamma = gamma_true(derive_iqi_params(2.0, 8.0))
+    else:
+        seen = (frames, 20, 31)
+        gamma = 0.1 * (rng.standard_normal(seen) + 1j * rng.standard_normal(seen))
+    za, zb = values[..., 0::2, :], values[..., 1::2, :]
+    planes = (za[..., :-1, :], zb[..., :-1, :], za[..., 1:, :], zb[..., 1:, :])
+    low = tuple(p[..., :31] for p in planes)
+    image = tuple(np.conj(p[..., 31:]) for p in planes)
+    oracle = object_pass.tuple_compensate_observation(low + image, gamma)
+    for got, desired, mirror in zip(compensate_observation(planes, gamma), oracle[:4], oracle[4:]):
+        assert got.shape == planes[0].shape
+        assert got[..., :31].tobytes() == desired.tobytes()
+        assert got[..., 31:].tobytes() == np.conj(mirror).tobytes()
 
 
 def test_lms_step_moves_toward_solution():
@@ -144,9 +171,8 @@ def test_detect_pairs_matches_full_spectrum_detection(monkeypatch, rng, order):
         old1, old2 = alamouti_detect(*old_planes, order)
         det1, det2 = detect_pairs(z[..., bins], g, order)
         # the same values reach the detector, bit for bit: with gamma, the
-        # compensated desired planes and the mirror planes in two calls
-        assert len(planes) == (1 if g is None else 2)
-        got_planes = [np.concatenate(p, axis=-1) for p in zip(*planes)]
+        # compensated desired and mirror members, in one call
+        [got_planes] = planes
         planes.clear()
         for got, old in zip(got_planes, old_planes):
             assert got.tobytes() == np.ascontiguousarray(old[..., position]).tobytes()
@@ -184,11 +210,11 @@ def test_detect_pairs_of_fourteen_frames_equal_their_per_frame_calls(monkeypatch
     batch_planes = planes[:]
     planes.clear()
     singles = [detect_pairs(v, g, 8) for v, g in zip(values, gamma)]
-    # the compensated desired planes, then the conjugated mirror planes
-    assert len(batch_planes) == 2 and len(planes) == 2 * 14
-    for call in range(2):
-        for got, parts in zip(batch_planes[call], zip(*planes[call::2])):
-            assert got.shape == (14, 20, 31)
-            assert got.tobytes() == np.stack(parts).tobytes()
+    # one call each, on the compensated planes of both pair members
+    [batch_planes] = batch_planes
+    assert len(planes) == 14
+    for got, parts in zip(batch_planes, zip(*planes)):
+        assert got.shape == (14, 20, 62)
+        assert got.tobytes() == np.stack(parts).tobytes()
     for got, parts in zip(batch, zip(*singles)):
         np.testing.assert_array_equal(got, np.stack(parts))

@@ -5,6 +5,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -107,6 +108,9 @@ def test_default_config_is_valid():
         dict(doppler_hz="11.6"),
         dict(iqi_kappa_db=None),
         dict(channel="custom", custom_delays_ns=(0.0, "400"), custom_powers_db=(0.0, -3.0)),
+        # finite values whose fading phase step per OFDM symbol overflows
+        dict(doppler_hz=1e308),
+        dict(bandwidth_hz=1e-300, doppler_hz=1e10),
     ],
 )
 def test_validation_rejects_bad_configs(overrides):
@@ -119,6 +123,13 @@ def test_validation_rejects_bad_configs(overrides):
     mistyped = [k for k, v in overrides.items() if has_wrong_type(k, v)]
     if mistyped:
         assert str(excinfo.value).startswith(f"{mistyped[0]} must be")
+
+
+@pytest.mark.parametrize("overrides", [dict(doppler_hz=1e308), dict(bandwidth_hz=1e-300, doppler_hz=1e10)])
+def test_overflowing_doppler_step_names_doppler(overrides):
+    # not a garbage BER at run time, nor an LMS divergence blamed on its step size
+    with pytest.raises(ConfigError, match="^doppler_hz "):
+        SimConfig(compensation="lms", **overrides)
 
 
 def has_non_finite(value) -> bool:
@@ -250,6 +261,42 @@ def test_sweep_draws_each_chunk_once_per_group(monkeypatch, workers):
     assert calls["realize_fading"] == 2 * workers
     # every point's receiver still runs on every chunk
     assert calls["apply_rx_iqi"] == 2 * 4
+
+
+@pytest.mark.parametrize("compensation", ["off", "lms"])
+def test_chunk_arrays_are_freed_before_the_next_allocation(monkeypatch, compensation):
+    # the taps die once the gains are formed, and each receiver's spectra
+    # before the next receiver's are allocated: kept alive, they cost a
+    # four-point floor-sweep rep thousands of minor page faults
+    taps, spectra, taps_alive, spectra_alive = [], [], [], []
+    real_fading = harness.realize_fading
+    real_clean = harness._GroupEngine._clean_spectra
+    real_received = harness._GroupEngine._received_spectra
+
+    def fading(*args, **kwargs):
+        result = real_fading(*args, **kwargs)
+        taps.append(weakref.ref(result))
+        return result
+
+    def clean(engine, *args):
+        taps_alive.append(sum(ref() is not None for ref in taps))
+        return real_clean(engine, *args)
+
+    def received(engine, *args):
+        spectra_alive.append(sum(ref() is not None for ref in spectra))
+        result = real_received(engine, *args)
+        spectra.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(harness, "realize_fading", fading)
+    monkeypatch.setattr(harness._GroupEngine, "_clean_spectra", clean)
+    monkeypatch.setattr(harness._GroupEngine, "_received_spectra", received)
+    cfg = small_cfg(min_bits=6 * 7440, snr_grid_db=(10.0, 20.0, 30.0, 40.0), iqi_kappa_db=2.0,
+                    iqi_phi_deg=8.0, compensation=compensation)
+    run_sweep(cfg)
+    # two chunks, of four frames and two, each through four receivers
+    assert taps_alive == [0, 0]
+    assert spectra_alive == [0] * 8
 
 
 def test_record_fields():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from dstbc_ofdm import ConfigError, SimConfig, pair_bins
+from dstbc_ofdm import ConfigError, SimConfig, pair_bins, pair_image
 
 from timechain import ofdm_demodulate, ofdm_modulate
 
@@ -36,6 +36,13 @@ def test_mirror_index_pairing():
     assert mirror[31] == 33
     # every active bin appears exactly once
     assert sorted(bins.tolist()) == [k for k in range(1, 64) if k != 32]
+    # pair_image puts the conjugate of each bin's mirror at its position,
+    # and applied twice gives the spectra back
+    rng = np.random.default_rng(7)
+    spectrum = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    image = pair_image(spectrum[:, bins])
+    np.testing.assert_array_equal(image, np.conj(spectrum[:, (64 - bins) % 64]))
+    np.testing.assert_array_equal(pair_image(image), spectrum[:, bins])
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])

@@ -1,9 +1,10 @@
-"""The benchmark's tracer and workloads name only functions the package has.
+"""The benchmark's tracer and workloads name only functions the package has,
+and each workload's reps call every function it traces.
 
-A traced run reports a function that has vanished from the package, but only
-when it is run with tracing on; these checks make a deletion or rename of
-such a function fail the test suite instead.  The benchmark's modules are
-loaded from their files and left unchanged on disk.
+A traced run reports a function that has vanished from the package, or that
+a workload no longer calls, but only when it is run with tracing on; these
+checks make such a change fail the test suite instead.  The benchmark's
+modules are loaded from their files and left unchanged on disk.
 """
 import importlib
 import importlib.util
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import count_package_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,6 +41,18 @@ def test_every_workload_names_package_functions(monkeypatch):
             module, name = target.split(".")
             function = getattr(importlib.import_module(f"dstbc_ofdm.{module}"), name, None)
             assert callable(function), f"{workload.name} traces {target}, which the package lacks"
+
+
+def test_every_workload_calls_what_it_traces(monkeypatch):
+    workloads = load_bench_module(monkeypatch, "workloads")
+    for workload in workloads.WORKLOADS.values():
+        cfg = workloads.build_config(workload, str(PERFBENCH.parent), workloads.rep_seed(1, 0))
+        with monkeypatch.context() as patch:
+            targets = [tuple(target.split(".")) for target in workload.traced]
+            calls = count_package_calls(patch, targets)
+            workloads.run_rep(workload, cfg)
+        uncalled = [f"{module}.{name}" for module, name in targets if calls[name] == 0]
+        assert uncalled == [], f"a {workload.name} rep records no call of {uncalled}"
 
 
 @pytest.mark.parametrize("target", ["compensator.lms_step", "numerics.nearest_psk_indices"])
