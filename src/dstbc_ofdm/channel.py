@@ -48,10 +48,10 @@ class ChannelProfile:
         delays = self.tap_delays_s
         if len(delays) == 0 or len(delays) != len(self.tap_powers_db):
             raise ValueError("profile needs matching, non-empty delay and power lists")
+        if not np.isfinite([*delays, *self.tap_powers_db, self.doppler_hz]).all():
+            raise ValueError("tap delays, tap powers and doppler must be finite")
         if delays[0] != 0.0:
             raise ValueError(f"first tap delay must be 0, got {delays[0]}")
-        if any(d < 0 for d in delays):
-            raise ValueError("tap delays must be non-negative")
         if any(b >= a for a, b in zip(delays[1:], delays[:-1])):
             raise ValueError("tap delays must be strictly increasing")
         if self.doppler_hz < 0:

@@ -10,9 +10,10 @@ Subcommands:
 * ``compare``: put simulated CSV results side by side with the closed-form
   model at the same operating point.
 
-Every subcommand takes its config flags from one schema and builds a
-``SimConfig`` from them, which validates itself.  This module writes every
-output file, through ``_write_csv``.
+Every subcommand takes its config flags from one schema.  Flag texts and
+INI values go through one parser, ``_parse_value``, and every subcommand
+builds a ``SimConfig`` from them, which alone checks the values.  This
+module writes every output file, through ``_write_csv``.
 
 Exit status is 0 on success and 2 for configuration or usage errors.
 """
@@ -33,7 +34,6 @@ from .harness import (
     BerRecord,
     ConfigError,
     SimConfig,
-    _check_snr_db,
     run_point_with_trace,
     run_sweep,
 )
@@ -58,8 +58,6 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ConfigError(f"SNR range needs finite start, stop and step, got {text!r}")
         if step <= 0 or stop < start:
             raise ConfigError(f"SNR range needs step > 0 and stop >= start, got {text!r}")
-        _check_snr_db(start)
-        _check_snr_db(stop)
         # bounded before the range is built; the span is inf if step underflows
         span = (stop - start) / step + 1e-9
         if span >= _MAX_RANGE_POINTS:
@@ -74,7 +72,7 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     return values
 
 
-# Parser of an INI value or a simulate flag, by the SimConfig field's annotation.
+# Parser of an INI value or a flag's text, by the SimConfig field's annotation.
 _PARSERS = {
     "int": int,
     "float": float,
@@ -116,15 +114,18 @@ _FIELD_OF_INI_KEY = {key: name for name, row in _SCHEMA.items() for key in (name
 _MODEL_FIELDS = ("psk_order", "iqi_kappa_db", "iqi_phi_deg")
 
 
-def _flag_type(parse):
-    """``parse`` as an argparse type that reports a ConfigError's own message."""
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    convert.__name__ = parse.__name__
-    return convert
+def _parse_value(name: str, key: str, text: str):
+    """The value of field ``name`` from the text given for INI key or flag ``key``.
+
+    A parser's own ConfigError passes through; any other ValueError names
+    the key and the text.
+    """
+    try:
+        return _PARSER_OF[name](text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -153,18 +154,15 @@ def load_config_file(path: str) -> dict:
                 )
             if name in out:
                 raise ConfigError(f"config field {name!r} is set twice in [{section}]")
-            try:
-                out[name] = _PARSER_OF[name](raw_value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {raw_key!r}: {raw_value!r}") from exc
+            out[name] = _parse_value(name, raw_key, raw_value)
     return out
 
 
 def _add_schema_flags(parser: argparse.ArgumentParser, names) -> None:
-    """Declare the flags of the named SimConfig fields, each storing to its field."""
+    """Declare the flags of the named SimConfig fields, each storing its text to its field."""
     for name in names:
         _, _, flag, options = _SCHEMA[name]
-        parser.add_argument(flag, dest=name, type=_flag_type(_PARSER_OF[name]), **options)
+        parser.add_argument(flag, dest=name, **options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,12 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args, **overrides) -> SimConfig:
     """The SimConfig of ``--config`` (if the subcommand has it), the schema
-    flags given, then ``overrides``, each overriding what came before."""
+    flags given (parsed as INI values are), then ``overrides``, each
+    overriding what came before."""
     kwargs = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for name in _SCHEMA:
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
+    for name, (_, _, flag, _) in _SCHEMA.items():
+        text = getattr(args, name, None)
+        if text is not None:
+            kwargs[name] = _parse_value(name, flag, text)
     kwargs.update(overrides)
     return SimConfig(**kwargs)
 

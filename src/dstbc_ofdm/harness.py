@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -243,11 +243,9 @@ class _Receiver:
 
 
 class _GroupEngine:
-    """Simulates a group of SNR points of one config in lockstep, in chunks of frames."""
+    """Simulates the distinct SNR points of one config in lockstep, in chunks of frames."""
 
-    def __init__(self, cfg: SimConfig, snr_dbs, keep_trace: bool = False):
-        for snr_db in snr_dbs:
-            _check_snr_db(snr_db)
+    def __init__(self, cfg: SimConfig, keep_trace: bool = False):
         self.cfg = cfg
         self.profile = cfg.profile
         self.tap_sample_delays = tap_grid(self.profile, cfg.sample_period)[0]
@@ -263,12 +261,12 @@ class _GroupEngine:
         gamma = {"off": None, "genie_gamma": gamma_true(self.iqi), "lms": 0j}[cfg.compensation]
         self.receivers = [
             _Receiver(
-                float(snr_db),
+                snr_db,
                 0.0 if math.isinf(snr_db) else math.sqrt(10.0 ** (-snr_db / 10.0)),
                 gamma,
                 [] if keep_trace else None,
             )
-            for snr_db in snr_dbs
+            for snr_db in sorted(set(float(s) for s in cfg.snr_grid_db))
         ]
         n = cfg.n_subcarriers
         self.samples_per_symbol = n + cfg.cp_len
@@ -286,20 +284,16 @@ class _GroupEngine:
         """The symbol indices and the noise of the next ``n_frames`` frames.
 
         Returns the two symbol indices of every block, each (frame, block,
-        pair bin), and the noise, (frame, symbol, pair bin), or None when no
-        receiver of the group is noisy: complex values whose real and
-        imaginary parts are consecutive standard normal draws.  Each stream
-        is consumed value by value (the bit generator keeps the unused half
-        of a 64-bit word for the next ``integers`` call), so one call for F
-        frames equals F one-frame calls.
+        pair bin), and the noise, (frame, symbol, pair bin): complex values
+        whose real and imaginary parts are consecutive standard normal
+        draws.  Each stream is consumed value by value (the bit generator
+        keeps the unused half of a 64-bit word for the next ``integers``
+        call), so one call for F frames equals F one-frame calls.
         """
         shape = (n_frames, self.n_blocks, self.pair_bins.shape[0], 2)
         indices = self.index_rng.integers(0, self.cfg.psk_order, size=shape)
-        noise = None
-        if any(rx.sigma > 0.0 for rx in self.receivers):
-            normals = self.noise_rng.standard_normal((n_frames, self.n_symbols) + shape[2:])
-            noise = normals.view(np.complex128)[..., 0]
-        return indices[..., 0], indices[..., 1], noise
+        normals = self.noise_rng.standard_normal((n_frames, self.n_symbols) + shape[2:])
+        return indices[..., 0], indices[..., 1], normals.view(np.complex128)[..., 0]
 
     def _clean_spectra(self, idx1, idx2, gains) -> np.ndarray:
         """The noiseless spectra at the pair bins, (frame, symbol, pair bin).
@@ -331,7 +325,7 @@ class _GroupEngine:
         ``noise``, through the imbalance; ``clean`` is left as it is for the
         group's other receivers.
         """
-        if noise is not None and sigma > 0.0:
+        if sigma > 0.0:
             clean = clean + (sigma * _INV_SQRT2) * noise
         return apply_rx_iqi(clean, self.iqi)
 
@@ -438,32 +432,34 @@ class _GroupEngine:
         ]
 
 
-def _run_group(cfg: SimConfig, snr_dbs) -> list[BerRecord]:
-    """Records of a group of SNR points, in the group's order."""
-    return _GroupEngine(cfg, snr_dbs).run()
-
-
 def run_point(cfg: SimConfig, snr_db: float) -> BerRecord:
-    """Simulate one SNR point; identical (cfg, snr_db) gives identical output."""
-    return _run_group(cfg, [snr_db])[0]
+    """Simulate one SNR point; identical (cfg, snr_db) gives identical output.
+
+    The point runs as the config with ``snr_grid_db=(snr_db,)``, so ``snr_db``
+    obeys the grid's rules and a bad one raises ConfigError before any frame.
+    """
+    return _GroupEngine(replace(cfg, snr_grid_db=(snr_db,))).run()[0]
 
 
 def run_point_with_trace(cfg: SimConfig, snr_db: float) -> tuple[BerRecord, np.ndarray]:
     """Like run_point but also returns the LMS gamma trajectory (per update)."""
-    engine = _GroupEngine(cfg, [snr_db], keep_trace=True)
+    engine = _GroupEngine(replace(cfg, snr_grid_db=(snr_db,)), keep_trace=True)
     [record] = engine.run()
     trace = engine.receivers[0].gamma_trace
     return record, np.concatenate(trace) if trace else np.empty(0, dtype=np.complex128)
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
-    """Simulate every SNR grid point, sorted ascending.
+    """Simulate every distinct SNR grid point, sorted ascending.
 
     The points share every draw (see the module docstring), so each record
     equals ``run_point`` at its SNR, whatever the rest of the grid.  Runs up
     to ``workers`` processes, never more than there are points, each on an
-    interleaved group of the grid.
+    interleaved share of the grid; ``workers`` must be a positive int, or
+    ConfigError is raised before any frame.
     """
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     grid = sorted(set(float(s) for s in cfg.snr_grid_db))
     workers = min(workers, len(grid))
     if workers > 1:
@@ -471,8 +467,9 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> list[BerRecord]:
         # logging, which only a parallel sweep needs
         from concurrent.futures import ProcessPoolExecutor
 
-        groups = [grid[i::workers] for i in range(workers)]
+        # each worker runs its interleaved share as a serial sweep
+        shares = [replace(cfg, snr_grid_db=tuple(grid[i::workers])) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [r for group in pool.map(_run_group, [cfg] * workers, groups) for r in group]
+            records = [r for share in pool.map(run_sweep, shares) for r in share]
         return sorted(records, key=lambda r: r.snr_db)
-    return _run_group(cfg, grid)
+    return _GroupEngine(cfg).run()

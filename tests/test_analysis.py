@@ -107,6 +107,24 @@ def test_ber_closed_form_decreasing_in_snr():
     assert values[0] < 0.2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ber_floor(8, -0.01), "rho must be non-negative"),
+        (lambda: equivalent_snr(0.0, 0.01), "snr_linear must be positive"),
+        (lambda: equivalent_snr(-1.0, 0.01), "snr_linear must be positive"),
+        (lambda: equivalent_snr(10.0, -0.01), "rho must be non-negative"),
+        (lambda: ber_closed_form(8, 0.0), "snr_eq must be positive"),
+        (lambda: ber_closed_form(8, -1.0), "snr_eq must be positive"),
+    ],
+    ids=["floor_rho", "equivalent_zero_snr", "equivalent_negative_snr", "equivalent_rho",
+         "closed_form_zero_snr", "closed_form_negative_snr"],
+)
+def test_models_reject_inputs_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
 def test_floor_onset_offsets():
     onset, ideal = floor_onset_and_ideal_snr(17.44)
     assert onset == pytest.approx(27.44)

@@ -96,6 +96,44 @@ def test_profile_validation():
         load_profile("custom", 5.0, (0.0, 200.0, 100.0), (0.0, 0.0, 0.0))
 
 
+def realize_one_frame(sample_period=SAMPLE_PERIOD, n_ofdm_symbols=2, samples_per_symbol=84):
+    return realize_fading(
+        load_profile("flat", 10.0), sample_period, n_ofdm_symbols, *fading_rngs(0),
+        samples_per_symbol=samples_per_symbol, frames=1,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # no table may carry a non-finite value: tap_grid would cast a NaN
+        # delay to an arbitrary integer sample and return NaN powers
+        (lambda: load_profile("custom", np.nan, (0.0, np.nan, 300.0), (0.0, -3.0, np.nan)), "must be finite"),
+        (lambda: load_profile("custom", 5.0, (0.0, np.nan), (0.0, -3.0)), "must be finite"),
+        (lambda: load_profile("custom", 5.0, (0.0, np.inf), (0.0, -3.0)), "must be finite"),
+        (lambda: load_profile("custom", 5.0, (0.0, 100.0), (0.0, -np.inf)), "must be finite"),
+        (lambda: load_profile("custom", 5.0, (0.0, 100.0), (0.0, np.nan)), "must be finite"),
+        (lambda: load_profile("itu-pb", np.nan), "must be finite"),
+        (lambda: load_profile("flat", np.inf), "must be finite"),
+        (lambda: load_profile("custom", 5.0, (0.0, 100.0), (0.0,)), "matching, non-empty"),
+        (lambda: load_profile("custom", 5.0, (), ()), "matching, non-empty"),
+        (lambda: JakesFadingProcess(0.0, 10.0, np.random.default_rng(0)), "mean_power must be positive"),
+        (lambda: JakesFadingProcess(-1.0, 10.0, np.random.default_rng(0)), "mean_power must be positive"),
+        (lambda: realize_one_frame(sample_period=0.0), "sample_period must be positive"),
+        (lambda: realize_one_frame(n_ofdm_symbols=0), "need at least one OFDM symbol"),
+        (lambda: realize_one_frame(samples_per_symbol=0), "samples_per_symbol must be positive"),
+    ],
+    ids=[
+        "nan_everywhere", "nan_delay", "inf_delay", "inf_power", "nan_power", "nan_doppler",
+        "inf_doppler", "mismatched_tables", "empty_tables", "zero_tap_power", "negative_tap_power",
+        "sample_period", "n_ofdm_symbols", "samples_per_symbol",
+    ],
+)
+def test_channel_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_profile_names_are_case_sensitive():
     # the one name check, shared with SimConfig, which rejects "ITU-PB" too
     with pytest.raises(ValueError, match="unknown channel profile 'ITU-PB'"):

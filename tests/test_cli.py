@@ -1,5 +1,6 @@
 """Unit tests for the command line front end."""
 import csv
+import dataclasses
 import math
 import subprocess
 import sys
@@ -25,7 +26,8 @@ def test_parse_snr_list_and_scalar():
 
 
 def test_parse_snr_errors():
-    for bad in ("1:2", "5:1:1", "0:10:-2", "a,b", "", "0:2000:1", "0:1000:0.01"):
+    # "0:2000:1" parses; SimConfig rejects its 1001 dB point (see below)
+    for bad in ("1:2", "5:1:1", "0:10:-2", "a,b", "", "0:1000:0.01"):
         with pytest.raises(ConfigError):
             parse_snr_grid(bad)
 
@@ -267,6 +269,8 @@ def test_console_script_runs(package_env):
         # only the draws reveal that gamma diverges; it is still a config error
         ["simulate", "--compensation", "lms", "--kappa-db", "2", "--phi-deg", "8",
          "--lms-step", "100", "--snr", "20", "--min-bits", "20000"],
+        # a flag's text goes through the INI values' parser, not argparse
+        ["simulate", "--seed", "abc"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
@@ -286,6 +290,8 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
     # an SNR beyond simulate's bound is named as such, not as a raw overflow
     if argv[-1] == "4000":
         assert "error: snr_db 4000 out of supported range" in proc.stderr
+    if argv[-1] == "abc":
+        assert proc.stderr == "error: bad value for '--seed': 'abc'\n"
     if "nan" in argv:
         assert "must be finite" in proc.stderr
     if "7000" in argv:
@@ -323,15 +329,19 @@ def test_schema_covers_every_config_field_and_flag():
     assert all(f.type in cli._PARSERS for f in fields(SimConfig))
     flags = {row[2] for row in cli._SCHEMA.values() if row[2]}
     assert flags == {case[0] for case in FLAG_CASES}
-    # the model subcommands' flags are schema flags too, stored under the
-    # SimConfig field each one sets
+    # the model subcommands' flags are schema flags too, stored as given
+    # under the SimConfig field each one sets and parsed with the INI values
     model = ["--kappa-db", "1.5", "--phi-deg", "-3", "--psk-order", "4"]
+    texts = {"iqi_kappa_db": "1.5", "iqi_phi_deg": "-3", "psk_order": "4"}
     expected = {"iqi_kappa_db": 1.5, "iqi_phi_deg": -3.0, "psk_order": 4}
     parser = cli._build_parser()
-    analytic = vars(parser.parse_args(["analytic", *model, "--snr", "0:20:10"]))
-    assert analytic == {**expected, "snr_grid_db": (0.0, 10.0, 20.0), "command": "analytic", "out": None}
-    compare = vars(parser.parse_args(["compare", *model, "--results", "r.csv"]))
-    assert compare == {**expected, "command": "compare", "results": "r.csv"}
+    analytic = parser.parse_args(["analytic", *model, "--snr", "0:20:10"])
+    assert vars(analytic) == {**texts, "snr_grid_db": "0:20:10", "command": "analytic", "out": None}
+    cfg = cli._config_from_args(analytic)
+    assert dataclasses.replace(SimConfig(), **expected, snr_grid_db=(0.0, 10.0, 20.0)) == cfg
+    compare = parser.parse_args(["compare", *model, "--results", "r.csv"])
+    assert vars(compare) == {**texts, "command": "compare", "results": "r.csv"}
+    assert dataclasses.replace(SimConfig(), **expected) == cli._config_from_args(compare)
 
 
 def test_model_flags_default_to_the_config_defaults():
@@ -366,6 +376,52 @@ def test_non_utf8_config_exits_two_before_any_frame(tmp_path, monkeypatch, capsy
     path.write_bytes("[iqi]\n# \u00b0 in Latin-1\nphi_deg = 8.0\n".encode("latin-1"))
     assert main(["simulate", "--config", str(path), "--snr", "10"]) == 2
     assert "error: cannot parse config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snr", ["0:2000:1", "0:5000:1"])
+def test_out_of_range_grid_is_one_error_from_flag_or_file(tmp_path, monkeypatch, capsys, snr):
+    # the range syntax is valid; SimConfig alone rejects its first point past 1000 dB
+    monkeypatch.setattr(harness, "realize_fading", fail_if_called)
+    path = tmp_path / "grid.cfg"
+    path.write_text(f"[run]\nsnr_db = {snr}\n")
+    message = "error: snr_db 1001 out of supported range: finite within 1000 dB, or inf\n"
+    for argv in (["--snr", snr], ["--config", str(path)]):
+        assert main(["simulate", *argv]) == 2
+        assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "flag, key, text, message",
+    [
+        ("--seed", "seed", "abc", "bad value for {key!r}: 'abc'"),
+        ("--cp-len", "cp_len", "twenty", "bad value for {key!r}: 'twenty'"),
+        ("--snr", "snr_db", "1:2", "SNR range must be start:stop:step, got '1:2'"),
+        ("--snr", "snr_db", "a:1:1", "bad SNR range 'a:1:1'"),
+    ],
+)
+def test_flag_and_ini_values_share_one_parser(tmp_path, capsys, flag, key, text, message):
+    # a parser's own ConfigError is reported as it is; only a plain
+    # ValueError becomes "bad value for" the key or flag that gave the text
+    section = cli._SCHEMA[cli._FIELD_OF_INI_KEY[key]][0]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    for argv, named in (([flag, text], flag), (["--config", str(path)], key)):
+        assert main(["simulate", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(key=named)}\n"
+
+
+@pytest.mark.parametrize(
+    "results, message",
+    [
+        ("snr_db,ber\n", "no data rows in"),
+        ("snr_db,errors\n10,3\n", "is not a simulate results CSV"),
+    ],
+)
+def test_compare_rejects_results_without_ber_rows(tmp_path, capsys, results, message):
+    path = tmp_path / "results.csv"
+    path.write_text(results)
+    assert main(["compare", "--results", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

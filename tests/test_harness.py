@@ -3,6 +3,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import re
 import subprocess
 import sys
 import weakref
@@ -159,14 +160,41 @@ def test_construction_rejects_bad_configs(make):
         make()
 
 
-@pytest.mark.parametrize("grid", [(10.0, 2000.0), (10.0, -math.inf)])
-def test_sweep_rejects_unkeyable_snr_before_any_frame(monkeypatch, grid):
+def forbid_frames(monkeypatch):
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was simulated")
 
     monkeypatch.setattr(harness, "realize_fading", no_frames)
+
+
+@pytest.mark.parametrize("grid", [(10.0, 2000.0), (10.0, -math.inf)])
+def test_sweep_rejects_unkeyable_snr_before_any_frame(monkeypatch, grid):
+    forbid_frames(monkeypatch)
     with pytest.raises(ConfigError):
         run_sweep(small_cfg(snr_grid_db=grid))
+
+
+@pytest.mark.parametrize(
+    "snr_db",
+    [True, "10", None, math.nan, np.float32(10.0), 2000.0],
+    ids=["bool", "str", "none", "nan", "float32", "beyond_1000_db"],
+)
+@pytest.mark.parametrize("run", [run_point, run_point_with_trace])
+def test_point_snr_obeys_the_grid_rules_before_any_frame(monkeypatch, run, snr_db):
+    # run_point's SNR is checked as a one-point grid, by SimConfig alone
+    forbid_frames(monkeypatch)
+    with pytest.raises(ConfigError, match="^snr_grid_db|^snr_db"):
+        run(small_cfg(), snr_db)
+    with pytest.raises(ConfigError):
+        small_cfg(snr_grid_db=(snr_db,))
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2", None])
+def test_sweep_rejects_a_bad_worker_count_before_any_frame(monkeypatch, workers):
+    forbid_frames(monkeypatch)
+    message = f"^workers must be a positive integer, got {re.escape(repr(workers))}$"
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(small_cfg(snr_grid_db=(10.0, 14.0)), workers=workers)
 
 
 def test_custom_channel_profile_resolution():
@@ -231,7 +259,7 @@ def test_sweep_records_do_not_depend_on_companion_points(overrides, companions):
     grid = sorted(cfg.snr_grid_db)
     assert run_sweep(cfg) == [run_point(cfg, s) for s in grid]
     # the 20 dB receiver's gamma trajectory keeps its bytes in the group
-    engine = harness._GroupEngine(cfg, grid, keep_trace=True)
+    engine = harness._GroupEngine(cfg, keep_trace=True)
     records = engine.run()
     [rx] = [rx for rx in engine.receivers if rx.snr_db == 20.0]
     assert records[grid.index(20.0)] == alone
@@ -480,10 +508,11 @@ def test_index_and_noise_draws_do_not_depend_on_chunk_size(psk_order):
     # a frame of three blocks on the six pair bins of 8 subcarriers draws
     # 3 x 6 x 2 indices and 8 x 6 noise values
     cfg = small_cfg(
-        psk_order=psk_order, n_subcarriers=8, cp_len=4, channel="flat", blocks_per_frame=3
+        psk_order=psk_order, n_subcarriers=8, cp_len=4, channel="flat", blocks_per_frame=3,
+        snr_grid_db=(10.0,),
     )
-    batch = harness._GroupEngine(cfg, [10.0])._draw_indices_and_noise(5)
-    single = harness._GroupEngine(cfg, [10.0])
+    batch = harness._GroupEngine(cfg)._draw_indices_and_noise(5)
+    single = harness._GroupEngine(cfg)
     singles = [single._draw_indices_and_noise(1) for _ in range(5)]
     for batched, parts in zip(batch, zip(*singles)):
         assert batched.tobytes() == np.concatenate(parts).tobytes()

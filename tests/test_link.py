@@ -78,16 +78,18 @@ def antenna_grid(idx1, idx2, order, differential):
 @pytest.mark.parametrize("snr_db", [math.inf, 10.0], ids=["noiseless", "noisy"])
 @pytest.mark.parametrize("link", sorted(LINKS))
 def test_per_bin_link_matches_time_domain_chain(monkeypatch, link, snr_db, iqi):
-    cfg = SimConfig(blocks_per_frame=2, iqi_kappa_db=iqi[0], iqi_phi_deg=iqi[1], **LINKS[link])
-    engine = harness._GroupEngine(cfg, [snr_db])
+    cfg = SimConfig(
+        blocks_per_frame=2, iqi_kappa_db=iqi[0], iqi_phi_deg=iqi[1], snr_grid_db=(snr_db,), **LINKS[link]
+    )
+    engine = harness._GroupEngine(cfg)
     seen = chunk_draws(monkeypatch, engine, n_frames=3)
-    assert (seen["noise"] is None) == math.isinf(snr_db)
     bins = engine.pair_bins
     grid = np.zeros((3, 2, engine.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
     grid[..., bins] = antenna_grid(
         seen["idx1"], seen["idx2"], cfg.psk_order, cfg.detection == "differential"
     )
-    noise = seen["noise"]
+    # the noise is drawn for every group; a noiseless receiver adds none
+    noise = None if math.isinf(snr_db) else seen["noise"]
     if noise is not None:
         # the per-bin noise, as the time-domain samples whose body it is the DFT of
         noise_grid = np.zeros((3, engine.n_symbols, cfg.n_subcarriers), dtype=np.complex128)
@@ -113,8 +115,8 @@ def test_link_step_of_a_large_chunk_equals_its_per_frame_calls(detection):
     # 14 default frames: an antenna's (conjugated) block top rows are 14 x 21
     # x 62 complex values (14 x 20 x 62 coherent), past numpy's 256 KiB size
     # for multiplying into a temporary in place, while one frame's stay below it
-    cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, detection=detection)
-    engine = harness._GroupEngine(cfg, [10.0])
+    cfg = SimConfig(iqi_kappa_db=2.0, iqi_phi_deg=8.0, detection=detection, snr_grid_db=(10.0,))
+    engine = harness._GroupEngine(cfg)
     idx1, idx2, noise = engine._draw_indices_and_noise(14)
     shape = (14, engine.n_symbols, 2, engine.pair_bins.shape[0])
     rng = np.random.default_rng(14)
