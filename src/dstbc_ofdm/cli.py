@@ -28,15 +28,7 @@ from dataclasses import astuple, fields
 
 from .analysis import ber_closed_form, ber_floor, equivalent_snr, floor_onset_and_ideal_snr
 from .compensator import gamma_true
-from .harness import (
-    COMPENSATION_MODES,
-    DETECTION_MODES,
-    BerRecord,
-    ConfigError,
-    SimConfig,
-    run_point_with_trace,
-    run_sweep,
-)
+from .harness import BerRecord, ConfigError, SimConfig, run_point_with_trace, run_sweep
 from .iqi import IqiParams, derive_iqi_params
 
 # Most points a start:stop:step SNR range may expand to.
@@ -100,8 +92,8 @@ _SCHEMA = {
     "custom_powers_db": _key("channel"),
     "iqi_kappa_db": _key("iqi", "kappa_db", "--kappa-db", help="receiver gain imbalance in dB"),
     "iqi_phi_deg": _key("iqi", "phi_deg", "--phi-deg", help="receiver phase imbalance in degrees"),
-    "detection": _key("run", flag="--detection", choices=DETECTION_MODES),
-    "compensation": _key("run", flag="--compensation", choices=COMPENSATION_MODES),
+    "detection": _key("run", flag="--detection", help="differential or coherent"),
+    "compensation": _key("run", flag="--compensation", help="off, genie_gamma or lms"),
     "snr_grid_db": _key("run", "snr_db", "--snr", help="SNR grid in dB: start:stop:step or comma list"),
     "min_bits": _key("run", flag="--min-bits"),
     "blocks_per_frame": _key("run", flag="--blocks-per-frame"),
@@ -114,14 +106,14 @@ _FIELD_OF_INI_KEY = {key: name for name, row in _SCHEMA.items() for key in (name
 _MODEL_FIELDS = ("psk_order", "iqi_kappa_db", "iqi_phi_deg")
 
 
-def _parse_value(name: str, key: str, text: str):
-    """The value of field ``name`` from the text given for INI key or flag ``key``.
+def _parse_value(parse, key: str, text: str):
+    """``parse(text)``, the value of the text given for INI key or flag ``key``.
 
     A parser's own ConfigError passes through; any other ValueError names
     the key and the text.
     """
     try:
-        return _PARSER_OF[name](text)
+        return parse(text)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -154,7 +146,7 @@ def load_config_file(path: str) -> dict:
                 )
             if name in out:
                 raise ConfigError(f"config field {name!r} is set twice in [{section}]")
-            out[name] = _parse_value(name, raw_key, raw_value)
+            out[name] = _parse_value(_PARSER_OF[name], raw_key, raw_value)
     return out
 
 
@@ -175,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a BER sweep")
     sim.add_argument("--config", help="INI config file")
     _add_schema_flags(sim, [name for name, row in _SCHEMA.items() if row[2]])
-    sim.add_argument("--workers", type=int, default=1, help="parallel processes over SNR points")
+    sim.add_argument("--workers", default="1", help="parallel processes over SNR points")
     sim.add_argument("--out", help="write results CSV here")
     sim.add_argument(
         "--gamma-out",
@@ -200,7 +192,7 @@ def _config_from_args(args, **overrides) -> SimConfig:
     for name, (_, _, flag, _) in _SCHEMA.items():
         text = getattr(args, name, None)
         if text is not None:
-            kwargs[name] = _parse_value(name, flag, text)
+            kwargs[name] = _parse_value(_PARSER_OF[name], flag, text)
     kwargs.update(overrides)
     return SimConfig(**kwargs)
 
@@ -223,8 +215,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be positive, got {args.workers}")
+    workers = _parse_value(int, "--workers", args.workers)
+    if workers < 1:
+        raise ConfigError(f"--workers must be positive, got {workers}")
     cfg = _config_from_args(args)
     if args.gamma_out:
         if cfg.compensation != "lms":
@@ -239,7 +232,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(args.gamma_out, ("iteration", "gamma_re", "gamma_im"), rows)
         records = [record]
     else:
-        records = run_sweep(cfg, workers=args.workers)
+        records = run_sweep(cfg, workers=workers)
     for r in records:
         print(
             f"snr_db={r.snr_db:g} detection={r.detection} compensation={r.compensation} "

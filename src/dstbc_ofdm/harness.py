@@ -91,6 +91,17 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # benchmark), at its 10% bound.
 _CHUNK_SAMPLES = 4 * 42 * 84
 
+# The heap policy: one 4 MiB block, allocated and freed at import.  When
+# glibc frees a block it had mmapped, it raises its mmap threshold to that
+# block's size and its trim threshold to twice that (mallopt(3),
+# M_MMAP_THRESHOLD).  So every chunk array stays on the heap (the largest,
+# a 21-frame coherent chunk's phasors, is about 1 MiB), whose top is trimmed
+# only once 8 MiB, more than a chunk's working set, lie free there; without
+# it, the allocation order of a chunk's temporaries decided whether its
+# pages were unmapped and faulted back in, at up to 30% end to end.  On
+# other allocators this is one untouched allocation.
+np.empty(1 << 19)
+
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent simulation configuration."""
@@ -140,15 +151,15 @@ class SimConfig:
                 continue
             if f.type == "int":
                 if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                    raise ConfigError(f"{f.name} must be a Python int (not bool), got {value!r}")
                 continue
             # a float, or a tuple of them
             values = (value,) if f.type == "float" else value
             if not isinstance(values, (tuple, list)) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
             ):
-                kind = "a number" if f.type == "float" else "a tuple of numbers"
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+                kind = "Python int or float" if f.type == "float" else "tuple of Python ints or floats"
+                raise ConfigError(f"{f.name} must be a {kind} (not bool), got {value!r}")
             # SNR grids take +inf, so they have rules of their own below
             if f.name != "snr_grid_db" and not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
@@ -359,9 +370,7 @@ class _GroupEngine:
 
         The fading, the draws, the gains and the clean spectra are formed
         once for the group; each receiver then adds its noise and runs the
-        imbalance, its compensation and detection.  The chunk's arrays are
-        freed on return, before the next chunk draws its own, which keeps
-        the working set to one chunk and one receiver's spectra.
+        imbalance, its compensation and detection.
         """
         cfg = self.cfg
         taps = realize_fading(
@@ -375,7 +384,6 @@ class _GroupEngine:
         )
         idx1, idx2, noise = self._draw_indices_and_noise(n_frames)
         gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)[..., self.pair_bins]
-        del taps
         clean = self._clean_spectra(idx1, idx2, gains)
         # the coherent receiver's channel is the reference block: its gains
         # at the first symbol of each block, at both antennas
@@ -394,12 +402,6 @@ class _GroupEngine:
                 self.bit_errors[det1 * cfg.psk_order + idx1].sum()
                 + self.bit_errors[det2 * cfg.psk_order + idx2].sum()
             ))
-            # freed before the next receiver allocates its own, as the taps
-            # were once the gains were formed: with both kept alive a
-            # four-point floor-sweep rep took about 2,500 minor page faults
-            # (a median of 26 without), plausibly glibc trimming and
-            # regrowing its heap at every chunk
-            del values, det1, det2
         return errors
 
     def run(self) -> list[BerRecord]:

@@ -271,6 +271,9 @@ def test_console_script_runs(package_env):
          "--lms-step", "100", "--snr", "20", "--min-bits", "20000"],
         # a flag's text goes through the INI values' parser, not argparse
         ["simulate", "--seed", "abc"],
+        # modes are checked by SimConfig alone, as for their INI keys
+        ["simulate", "--detection", "foo"],
+        ["simulate", "--workers", "abc"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
@@ -290,8 +293,14 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
     # an SNR beyond simulate's bound is named as such, not as a raw overflow
     if argv[-1] == "4000":
         assert "error: snr_db 4000 out of supported range" in proc.stderr
-    if argv[-1] == "abc":
-        assert proc.stderr == "error: bad value for '--seed': 'abc'\n"
+    exact = {
+        ("simulate", "--seed", "abc"): "error: bad value for '--seed': 'abc'\n",
+        ("simulate", "--detection", "foo"):
+            "error: detection must be one of ('differential', 'coherent'), got 'foo'\n",
+        ("simulate", "--workers", "abc"): "error: bad value for '--workers': 'abc'\n",
+    }
+    if tuple(argv) in exact:
+        assert proc.stderr == exact[tuple(argv)]
     if "nan" in argv:
         assert "must be finite" in proc.stderr
     if "7000" in argv:
