@@ -81,9 +81,10 @@ _ROUNDING_BOUND = 2.0**-40
 # Block pairs a pass from gamma = 0 runs uncertified before it anchors.  gamma
 # settles within about 1 / (step_size * E|delta|**2), some 80 updates at the
 # default step size, so decisions anchored at 0 hold for few observations.
-# On 9-frame lms_compensation.cfg points (medians of 4 seeds) 3 cut the
-# fallbacks, warm-up included, at 30 dB from 586 to 95 and at 20 dB from 927
-# to 666; 1 left 871 at 20 dB, 9 left 280 at 30 dB, and 2 to 4 were close.
+# On 9-frame lms_compensation.cfg points (medians of seeds 0-5) 3 cut the
+# fallbacks, warm-up included, at 30 dB from 535 to 142 and at 20 dB from 930
+# to 653; 1 left 857 at 20 dB, 9 left 280 at 30 dB, 2 left 212 at 30 dB and
+# 4 was close (636 and 150).
 _WARM_UP_BLOCK_PAIRS = 3
 
 
@@ -94,27 +95,31 @@ def decision_directed_pass(
     step_size: float,
     constellation: PskConstellation,
 ) -> np.ndarray:
-    """Adapt gamma across one frame of pair observations, decision-directed.
+    """Adapt gamma across a chunk of frames of pair observations, decision-directed.
 
     ``low`` holds the received values at the lower-index member of each
     active (k, mirror) pair and ``image`` the conjugated values at its
-    mirror, both of shape (OFDM symbol, pair); symbols 2k and 2k+1 carry
-    block k.  Observations run pair after pair in ascending order, block
-    pair after block pair, each in the layout of ``build_residuals``.
+    mirror, both of shape (..., OFDM symbol, pair): leading axes are frames,
+    so a 2-D frame is a chunk of one.  Symbols 2k and 2k+1 carry block k.
+    Observations run frame after frame, in each pair after pair in ascending
+    order, block pair after block pair, each in the layout of
+    ``build_residuals``; gamma carries over from one frame to the next.
     Gamma depends only on the desired-subcarrier decisions, so per
     observation the loop compensates the desired values with the current
     gamma, detects their info matrix and runs two LMS updates from the
-    decision-directed residuals.  Detection of the frame's bits is left to
+    decision-directed residuals.  Detection of the frames' bits is left to
     ``detect_pairs``.
 
-    The decisions are taken for the frame at one gamma ``g0`` (``_anchor``),
-    with a radius per observation within which they provably do not change.
-    An observation whose gamma lies inside its radius takes the anchor's
+    The decisions are taken at an anchor gamma ``g0`` (``_anchor``), with a
+    radius per observation within which they provably do not change.  An
+    observation whose gamma lies inside its radius takes the anchor's
     residuals and runs only the two LMS steps; any other runs the full
-    per-observation body.  Both give the same gamma, byte for byte.  ``g0``
-    is the input gamma, unless that is 0: gamma is then still converging,
-    so the first ``_WARM_UP_BLOCK_PAIRS`` block pairs run the full body
-    and the rest of the frame is anchored at the gamma they reach.
+    per-observation body.  Both give the same gamma, byte for byte, whatever
+    ``g0`` is.  The first frame is anchored at the input gamma, unless that
+    is 0: gamma is then still converging, so its first
+    ``_WARM_UP_BLOCK_PAIRS`` block pairs run the full body and the rest of
+    the frame is anchored at the gamma they reach.  All later frames are
+    anchored together, at the gamma the first frame ended with.
 
     Returns the gamma value after every update, two per observation; the
     last entry is the final gamma.  Observation i saw the input gamma for
@@ -125,65 +130,84 @@ def decision_directed_pass(
     ratios = constellation.points * INFO_SCALE
     ratio_list = ratios.tolist()
     gamma = complex(gamma)
+    # CPython forms float * complex as complex(float, 0.0) * complex, so the
+    # inline steps bind the complex once and skip float.__mul__'s refusal
+    mu = complex(step_size)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices
     residuals = build_residuals
     step = lms_step
-    n_pairs = low.shape[1]
-    n_blocks = low.shape[0] // 2 - 1
+    n_sym, n_pairs = low.shape[-2:]
+    low = low.reshape(-1, n_sym, n_pairs)
+    image = image.reshape(-1, n_sym, n_pairs)
+    n_frames = low.shape[0]
+    n_blocks = n_sym // 2 - 1
     warm = min(_WARM_UP_BLOCK_PAIRS, n_blocks) if gamma == 0 else 0
     g0 = gamma
-    rows = None
+    rows_frame = -1
     trajectory: list[complex] = []
     append = trajectory.append
-    # the warm-up head, then the rest of the frame; either may hold no block pair
-    for first, last in ((0, warm), (warm, n_blocks)):
-        if first == last:
+    # the first frame's warm-up head, the rest of the first frame, then every
+    # later frame, anchored together; any may hold no block pair
+    for frames, first, last, anchored in (
+        (range(1), 0, warm, False),
+        (range(1), warm, n_blocks, True),
+        (range(1, n_frames), 0, n_blocks, True),
+    ):
+        if not frames or first == last:
             continue
-        if first < warm:
-            # a radius of 0 certifies nothing: the head falls back throughout
-            certificate = repeat((0.0,) * 7, warm * n_pairs)
-        else:
+        if anchored:
             g0 = gamma
-            certificate = zip(*_anchor(low[2 * first :], image[2 * first :], g0, ratios))
-        for i, (r, a1, d1, c1, a2, d2, c2) in enumerate(certificate, first * n_pairs):
-            if abs(gamma - g0) < r:
-                # lms_step's expression, twice, on the anchor decision's residuals
-                gamma = gamma - step_size * (a1 + gamma * d1) * c1
+            block_pairs = np.s_[frames.start : frames.stop, 2 * first :]
+            certified = _anchor(low[block_pairs], image[block_pairs], g0, ratios)
+        for f in frames:
+            if anchored:
+                # Python lists of one frame at a time, which keep the peak small
+                certificate = zip(*[a[f - frames.start].tolist() for a in certified])
+            else:
+                # a radius of 0 certifies nothing: the head falls back throughout
+                certificate = repeat((0.0,) * 7, warm * n_pairs)
+            offset = f * n_blocks * n_pairs
+            for r, a1, d1, c1, a2, d2, c2 in certificate:
+                if abs(gamma - g0) < r:
+                    # lms_step's expression, twice, on the anchor decision's residuals
+                    gamma = gamma - mu * (a1 + gamma * d1) * c1
+                    append(gamma)
+                    gamma = gamma - mu * (a2 + gamma * d2) * c2
+                    append(gamma)
+                    continue
+                if rows_frame != f:
+                    low_rows, image_rows = low[f].tolist(), image[f].tolist()
+                    rows_frame = f
+                k, p = divmod((len(trajectory) >> 1) - offset, n_pairs)
+                j = 2 * k + 2
+                values = (
+                    low_rows[j - 2][p], low_rows[j - 1][p], low_rows[j][p], low_rows[j + 1][p],
+                    image_rows[j - 2][p], image_rows[j - 1][p], image_rows[j][p], image_rows[j + 1][p],
+                )
+                zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
+                i1, i2 = detect(
+                    zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
+                    order,
+                )
+                (xi1, delta1), (xi2, delta2) = residuals(values, ratio_list[i1], ratio_list[i2])
+                gamma = step(gamma, step_size, xi1, delta1)
                 append(gamma)
-                gamma = gamma - step_size * (a2 + gamma * d2) * c2
+                gamma = step(gamma, step_size, xi2, delta2)
                 append(gamma)
-                continue
-            if rows is None:
-                rows = low.tolist(), image.tolist()
-            low_rows, image_rows = rows
-            k, p = divmod(i, n_pairs)
-            j = 2 * k + 2
-            values = (
-                low_rows[j - 2][p], low_rows[j - 1][p], low_rows[j][p], low_rows[j + 1][p],
-                image_rows[j - 2][p], image_rows[j - 1][p], image_rows[j][p], image_rows[j + 1][p],
-            )
-            zk_a, zk_b, zn_a, zn_b, bk_a, bk_b, bn_a, bn_b = values
-            i1, i2 = detect(
-                zk_a + gamma * bk_a, zk_b + gamma * bk_b, zn_a + gamma * bn_a, zn_b + gamma * bn_b,
-                order,
-            )
-            (xi1, delta1), (xi2, delta2) = residuals(values, ratio_list[i1], ratio_list[i2])
-            gamma = step(gamma, step_size, xi1, delta1)
-            trajectory.append(gamma)
-            gamma = step(gamma, step_size, xi2, delta2)
-            trajectory.append(gamma)
-    return np.asarray(trajectory, dtype=np.complex128)
+    return np.fromiter(trajectory, np.complex128, len(trajectory))
 
 
-def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: np.ndarray) -> list[list]:
-    """Certified radii and residual pairs of a frame's decisions at ``g0``.
+def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: np.ndarray) -> list[np.ndarray]:
+    """Certified radii and residual pairs of frames' decisions at ``g0``.
 
-    Returns the lists ``radius, xi1, delta1, conj(delta1), xi2, delta2,
-    conj(delta2)``, each in observation order.  At any gamma with
-    ``|gamma - g0| < radius`` the scalar detector makes the decisions made
-    here, so ``build_residuals`` would return these residual pairs; a
-    radius that is not positive, or NaN, certifies nothing.
+    ``low`` and ``image`` have shape (..., OFDM symbol, pair), leading axes
+    frames.  Returns the arrays ``radius, xi1, delta1, conj(delta1), xi2,
+    delta2, conj(delta2)``, each of shape (..., observation), in
+    observation order.  At any gamma with ``|gamma - g0| < radius`` the
+    scalar detector makes the decisions made here, so ``build_residuals``
+    would return these residual pairs; a radius that is not positive, or
+    NaN, certifies nothing.
 
     With ``Delta = gamma - g0`` each decision statistic moves by exactly
     ``Delta*P + conj(Delta)*Q + |Delta|**2 * R'``, and the sizes of P, Q and
@@ -200,8 +224,7 @@ def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: np.ndarray)
     roundings add up to less than ``200 * 2**-53 * U_k*U_n``; so ``m`` loses
     ``_ROUNDING_BOUND * U_k * U_n`` and ``r`` is capped at 1.
     """
-    n_sym, n_pairs = low.shape
-    planes = np.empty((3, n_sym, n_pairs), dtype=np.complex128)
+    planes = np.empty((3,) + low.shape, dtype=np.complex128)
     planes[0] = low
     planes[1] = image
     # a non-finite g0 or overflowing magnitudes give NaN or negative radii
@@ -210,18 +233,19 @@ def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: np.ndarray)
         planes[2] += low
         # |a| + |b| per block: raw desired (Z), image (B), compensated (C)
         mag = np.abs(planes)
-        z, b, c = mag[:, 0::2] + mag[:, 1::2]
-        s = c[:-1] * b[1:]
-        s += b[:-1] * c[1:]
-        r4 = b[:-1] * b[1:]
+        z, b, c = mag[..., 0::2, :] + mag[..., 1::2, :]
+        s = c[..., :-1, :] * b[..., 1:, :]
+        s += b[..., :-1, :] * c[..., 1:, :]
+        r4 = b[..., :-1, :] * b[..., 1:, :]
         r4 *= 4.0
         u = b * (abs(g0) + 1.0)
         u += z
-        allowance = u[:-1] * u[1:]
+        allowance = u[..., :-1, :] * u[..., 1:, :]
         allowance *= _ROUNDING_BOUND
         # both decision statistics of every observation, block k the reference
-        ca, cb = planes[2, 0::2], planes[2, 1::2]
-        stat = np.stack(alamouti_statistics(ca[:-1], cb[:-1], ca[1:], cb[1:]))
+        ca, cb = planes[2, ..., 0::2, :], planes[2, ..., 1::2, :]
+        reference, current = np.s_[..., :-1, :], np.s_[..., 1:, :]
+        stat = np.stack(alamouti_statistics(ca[reference], cb[reference], ca[current], cb[current]))
         indices, margins = psk_decisions_with_margin(stat, len(ratios))
         m = np.minimum(margins[0], margins[1])
         m -= allowance
@@ -232,25 +256,26 @@ def _anchor(low: np.ndarray, image: np.ndarray, g0: complex, ratios: np.ndarray)
         m += m
         radius = np.minimum(m / r4, 1.0, out=m)
     xi1, delta1, xi2, delta2 = _residual_planes(planes[:2], indices, ratios)
+    observations = low.shape[:-2] + (-1,)
     return [
-        a.ravel().tolist()
+        a.reshape(observations)
         for a in (radius, xi1, delta1, np.conj(delta1), xi2, delta2, np.conj(delta2))
     ]
 
 
 def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray) -> tuple:
-    """``build_residuals`` over a frame, byte for byte, for given decisions.
+    """``build_residuals`` over frames, byte for byte, for given decisions.
 
-    ``planes`` stacks ``low`` and ``image``, and ``indices`` the two
-    decisions of every observation, shape (2, block pair, pair), which pick
-    ``u1`` and ``u2`` from ``ratios``.  numpy's complex product rounds
-    differently from CPython's in the last bit, so each product is written
-    as CPython forms it, ``(xr*yr - xi*yi, xr*yi + xi*yr)``; complex sums
-    and negation are exact componentwise either way.  Returns ``(xi1,
-    delta1, xi2, delta2)``.
+    ``planes`` stacks ``low`` and ``image``, shape (2, ..., OFDM symbol,
+    pair), and ``indices`` the two decisions of every observation, shape
+    (2, ..., block pair, pair), which pick ``u1`` and ``u2`` from
+    ``ratios``.  numpy's complex product rounds differently from CPython's
+    in the last bit, so each product is written as CPython forms it, ``(xr*yr
+    - xi*yi, xr*yi + xi*yr)``; complex sums and negation are exact
+    componentwise either way.  Returns ``(xi1, delta1, xi2, delta2)``.
     """
     u1, u2 = ratios[indices]
-    k_a, k_b = planes[:, 0:-2:2], planes[:, 1:-2:2]
+    k_a, k_b = planes[..., 0:-2:2, :], planes[..., 1:-2:2, :]
     # z_k.a * u1, z_k.a * u2, z_k.b * conj(u2) and z_k.b * conj(u1), for the
     # raw and the image values alike
     x = np.stack((k_a, k_a, k_b, k_b))
@@ -259,8 +284,8 @@ def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray
     products.real = x.real * y.real - x.imag * y.imag
     products.imag = x.real * y.imag + x.imag * y.real
     ka_u1, ka_u2, kb_cu2, kb_cu1 = products
-    first = planes[:, 2::2] - (ka_u1 - kb_cu2)
-    second = -(planes[:, 3::2] - (ka_u2 + kb_cu1))
+    first = planes[..., 2::2, :] - (ka_u1 - kb_cu2)
+    second = -(planes[..., 3::2, :] - (ka_u2 + kb_cu1))
     return first[0], first[1], second[0], second[1]
 
 

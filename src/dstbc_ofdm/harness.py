@@ -45,7 +45,9 @@ independent runs give, while a whole curve can sit high or low together
 and its points are not independent samples of one another.
 
 A differential receiver's one compensation state is gamma: none, the
-genie's exact value, or the LMS pass's running estimate.
+genie's exact value, or the LMS pass's running estimate.  The LMS pass runs
+once per chunk and receiver, through the chunk's frames in frame order, so
+its trajectory too does not depend on the chunk size.
 
 A config names its channel, and ``SimConfig.profile`` builds it with
 ``channel.load_profile``, which owns the profile tables and the rule that
@@ -343,27 +345,26 @@ class _GroupEngine:
     def _adapt_gamma(self, values: np.ndarray, rx: _Receiver) -> np.ndarray:
         """The gamma each observation of a chunk saw, (frame, block pair, pair).
 
-        ``values`` is the receiver's spectra in pair order; the LMS pass runs
-        frame after frame, each starting from the gamma the last one ended with.
+        ``values`` is the receiver's spectra in pair order; one LMS pass runs
+        over the chunk's frames in frame order, from the gamma the last chunk
+        ended with.
         """
         half = values.shape[-1] // 2
-        seen = []
-        for frame in values:
-            try:
-                trajectory = decision_directed_pass(
-                    frame[:, :half], pair_image(frame)[:, :half], rx.gamma,
-                    self.cfg.lms_step_size, self.constellation,
-                )
-            except (ValueError, OverflowError) as exc:
-                # a non-finite decision statistic: gamma has run away
-                raise ConfigError(
-                    f"lms_step_size {self.cfg.lms_step_size:g} is too large: gamma diverged"
-                ) from exc
-            seen.append(np.concatenate([[rx.gamma], trajectory[1:-1:2]]))
-            rx.gamma = trajectory[-1]
-            if rx.gamma_trace is not None:
-                rx.gamma_trace.append(trajectory)
-        return np.reshape(seen, (values.shape[0], self.n_blocks, half))
+        try:
+            trajectory = decision_directed_pass(
+                values[..., :half], pair_image(values)[..., :half], rx.gamma,
+                self.cfg.lms_step_size, self.constellation,
+            )
+        except (ValueError, OverflowError) as exc:
+            # a non-finite decision statistic: gamma has run away
+            raise ConfigError(
+                f"lms_step_size {self.cfg.lms_step_size:g} is too large: gamma diverged"
+            ) from exc
+        seen = np.concatenate([[rx.gamma], trajectory[1:-1:2]])
+        rx.gamma = trajectory[-1]
+        if rx.gamma_trace is not None:
+            rx.gamma_trace.append(trajectory)
+        return seen.reshape(values.shape[0], self.n_blocks, half)
 
     def _chunk_errors(self, n_frames: int) -> list[int]:
         """Simulate the next ``n_frames`` frames and count each receiver's bit errors.

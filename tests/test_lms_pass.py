@@ -40,20 +40,40 @@ def bundled_lms_config(**overrides) -> SimConfig:
     return SimConfig(**kwargs)
 
 
-def record_frames(monkeypatch, cfg, snr_db):
-    """(low, image, input gamma, trajectory) of every frame of one point."""
+def split_chunk(low, image, gamma, trajectory):
+    """(low, image, input gamma, trajectory) of every frame of one chunk's pass.
+
+    Frame f's observations own the trajectory's entries from 2 * f *
+    observations on, and it starts from the entry just before them.
+    """
+    per_frame = 2 * (low.shape[-2] // 2 - 1) * low.shape[-1]
     frames = []
+    for f, (frame_low, frame_image) in enumerate(zip(low, image)):
+        first = f * per_frame
+        start = gamma if f == 0 else trajectory[first - 1]
+        frames.append((frame_low, frame_image, start, trajectory[first : first + per_frame]))
+    return frames
+
+
+def record_chunks(monkeypatch, cfg, snr_db):
+    """(low, image, input gamma, trajectory) of every chunk pass of one point."""
+    chunks = []
     real_pass = harness.decision_directed_pass
 
     def recording(low, image, gamma, step_size, constellation):
         trajectory = real_pass(low, image, gamma, step_size, constellation)
-        frames.append((low, image, gamma, trajectory))
+        chunks.append((low, image, gamma, trajectory))
         return trajectory
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "decision_directed_pass", recording)
         harness.run_point(cfg, snr_db)
-    return frames
+    return chunks
+
+
+def record_frames(monkeypatch, cfg, snr_db):
+    """(low, image, input gamma, trajectory) of every frame of one point."""
+    return [frame for chunk in record_chunks(monkeypatch, cfg, snr_db) for frame in split_chunk(*chunk)]
 
 
 def assert_frames_match_oracle(frames, cfg):
@@ -176,9 +196,10 @@ def test_large_frame_bytes_match_scalar_oracle(monkeypatch):
     scalar_oracle_bytes(frames, cfg)
 
 
-def random_frame(seed, blocks=4, pairs=5):
+def random_frame(seed, blocks=4, pairs=5, frames=None):
+    """A random frame and input gamma, or a chunk of ``frames`` frames."""
     rng = np.random.default_rng(seed)
-    shape = (2 * blocks + 2, pairs)
+    shape = (() if frames is None else (frames,)) + (2 * blocks + 2, pairs)
     low = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     image = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     gamma = 0.1 * complex(rng.standard_normal(), rng.standard_normal())
@@ -294,7 +315,8 @@ def test_cold_start_anchors_only_after_the_warm_up(monkeypatch, blocks, gamma, a
     real_anchor = compensator._anchor
 
     def counted(low, image, g0, ratios):
-        calls.append((low.shape[0], g0))
+        # the anchor takes a leading frame axis: a 2-D frame is a chunk of one
+        calls.append((low.shape[:-1], g0))
         return real_anchor(low, image, g0, ratios)
 
     monkeypatch.setattr(compensator, "_anchor", counted)
@@ -303,9 +325,74 @@ def test_cold_start_anchors_only_after_the_warm_up(monkeypatch, blocks, gamma, a
     assert len(calls) == anchors
     if anchors and gamma == 0:
         # the rest of the frame, anchored at the gamma the warm-up reached
-        assert calls[0] == (low.shape[0] - 2 * WARM_UP, trajectory[2 * WARM_UP * low.shape[1] - 1])
+        assert calls[0] == (
+            (1, low.shape[0] - 2 * WARM_UP), trajectory[2 * WARM_UP * low.shape[1] - 1]
+        )
     elif anchors:
-        assert calls[0] == (low.shape[0], gamma)
+        assert calls[0] == ((1, low.shape[0]), gamma)
+
+
+def chained_frame_passes(low, image, gamma, step_size, constellation):
+    """One pass per frame of a chunk, each from the gamma the last one ended with."""
+    parts = []
+    for frame_low, frame_image in zip(low, image):
+        parts.append(
+            compensator.decision_directed_pass(frame_low, frame_image, gamma, step_size, constellation)
+        )
+        gamma = parts[-1][-1]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("blocks", [1, WARM_UP, WARM_UP + 2])
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_chunk_pass_bytes_match_chained_frame_passes(frames, blocks, cold):
+    # the chunk anchors its later frames together at the gamma its first
+    # frame ends with, far from where each frame starts; the certificate
+    # keeps the fallback's decisions all the same
+    constellation = psk_constellation(8)
+    for seed in range(3):
+        low, image, gamma = random_frame(seed, blocks=blocks, frames=frames)
+        gamma = 0j if cold else gamma
+        for step_size in (0.005, 0.05):
+            chunk = compensator.decision_directed_pass(low, image, gamma, step_size, constellation)
+            chained = chained_frame_passes(low, image, gamma, step_size, constellation)
+            assert chunk.shape == (2 * frames * blocks * 5,)
+            assert chunk.tobytes() == chained.tobytes()
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+def test_recorded_chunk_bytes_match_chained_frame_passes(monkeypatch, snr_db):
+    # nine default frames go to chunks of 4, 4 and 1; the first starts cold
+    cfg = bundled_lms_config(min_bits=9 * FRAME_BITS)
+    chunks = record_chunks(monkeypatch, cfg, snr_db)
+    assert [low.shape[0] for low, _, _, _ in chunks] == [4, 4, 1]
+    assert chunks[0][2] == 0
+    constellation = psk_constellation(cfg.psk_order)
+    for low, image, gamma, trajectory in chunks:
+        chained = chained_frame_passes(low, image, gamma, cfg.lms_step_size, constellation)
+        assert trajectory.tobytes() == chained.tobytes()
+
+
+def test_a_chunk_anchors_at_most_twice(monkeypatch):
+    # the first frame is anchored alone, every later frame of the chunk in
+    # one call; one anchor per frame would make 9 calls for chunks of 4, 4, 1
+    anchors = []
+    real_anchor = compensator._anchor
+
+    def counted(low, image, g0, ratios):
+        anchors.append(low.shape[0])
+        return real_anchor(low, image, g0, ratios)
+
+    monkeypatch.setattr(compensator, "_anchor", counted)
+    chunks = record_chunks(monkeypatch, bundled_lms_config(min_bits=9 * FRAME_BITS), 30.0)
+    assert len(chunks) == 3
+    assert anchors == [1, 3, 1, 3, 1]
+    anchors.clear()
+    low, image, gamma = random_frame(6, frames=5)
+    for start in (0j, gamma):
+        compensator.decision_directed_pass(low, image, start, 0.005, psk_constellation(8))
+    assert anchors == [1, 4, 1, 4]
 
 
 @pytest.mark.parametrize(
