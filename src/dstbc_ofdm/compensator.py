@@ -276,17 +276,19 @@ def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray
     """
     u1, u2 = ratios[indices]
     k_a, k_b = planes[..., 0:-2:2, :], planes[..., 1:-2:2, :]
-    # z_k.a * u1, z_k.a * u2, z_k.b * conj(u2) and z_k.b * conj(u1), for the
-    # raw and the image values alike
-    x = np.stack((k_a, k_a, k_b, k_b))
-    y = np.stack((u1, u2, np.conj(u2), np.conj(u1)))[:, None]
-    products = np.empty(x.shape, dtype=np.complex128)
-    products.real = x.real * y.real - x.imag * y.imag
-    products.imag = x.real * y.imag + x.imag * y.real
-    ka_u1, ka_u2, kb_cu2, kb_cu1 = products
-    first = planes[..., 2::2, :] - (ka_u1 - kb_cu2)
-    second = -(planes[..., 3::2, :] - (ka_u2 + kb_cu1))
+    # z_k.a * u1 - z_k.b * conj(u2) and z_k.a * u2 + z_k.b * conj(u1), for
+    # the raw and the image values alike
+    first = planes[..., 2::2, :] - (_product(k_a, u1) - _product(k_b, np.conj(u2)))
+    second = -(planes[..., 3::2, :] - (_product(k_a, u2) + _product(k_b, np.conj(u1))))
     return first[0], first[1], second[0], second[1]
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` as CPython forms a complex product; ``y`` broadcasts over ``x``."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,10 @@ indices are drawn uniformly (uniform bits under the Gray labelling),
 already in pair order.
 
 Frames are simulated in chunks of at most ``_CHUNK_SAMPLES`` time-domain
-samples (or one frame, if that is longer): four default frames, more of
-shorter ones.  Each stage runs once per chunk over a leading frame axis, so
+samples (or one frame, if that is longer): eight default frames, more of
+shorter ones.  A point's frames go to the fewest chunks that fit, all of
+one size but a last one that is no larger: 9 default frames go 5 and 4,
+not 8 and 1.  Each stage runs once per chunk over a leading frame axis, so
 its numpy call overhead is paid once per chunk, not once per frame.  A
 config's seed spawns four independent streams: the fading's arrival angles,
 its oscillator weights, the symbol indices and the noise.  A chunk draws
@@ -69,7 +71,7 @@ from .channel import ChannelProfile, load_profile, realize_fading, subcarrier_ga
 from .compensator import decision_directed_pass, detect_pairs, gamma_true
 from .iqi import derive_iqi_params, apply_rx_iqi
 from .numerics import check_psk_order, psk_constellation
-from .ofdm import pair_bins, pair_image
+from .ofdm import pair_bins
 from .stbc import INFO_SCALE, alamouti_detect, differential_encode
 
 DETECTION_MODES = ("differential", "coherent")
@@ -77,31 +79,36 @@ COMPENSATION_MODES = ("off", "genie_gamma", "lms")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Air time per chunk of frames, in sample periods: four default differential
+# Air time per chunk of frames, in sample periods: eight default differential
 # frames, each 42 OFDM symbols (2 * 20 information symbols plus the
-# reference block) of 64 + 20 samples.  A chunk holds max(1, _CHUNK_SAMPLES
-# // frame samples) frames; on the default grid that is 168 // n_symbols, so
-# 4 default frames and 21 four-block coherent ones.  As N < N + cp_len, a
-# chunk holds fewer than _CHUNK_SAMPLES (frame, symbol, bin) values per
-# antenna, and 14,112 is below 16,384: its per-bin arrays stay under numpy's
-# 256 KiB size for multiplying into a temporary in place, a loop that rounds
-# differently in the last bit.  Past it (long frames, larger chunks) the link
-# step and stbc.alamouti_statistics bind their conjugates to names, which
-# leaves numpy no temporary to multiply into, so chunks give the same bits as
-# frame-by-frame simulation.  Eight default frames were measured and
-# rejected: peak memory rose about 9-10% (lms-track 42.8 -> 47.0 MB in the
-# benchmark), at its 10% bound.
-_CHUNK_SAMPLES = 4 * 42 * 84
+# reference block) of 64 + 20 samples.  A chunk holds at most max(1,
+# _CHUNK_SAMPLES // frame samples) frames; on the default grid that is 336
+# // n_symbols, so 8 default frames and 42 four-block coherent ones.  A
+# point's frames go to the fewest chunks within that budget, all of one size
+# but the last: 9 default frames go 5 and 4, 21 go 7, 7 and 7.  Each stage
+# pays its call overhead once per chunk, whatever the chunk's size.  A
+# default chunk's arrays pass numpy's 256 KiB size for multiplying into a
+# temporary in place, a loop that rounds differently in the last bit; the
+# link step, the imbalance, the compensation and stbc.alamouti_statistics
+# bind their operands to names, which leaves numpy no temporary to multiply
+# into, so chunks give the same bits as frame-by-frame simulation.  Memory:
+# the budget alone raised the traced peak of a warm 9-frame LMS point from
+# 2.86-2.90 MiB (chunks of 4, 4 and 1) to 3.62 MiB; it is 2.29 MiB since the
+# taps and gains leave scope before the receivers run, the pass takes only
+# the mirror half's conjugate as its image and the anchor forms its
+# residual products pair by pair.  Against chunks of four, the benchmark's
+# peak RSS rose 0.5% on lms-track and 4.2% on floor-sweep and fast-coherent.
+_CHUNK_SAMPLES = 8 * 42 * 84
 
 # The heap policy: one 4 MiB block, allocated and freed at import.  When
 # glibc frees a block it had mmapped, it raises its mmap threshold to that
 # block's size and its trim threshold to twice that (mallopt(3),
 # M_MMAP_THRESHOLD).  So every chunk array stays on the heap (the largest,
-# a 21-frame coherent chunk's phasors, is about 1 MiB), whose top is trimmed
-# only once 8 MiB, more than a chunk's working set, lie free there; without
-# it, the allocation order of a chunk's temporaries decided whether its
-# pages were unmapped and faulted back in, at up to 30% end to end.  On
-# other allocators this is one untouched allocation.
+# a full chunk's phasors, 8 default or 42 coherent frames, is about 2 MiB),
+# whose top is trimmed only once 8 MiB, more than a chunk's working set, lie
+# free there; without it, the allocation order of a chunk's temporaries
+# decided whether its pages were unmapped and faulted back in, at up to 30%
+# end to end.  On other allocators this is one untouched allocation.
 np.empty(1 << 19)
 
 
@@ -347,12 +354,13 @@ class _GroupEngine:
 
         ``values`` is the receiver's spectra in pair order; one LMS pass runs
         over the chunk's frames in frame order, from the gamma the last chunk
-        ended with.
+        ended with.  Its image is the conjugate of the mirror half, the
+        half of ``ofdm.pair_image(values)`` it reads.
         """
         half = values.shape[-1] // 2
         try:
             trajectory = decision_directed_pass(
-                values[..., :half], pair_image(values)[..., :half], rx.gamma,
+                values[..., :half], np.conj(values[..., half:]), rx.gamma,
                 self.cfg.lms_step_size, self.constellation,
             )
         except (ValueError, OverflowError) as exc:
@@ -366,12 +374,15 @@ class _GroupEngine:
             rx.gamma_trace.append(trajectory)
         return seen.reshape(values.shape[0], self.n_blocks, half)
 
-    def _chunk_errors(self, n_frames: int) -> list[int]:
-        """Simulate the next ``n_frames`` frames and count each receiver's bit errors.
+    def _front_end(self, n_frames: int):
+        """The group's shared part of the next ``n_frames`` frames.
 
-        The fading, the draws, the gains and the clean spectra are formed
-        once for the group; each receiver then adds its noise and runs the
-        imbalance, its compensation and detection.
+        Returns the symbol indices and the noise of
+        ``_draw_indices_and_noise``, the clean spectra and, for the coherent
+        receiver, its channel: the gains at the first symbol of each block,
+        at both antennas, (frame, block, antenna, pair bin).  The taps and
+        the other symbols' gains go out of scope on return, before any
+        receiver runs.
         """
         cfg = self.cfg
         taps = realize_fading(
@@ -386,13 +397,22 @@ class _GroupEngine:
         idx1, idx2, noise = self._draw_indices_and_noise(n_frames)
         gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)[..., self.pair_bins]
         clean = self._clean_spectra(idx1, idx2, gains)
-        # the coherent receiver's channel is the reference block: its gains
-        # at the first symbol of each block, at both antennas
-        ref = gains[:, 0::2]
+        ref = gains[:, 0::2].copy() if cfg.detection == "coherent" else None
+        return idx1, idx2, noise, clean, ref
+
+    def _chunk_errors(self, n_frames: int) -> list[int]:
+        """Simulate the next ``n_frames`` frames and count each receiver's bit errors.
+
+        The fading, the draws, the gains and the clean spectra are formed
+        once for the group; each receiver then adds its noise and runs the
+        imbalance, its compensation and detection.
+        """
+        cfg = self.cfg
+        idx1, idx2, noise, clean, ref = self._front_end(n_frames)
         errors = []
         for rx in self.receivers:
             values = self._received_spectra(clean, noise, rx.sigma)
-            if cfg.detection == "coherent":
+            if ref is not None:
                 det1, det2 = alamouti_detect(
                     ref[:, :, 0], ref[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
                 )
@@ -412,7 +432,9 @@ class _GroupEngine:
         bps = self.constellation.bits_per_symbol
         bits_per_frame = self.n_blocks * self.pair_bins.shape[0] * 2 * bps
         n_frames = -(-cfg.min_bits // bits_per_frame)
-        chunk = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
+        # the fewest chunks within the budget, all of one size but the last
+        budget = max(1, _CHUNK_SAMPLES // (self.n_symbols * self.samples_per_symbol))
+        chunk = -(-n_frames // -(-n_frames // budget))
         total_errors = np.zeros(len(self.receivers), dtype=np.int64)
         for first in range(0, n_frames, chunk):
             total_errors += self._chunk_errors(min(chunk, n_frames - first))

@@ -267,9 +267,9 @@ def test_grid_order_does_not_matter():
 )
 def test_sweep_records_do_not_depend_on_companion_points(overrides, companions):
     # every point sees the same draws, and only its own receiver differs;
-    # six default frames are two chunks, so gamma crosses a chunk boundary
+    # nine default frames are two chunks, so gamma crosses a chunk boundary
     cfg = small_cfg(
-        iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=6 * 7440,
+        iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=9 * 7440,
         snr_grid_db=(20.0,) + companions, **overrides,
     )
     alone, alone_trace = run_point_with_trace(cfg, 20.0)
@@ -288,7 +288,7 @@ def test_sweep_records_do_not_depend_on_companion_points(overrides, companions):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_draws_each_chunk_once_per_group(monkeypatch, workers):
-    # six default frames are two chunks, of four frames and two; each
+    # nine default frames are two chunks, of five frames and four; each
     # worker simulates one group of the four points
     calls = count_package_calls(monkeypatch, (("channel", "realize_fading"), ("iqi", "apply_rx_iqi")))
     draws = []
@@ -301,9 +301,9 @@ def test_sweep_draws_each_chunk_once_per_group(monkeypatch, workers):
     monkeypatch.setattr(harness._GroupEngine, "_draw_indices_and_noise", counted_draws)
     # the groups run in this process, so the counters see them
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    records = run_sweep(small_cfg(min_bits=6 * 7440, snr_grid_db=(10.0, 20.0, 30.0, 40.0)), workers)
+    records = run_sweep(small_cfg(min_bits=9 * 7440, snr_grid_db=(10.0, 20.0, 30.0, 40.0)), workers)
     assert len(records) == 4
-    assert draws == [4, 2] * workers
+    assert draws == [5, 4] * workers
     assert calls["realize_fading"] == 2 * workers
     # every point's receiver still runs on every chunk
     assert calls["apply_rx_iqi"] == 2 * 4
@@ -471,16 +471,55 @@ def record_chunk_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_chunks_hold_four_default_frames_of_samples(monkeypatch):
-    # 6-symbol frames go 28 to a chunk on the default 64 + 20 sample grid,
-    # 168 // 6, so 30 frames leave a chunk of two; at 1024 + 40 only two fit
-    # in the 14,112 samples, and three frames leave a chunk of one
+def test_chunks_hold_eight_default_frames_of_samples(monkeypatch):
+    # 6-symbol frames go 56 to a chunk on the default 64 + 20 sample grid,
+    # 336 // 6, so 57 frames take two chunks; at 1024 + 40 only four fit in
+    # the 28,224 samples, and five frames take two
     chunk_sizes = record_chunk_sizes(monkeypatch)
-    run_point(small_cfg(blocks_per_frame=2, min_bits=30 * 744), 20.0)
-    assert chunk_sizes == [28, 2]
-    chunk_sizes.clear()
-    run_point(small_cfg(blocks_per_frame=2, n_subcarriers=1024, cp_len=40, min_bits=30_000), 20.0)
-    assert chunk_sizes == [2, 1]
+    for frames, sizes in ((56, [56]), (57, [29, 28])):
+        run_point(small_cfg(blocks_per_frame=2, min_bits=frames * 744), 20.0)
+        assert chunk_sizes == sizes
+        chunk_sizes.clear()
+    # 2 blocks x 1,022 pair bins x 2 symbols x 3 bits per frame
+    for frames, sizes in ((4, [4]), (5, [3, 2])):
+        cfg = small_cfg(blocks_per_frame=2, n_subcarriers=1024, cp_len=40, min_bits=frames * 12_264)
+        run_point(cfg, 20.0)
+        assert chunk_sizes == sizes
+        chunk_sizes.clear()
+
+
+def test_a_point_splits_evenly_into_the_fewest_chunks(monkeypatch):
+    # the split alone: the fewest chunks within the budget, in frame order,
+    # all of one size but a last one that is no larger
+    sizes = []
+
+    def counted(engine, n_frames):
+        sizes.append(n_frames)
+        return [0] * len(engine.receivers)
+
+    monkeypatch.setattr(harness._GroupEngine, "_chunk_errors", counted)
+    run_point(small_cfg(min_bits=9 * 7440), 20.0)
+    assert sizes == [5, 4]
+    sizes.clear()
+    run_sweep(small_cfg(min_bits=21 * 7440, snr_grid_db=(10.0, 20.0, 30.0, 40.0)))
+    assert sizes == [7, 7, 7]
+    sizes.clear()
+    # a frame of 28 symbols of 1,024 + 40 samples, 29,792, exceeds the
+    # budget: each chunk holds one frame
+    frame_bits = 13 * 1022 * 2 * 3
+    run_point(
+        small_cfg(n_subcarriers=1024, cp_len=40, blocks_per_frame=13, min_bits=3 * frame_bits), 20.0
+    )
+    assert sizes == [1, 1, 1]
+    budget = harness._CHUNK_SAMPLES // (42 * 84)
+    assert budget == 8
+    for frames in range(1, 5 * budget + 1):
+        sizes.clear()
+        run_point(small_cfg(min_bits=frames * 7440), 20.0)
+        assert sum(sizes) == frames
+        assert len(sizes) == -(-frames // budget)
+        assert max(sizes) <= budget
+        assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
 
 
 @pytest.mark.parametrize(
@@ -495,9 +534,9 @@ def test_chunks_hold_four_default_frames_of_samples(monkeypatch):
         (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=512, cp_len=40), 8),
         # both 1,024-subcarrier frames of the point in one chunk
         (dict(blocks_per_frame=2, compensation="lms", n_subcarriers=1024, cp_len=40), 16),
-        # 61 frames of 2-PSK, 28 to a chunk, leave a chunk of five
+        # 61 frames of 2-PSK, 56 to a chunk, go to chunks of 31 and 30
         (dict(blocks_per_frame=2, psk_order=2), 1),
-        # fourteen default frames in one chunk of sixteen: the detector's
+        # fourteen default frames in one chunk of up to 32: the detector's
         # statistics of 14 x 20 x 62 values pass 256 KiB
         (dict(compensation="lms", min_bits=14 * 7440), 4),
     ],

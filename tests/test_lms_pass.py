@@ -3,6 +3,7 @@ a golden run of the LMS link, the pass's kernel calls and the oracle's
 observation packing."""
 import cmath
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -343,7 +344,7 @@ def chained_frame_passes(low, image, gamma, step_size, constellation):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("frames", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("frames", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("blocks", [1, WARM_UP, WARM_UP + 2])
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
 def test_chunk_pass_bytes_match_chained_frame_passes(frames, blocks, cold):
@@ -363,10 +364,10 @@ def test_chunk_pass_bytes_match_chained_frame_passes(frames, blocks, cold):
 
 @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
 def test_recorded_chunk_bytes_match_chained_frame_passes(monkeypatch, snr_db):
-    # nine default frames go to chunks of 4, 4 and 1; the first starts cold
+    # nine default frames go to chunks of 5 and 4; the first starts cold
     cfg = bundled_lms_config(min_bits=9 * FRAME_BITS)
     chunks = record_chunks(monkeypatch, cfg, snr_db)
-    assert [low.shape[0] for low, _, _, _ in chunks] == [4, 4, 1]
+    assert [low.shape[0] for low, _, _, _ in chunks] == [5, 4]
     assert chunks[0][2] == 0
     constellation = psk_constellation(cfg.psk_order)
     for low, image, gamma, trajectory in chunks:
@@ -374,9 +375,39 @@ def test_recorded_chunk_bytes_match_chained_frame_passes(monkeypatch, snr_db):
         assert trajectory.tobytes() == chained.tobytes()
 
 
+def test_full_default_chunks_match_chained_frame_passes(monkeypatch):
+    # sixteen default frames go to two full chunks of eight: each anchors
+    # its 7 later frames in one call, on recorded full-size frames, where
+    # the random chunks above are a few pairs wide
+    cfg = bundled_lms_config(min_bits=16 * FRAME_BITS)
+    chunks = record_chunks(monkeypatch, cfg, 20.0)
+    assert [low.shape[0] for low, _, _, _ in chunks] == [8, 8]
+    constellation = psk_constellation(cfg.psk_order)
+    for low, image, gamma, trajectory in chunks:
+        chained = chained_frame_passes(low, image, gamma, cfg.lms_step_size, constellation)
+        assert trajectory.tobytes() == chained.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_a_nine_frame_point_stays_under_its_traced_peak(seed):
+    # the traced numpy and Python allocations of one 9-frame LMS point, warm:
+    # 2.86-2.90 MiB with chunks of at most four frames (4, 4 and 1) that held
+    # their taps and gains through the receiver; 3.62 MiB with chunks of 5
+    # and 4 alone, 2.29 MiB with the trims that pay for them
+    cfg = bundled_lms_config(min_bits=9 * FRAME_BITS, seed=seed)
+    harness.run_point(cfg, 20.0)
+    tracemalloc.start()
+    try:
+        harness.run_point(cfg, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.9 * 2**20
+
+
 def test_a_chunk_anchors_at_most_twice(monkeypatch):
     # the first frame is anchored alone, every later frame of the chunk in
-    # one call; one anchor per frame would make 9 calls for chunks of 4, 4, 1
+    # one call; one anchor per frame would make 9 calls for chunks of 5 and 4
     anchors = []
     real_anchor = compensator._anchor
 
@@ -386,8 +417,8 @@ def test_a_chunk_anchors_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(compensator, "_anchor", counted)
     chunks = record_chunks(monkeypatch, bundled_lms_config(min_bits=9 * FRAME_BITS), 30.0)
-    assert len(chunks) == 3
-    assert anchors == [1, 3, 1, 3, 1]
+    assert len(chunks) == 2
+    assert anchors == [1, 4, 1, 3]
     anchors.clear()
     low, image, gamma = random_frame(6, frames=5)
     for start in (0j, gamma):
