@@ -56,6 +56,15 @@ class ChannelProfile:
             raise ValueError("tap delays must be strictly increasing")
         if self.doppler_hz < 0:
             raise ValueError(f"doppler must be non-negative, got {self.doppler_hz}")
+        # a linear total that overflows leaves powers of 0 or NaN, one that underflows NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not self.tap_powers_linear.max() > 0.0:
+                raise ValueError(f"tap powers {self.tap_powers_db} dB have no finite linear total")
+
+    def check_phase_step(self, symbol_period: float) -> None:
+        """Raise ValueError unless realize_fading's largest phase step per symbol is finite."""
+        if not np.isfinite(symbol_period * (2.0 * np.pi * self.doppler_hz)):
+            raise ValueError(f"doppler_hz {self.doppler_hz:g} overflows the fading phase step per symbol")
 
     @property
     def tap_powers_linear(self) -> np.ndarray:
@@ -135,10 +144,16 @@ class JakesFadingProcess:
 def tap_grid(profile: ChannelProfile, sample_period: float) -> tuple[np.ndarray, np.ndarray]:
     """Round delays to the sample grid (half-up) and merge collisions by power.
 
-    Cached per (profile, sample period); the returned arrays are read-only.
+    Raises ValueError unless the sample period is positive and finite and every
+    position fits an int64.  Cached per (profile, sample period), arrays read-only.
     """
-    delays = np.asarray(profile.tap_delays_s, dtype=float)
-    positions = np.floor(delays / sample_period + 0.5).astype(np.int64)
+    if not 0.0 < sample_period < np.inf:
+        raise ValueError(f"sample_period must be positive and finite, got {sample_period}")
+    positions = np.floor(np.asarray(profile.tap_delays_s, dtype=float) / sample_period + 0.5)
+    # the last tap's is the largest; an int64 cast would wrap it
+    if not positions[-1] < 2.0**63:
+        raise ValueError(f"tap delay {profile.tap_delays_s[-1]:g} s lies beyond the int64 sample grid")
+    positions = positions.astype(np.int64)
     powers = profile.tap_powers_linear
     unique, inverse = np.unique(positions, return_inverse=True)
     merged = np.bincount(inverse, weights=powers)
@@ -179,8 +194,6 @@ def realize_fading(
     at zero Doppler every step is exactly 1.  All taps of all frames are
     then summed by one stacked matrix-vector product.
     """
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
     if n_ofdm_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
     if samples_per_symbol < 1:
@@ -188,11 +201,12 @@ def realize_fading(
     if frames < 1:
         raise ValueError(f"frames must be positive, got {frames}")
     _, powers = tap_grid(profile, sample_period)
+    symbol_period = samples_per_symbol * sample_period
+    profile.check_phase_step(symbol_period)
     shape = (frames, N_TX_ANTENNAS, powers.shape[0])
     uniforms = angle_rng.random(shape + (DEFAULT_OSCILLATORS,))
     normals = weight_rng.standard_normal(shape + (2, DEFAULT_OSCILLATORS))
     rates, weights = _oscillators(powers[:, None], profile.doppler_hz, uniforms, normals)
-    symbol_period = samples_per_symbol * sample_period
     # exp(1j * rate * (s + 0.5) * T) as a running product over the symbols s
     phases = np.empty(rates.shape[:-1] + (n_ofdm_symbols, DEFAULT_OSCILLATORS), dtype=np.complex128)
     phases[..., 0, :] = np.exp(0.5j * symbol_period * rates)

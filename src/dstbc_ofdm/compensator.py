@@ -68,7 +68,7 @@ def build_residuals(
     )
 
 
-def lms_step(gamma: complex, step_size: float, xi: complex, delta: complex) -> complex:
+def lms_step(gamma: complex, step_size: complex, xi: complex, delta: complex) -> complex:
     """One stochastic-gradient descent step on |xi + gamma*delta|^2."""
     return gamma - step_size * (xi + gamma * delta) * delta.conjugate()
 
@@ -130,8 +130,8 @@ def decision_directed_pass(
     ratios = constellation.points * INFO_SCALE
     ratio_list = ratios.tolist()
     gamma = complex(gamma)
-    # CPython forms float * complex as complex(float, 0.0) * complex, so the
-    # inline steps bind the complex once and skip float.__mul__'s refusal
+    # every step, inline or lms_step, multiplies by this complex, so the bytes
+    # do not depend on how an interpreter multiplies a float by a complex
     mu = complex(step_size)
     # local names for the kernels, looked up once per pass, not per observation
     detect = ml_differential_detect_indices
@@ -191,9 +191,9 @@ def decision_directed_pass(
                     order,
                 )
                 (xi1, delta1), (xi2, delta2) = residuals(values, ratio_list[i1], ratio_list[i2])
-                gamma = step(gamma, step_size, xi1, delta1)
+                gamma = step(gamma, mu, xi1, delta1)
                 append(gamma)
-                gamma = step(gamma, step_size, xi2, delta2)
+                gamma = step(gamma, mu, xi2, delta2)
                 append(gamma)
     return np.fromiter(trajectory, np.complex128, len(trajectory))
 

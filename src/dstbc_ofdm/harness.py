@@ -51,9 +51,8 @@ genie's exact value, or the LMS pass's running estimate.  The LMS pass runs
 once per chunk and receiver, through the chunk's frames in frame order, so
 its trajectory too does not depend on the chunk size.
 
-A config names its channel, and ``SimConfig.profile`` builds it with
-``channel.load_profile``, which owns the profile tables and the rule that
-only "custom" takes tap tables.
+A config names its channel; ``channel`` builds it (``load_profile``) and
+owns its sampled form (``tap_grid``, ``ChannelProfile.check_phase_step``).
 
 SNR is the ratio of received signal power per active subcarrier (unit by
 construction: unit-power channels, unitary space-time blocks) to the noise
@@ -91,13 +90,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # temporary in place, a loop that rounds differently in the last bit; the
 # link step, the imbalance, the compensation and stbc.alamouti_statistics
 # bind their operands to names, which leaves numpy no temporary to multiply
-# into, so chunks give the same bits as frame-by-frame simulation.  Memory:
-# the budget alone raised the traced peak of a warm 9-frame LMS point from
-# 2.86-2.90 MiB (chunks of 4, 4 and 1) to 3.62 MiB; it is 2.29 MiB since the
-# taps and gains leave scope before the receivers run, the pass takes only
-# the mirror half's conjugate as its image and the anchor forms its
-# residual products pair by pair.  Against chunks of four, the benchmark's
-# peak RSS rose 0.5% on lms-track and 4.2% on floor-sweep and fast-coherent.
+# into, so chunks give the same bits as frame-by-frame simulation.  Memory
+# stays small because the taps and gains leave scope before the receivers
+# run and the LMS pass takes half-width images and pairwise products.
 _CHUNK_SAMPLES = 8 * 42 * 84
 
 # The heap policy: one 4 MiB block, allocated and freed at import.  When
@@ -182,9 +177,7 @@ class SimConfig:
         if self.detection not in DETECTION_MODES:
             raise ConfigError(f"detection must be one of {DETECTION_MODES}, got {self.detection!r}")
         if self.compensation not in COMPENSATION_MODES:
-            raise ConfigError(
-                f"compensation must be one of {COMPENSATION_MODES}, got {self.compensation!r}"
-            )
+            raise ConfigError(f"compensation must be one of {COMPENSATION_MODES}, got {self.compensation!r}")
         if self.min_bits < 1 or self.blocks_per_frame < 1:
             raise ConfigError("min_bits and blocks_per_frame must be positive")
         if self.lms_step_size <= 0:
@@ -198,27 +191,26 @@ class SimConfig:
         for value in self.snr_grid_db:
             if math.isnan(value):
                 raise ConfigError("snr_grid_db values must not be NaN")
-            _check_snr_db(value)
-        # the PSK order, the channel profile (its Doppler included) and the
-        # imbalance are checked by the code that builds them
+            if not (value == math.inf or abs(value) <= 1000.0):
+                raise ConfigError(f"snr_db {value:g} out of supported range: finite within 1000 dB, or inf")
+        try:
+            symbol_period = (n + self.cp_len) * self.sample_period
+        except OverflowError as exc:
+            raise ConfigError(f"n_subcarriers 2**{n.bit_length() - 1} overflows the symbol period") from exc
+        # each of these is checked by the code that builds or samples it
         try:
             check_psk_order(self.psk_order)
             profile = self.profile
+            spread = tap_grid(profile, self.sample_period)[0][-1]
+            profile.check_phase_step(symbol_period)
             derive_iqi_params(self.iqi_kappa_db, self.iqi_phi_deg)
         except OverflowError as exc:
-            raise ConfigError(
-                f"iqi_kappa_db {self.iqi_kappa_db:g} dB overflows the imbalance coefficients"
-            ) from exc
+            message = f"iqi_kappa_db {self.iqi_kappa_db:g} dB overflows the imbalance coefficients"
+            raise ConfigError(message) from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # the last tap's sample position, rounded as tap_grid rounds it but
-        # kept a float: tap_grid's int64 cast would wrap a huge one round
-        spread = np.floor(profile.tap_delays_s[-1] / self.sample_period + 0.5)
         if spread > self.cp_len:
-            raise ConfigError(f"channel delay spread {spread:.15g} samples exceeds cp_len {self.cp_len}")
-        # realize_fading's largest oscillator phase step per OFDM symbol, in its order
-        if not math.isfinite((n + self.cp_len) * self.sample_period * (2.0 * math.pi * self.doppler_hz)):
-            raise ConfigError(f"doppler_hz {self.doppler_hz:g} overflows the fading phase step per symbol")
+            raise ConfigError(f"channel delay spread {spread} samples exceeds cp_len {self.cp_len}")
 
 
 @dataclass(frozen=True)
@@ -240,12 +232,6 @@ class BerRecord:
     ber: float
     seed: int
     elapsed_s: float = field(compare=False, default=0.0)
-
-
-def _check_snr_db(snr_db: float) -> None:
-    """Raise ConfigError unless an SNR value is +inf, or finite within 1000 dB."""
-    if not (snr_db == math.inf or abs(snr_db) <= 1000.0):
-        raise ConfigError(f"snr_db {snr_db:g} out of supported range: finite within 1000 dB, or inf")
 
 
 @dataclass

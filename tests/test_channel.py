@@ -122,11 +122,29 @@ def realize_one_frame(sample_period=SAMPLE_PERIOD, n_ofdm_symbols=2, samples_per
         (lambda: realize_one_frame(sample_period=0.0), "sample_period must be positive"),
         (lambda: realize_one_frame(n_ofdm_symbols=0), "need at least one OFDM symbol"),
         (lambda: realize_one_frame(samples_per_symbol=0), "samples_per_symbol must be positive"),
+        # finite dB powers whose linear total overflows, or underflows to 0,
+        # would normalise to NaN (or all-zero) tap powers
+        (lambda: load_profile("custom", 5.0, (0.0, 400.0), (-4000.0, -4000.0)), "no finite linear total"),
+        (lambda: load_profile("custom", 5.0, (0.0, 400.0), (0.0, 4000.0)), "no finite linear total"),
+        (lambda: load_profile("custom", 5.0, (0.0, 400.0), (3080.0, 3080.0)), "no finite linear total"),
+        # an int64 cast would wrap this delay to -2**63 and swap the taps' powers
+        (lambda: tap_grid(load_profile("custom", 5.0, (0.0, 1e30), (0.0, -3.0)), SAMPLE_PERIOD),
+         "beyond the int64 sample grid"),
+        # a flat profile's one delay rounds to sample 0 on any of these periods
+        (lambda: tap_grid(load_profile("flat", 5.0), -SAMPLE_PERIOD), "must be positive and finite"),
+        (lambda: tap_grid(load_profile("flat", 5.0), np.inf), "must be positive and finite"),
+        (lambda: tap_grid(load_profile("flat", 5.0), np.nan), "must be positive and finite"),
+        # the phase step per symbol would overflow into all-NaN taps
+        (lambda: realize_fading(load_profile("flat", 1e308), SAMPLE_PERIOD, 2, *fading_rngs(0),
+                                samples_per_symbol=84, frames=1), "^doppler_hz 1e\\+308 overflows"),
+        (lambda: load_profile("itu-pb", 1e10).check_phase_step(1e300), "^doppler_hz 1e\\+10 overflows"),
     ],
     ids=[
         "nan_everywhere", "nan_delay", "inf_delay", "inf_power", "nan_power", "nan_doppler",
         "inf_doppler", "mismatched_tables", "empty_tables", "zero_tap_power", "negative_tap_power",
-        "sample_period", "n_ofdm_symbols", "samples_per_symbol",
+        "sample_period", "n_ofdm_symbols", "samples_per_symbol", "power_total_underflows",
+        "power_overflows", "power_total_overflows", "delay_beyond_int64", "negative_sample_period",
+        "inf_sample_period", "nan_sample_period", "doppler_phase_step", "check_phase_step",
     ],
 )
 def test_channel_inputs_are_rejected(call, message):
@@ -345,6 +363,15 @@ def test_batch_equals_successive_single_draws():
         assert batch_rng.random() == single_rng.random()
     with pytest.raises(ValueError):
         realize_fading(prof, SAMPLE_PERIOD, 8, *fading_rngs(0), samples_per_symbol=84, frames=0)
+
+
+def test_overflowing_phase_step_draws_nothing():
+    angle_rng, weight_rng = fading_rngs(3)
+    with pytest.raises(ValueError, match="^doppler_hz "):
+        realize_fading(load_profile("itu-pb", 1e308), SAMPLE_PERIOD, 8, angle_rng, weight_rng,
+                       samples_per_symbol=84, frames=2)
+    fresh = fading_rngs(3)
+    assert angle_rng.random() == fresh[0].random() and weight_rng.random() == fresh[1].random()
 
 
 def test_realization_rejects_delay_spread_beyond_cp():

@@ -274,6 +274,8 @@ def test_console_script_runs(package_env):
         # modes are checked by SimConfig alone, as for their INI keys
         ["simulate", "--detection", "foo"],
         ["simulate", "--workers", "abc"],
+        # too large for a float symbol period: named, not an OverflowError
+        ["simulate", "--snr", "10", "--n-subcarriers", str(2**1100)],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
@@ -298,6 +300,8 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
         ("simulate", "--detection", "foo"):
             "error: detection must be one of ('differential', 'coherent'), got 'foo'\n",
         ("simulate", "--workers", "abc"): "error: bad value for '--workers': 'abc'\n",
+        ("simulate", "--snr", "10", "--n-subcarriers", str(2**1100)):
+            "error: n_subcarriers 2**1100 overflows the symbol period\n",
     }
     if tuple(argv) in exact:
         assert proc.stderr == exact[tuple(argv)]

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dstbc_ofdm import (
     BerRecord,
@@ -18,8 +20,10 @@ from dstbc_ofdm import (
     run_point,
     run_point_with_trace,
     run_sweep,
+    tap_grid,
 )
 from dstbc_ofdm import harness
+from dstbc_ofdm.channel import PROFILE_NAMES
 from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS
 
 from conftest import count_package_calls
@@ -79,9 +83,16 @@ def test_default_config_is_valid():
         dict(channel="itu-pb", custom_delays_ns=(0, 100), custom_powers_db=(0, -3)),
         dict(channel="flat", custom_powers_db=(0.0,)),
         dict(cp_len=10),  # ITU-PB spreads over 19 samples
-        # delays of ~1e302 samples, which an int64 cast of the tap grid
-        # would wrap to a negative spread
+        # delays of ~1e302 samples and of 5e27, which tap_grid refuses: an
+        # int64 cast would wrap them to a negative spread
         dict(bandwidth_hz=1e308),
+        dict(channel="custom", custom_delays_ns=(0.0, 1e30), custom_powers_db=(0.0, -3.0)),
+        # finite dB powers whose linear total underflows to 0 or overflows:
+        # NaN tap powers, a garbage BER near 0.5
+        dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(-4000.0, -4000.0)),
+        dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0, 4000)),
+        # a power of two whose symbol length overflows a float
+        dict(n_subcarriers=2**1100),
         # non-finite floats are named, not simulated into a garbage BER or
         # left to fail mid-run
         dict(doppler_hz=math.nan),
@@ -176,6 +187,63 @@ def test_numpy_numbers_are_rejected_by_what_is_accepted(overrides, message):
     with pytest.raises(ConfigError) as excinfo:
         small_cfg(**overrides)
     assert str(excinfo.value) == message
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_config_fields(draw):
+    """SimConfig keywords of the right types and finite values.
+
+    The fields the channel's sampled form reads are valid in half of the
+    examples and take any finite values in the other half; tap tables mix
+    plausible values with any finite ones.  The other fields stay valid, so
+    that many configs get as far as the channel's rules.
+    """
+    n = draw(st.sampled_from([64, 1024]))
+    detection = draw(st.sampled_from(harness.DETECTION_MODES))
+    kw = dict(
+        n_subcarriers=n,
+        cp_len=draw(st.integers(20, n - 1)),
+        bandwidth_hz=draw(st.sampled_from([5e6, 1.0])),
+        channel=draw(st.sampled_from([*PROFILE_NAMES, "custom", "custom", "custom"])),
+        doppler_hz=draw(st.sampled_from([0.0, 11.6, 463.0])),
+        psk_order=draw(st.sampled_from(SUPPORTED_PSK_ORDERS)),
+        iqi_kappa_db=draw(st.floats(-3.0, 3.0)),
+        iqi_phi_deg=draw(st.floats(-10.0, 10.0)),
+        detection=detection,
+        compensation="off" if detection == "coherent" else draw(st.sampled_from(harness.COMPENSATION_MODES)),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=3))),
+        min_bits=draw(st.integers(1, 10**7)),
+        blocks_per_frame=draw(st.integers(1, 40)),
+        lms_step_size=draw(st.floats(1e-4, 0.1)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    if draw(st.booleans()):
+        wide = dict(n_subcarriers=st.integers(), cp_len=st.integers(), bandwidth_hz=FINITE, doppler_hz=FINITE)
+        kw.update(draw(st.fixed_dictionaries({}, optional=wide)))
+    if kw["channel"] == "custom":
+        delays = st.lists(st.floats(1.0, 4000.0) | st.floats(0.0, exclude_min=True), max_size=3)
+        kw["custom_delays_ns"] = (0.0, *sorted(set(draw(delays))))
+        # 10 ** (dB / 10) leaves the float range near +-3,000 dB
+        powers = st.floats(-30.0, 0.0) | st.floats(-5000.0, 5000.0) | FINITE
+        kw["custom_powers_db"] = tuple(draw(powers) for _ in kw["custom_delays_ns"])
+    return kw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(finite_config_fields())
+def test_a_config_that_constructs_has_a_sampled_channel(kw):
+    # construction refuses the config, or its channel samples into finite
+    # unit-total tap powers on a grid within the cyclic prefix
+    try:
+        cfg = SimConfig(**kw)
+    except ConfigError:
+        return
+    powers = cfg.profile.tap_powers_linear
+    assert np.isfinite(powers).all() and powers.sum() == pytest.approx(1.0)
+    assert tap_grid(cfg.profile, cfg.sample_period)[0][-1] <= cfg.cp_len
 
 
 def forbid_frames(monkeypatch):
