@@ -2,7 +2,8 @@
 
 Modules
 -------
-numerics     PSK constellations, Gray labels and the PSK decision rule.
+numerics     PSK constellations, Gray labels, the PSK decision rule and
+             CPython's complex product on arrays.
 stbc         Alamouti top rows: differential encoding, one ML detector.
 channel      Tapped-delay-line profiles, Jakes fading, subcarrier gains.
 ofdm         Subcarrier layout: (k, mirror) pair order and its image map.

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .numerics import split_factor, split_product
+
 N_TX_ANTENNAS = 2
 DEFAULT_OSCILLATORS = 32
 
@@ -191,8 +193,15 @@ def realize_fading(
     ``exp(1j*rate*T/2)``, is multiplied by its per-symbol step
     ``exp(1j*rate*T)`` along the symbols.  This differs from the ``exp`` of
     ``JakesFadingProcess.sample`` by rounding only, a few ulps per symbol;
-    at zero Doppler every step is exactly 1.  All taps of all frames are
-    then summed by one stacked matrix-vector product.
+    at zero Doppler every step is exactly 1.  The phasors are laid out one
+    (frame, antenna, tap, oscillator) plane per symbol, and each step
+    multiplies a whole plane.  With three or more symbols a step is
+    ``numerics.split_product``, CPython's complex product, which is what
+    ``np.cumprod`` along the symbols computes; two symbols take one plain
+    ``np.multiply``, which is what ``np.cumprod`` computes for them
+    (``tests/phasor_steps.py`` keeps that form as the byte oracle).  All
+    taps of all frames are then summed by one stacked matrix-vector
+    product.
     """
     if n_ofdm_symbols < 1:
         raise ValueError("need at least one OFDM symbol")
@@ -207,13 +216,24 @@ def realize_fading(
     uniforms = angle_rng.random(shape + (DEFAULT_OSCILLATORS,))
     normals = weight_rng.standard_normal(shape + (2, DEFAULT_OSCILLATORS))
     rates, weights = _oscillators(powers[:, None], profile.doppler_hz, uniforms, normals)
-    # exp(1j * rate * (s + 0.5) * T) as a running product over the symbols s
-    phases = np.empty(rates.shape[:-1] + (n_ofdm_symbols, DEFAULT_OSCILLATORS), dtype=np.complex128)
-    phases[..., 0, :] = np.exp(0.5j * symbol_period * rates)
-    phases[..., 1:, :] = np.exp(1j * symbol_period * rates)[..., None, :]
-    np.cumprod(phases, axis=-2, out=phases)
+    # exp(1j * rate * (s + 0.5) * T) as a running product over the symbols s,
+    # one (frame, antenna, tap, oscillator) plane per symbol
+    phases = np.empty((n_ofdm_symbols,) + rates.shape, dtype=np.complex128)
+    phases[0] = np.exp(0.5j * symbol_period * rates)
+    step = np.exp(1j * symbol_period * rates)
+    if n_ofdm_symbols == 2:
+        # the bytes of np.cumprod, whose vector loop takes two symbols
+        np.multiply(phases[0], step, out=phases[1])
+    else:
+        # and those of its scalar loop, which takes more: CPython's form
+        parts = split_factor(step)
+        for s in range(1, n_ofdm_symbols):
+            split_product(phases[s - 1], parts, out=phases[s])
+    # one matrix-vector product per (frame, antenna, tap), as on the
+    # (..., symbol, oscillator) layout, only with a longer row stride
+    sums = np.moveaxis(phases, 0, -2) @ weights[..., None]
     # (frame, antenna, tap, symbol) -> (frame, symbol, antenna, tap)
-    taps = np.ascontiguousarray((phases @ weights[..., None])[..., 0].transpose(0, 3, 1, 2))
+    taps = np.ascontiguousarray(sums[..., 0].transpose(0, 3, 1, 2))
     taps.flags.writeable = False
     return taps
 

@@ -15,7 +15,7 @@ from itertools import repeat
 import numpy as np
 
 from .iqi import IqiParams
-from .numerics import PskConstellation, psk_decisions_with_margin
+from .numerics import PskConstellation, psk_decisions_with_margin, split_factor, split_product
 from .ofdm import pair_image
 from .stbc import INFO_SCALE, alamouti_detect, alamouti_statistics, ml_differential_detect_indices
 
@@ -270,25 +270,25 @@ def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray
     pair), and ``indices`` the two decisions of every observation, shape
     (2, ..., block pair, pair), which pick ``u1`` and ``u2`` from
     ``ratios``.  numpy's complex product rounds differently from CPython's
-    in the last bit, so each product is written as CPython forms it, ``(xr*yr
-    - xi*yi, xr*yi + xi*yr)``; complex sums and negation are exact
-    componentwise either way.  Returns ``(xi1, delta1, xi2, delta2)``.
+    in the last bit, so each product is ``numerics.split_product``, which
+    forms it as CPython does; complex sums and negation are exact
+    componentwise either way.  Non-finite values can make a split product
+    NaN where CPython's is not, but they also leave a radius that certifies
+    nothing (NaN or negative), so their observations fall back to
+    ``build_residuals``.  Returns ``(xi1, delta1, xi2, delta2)``.
     """
-    u1, u2 = ratios[indices]
+    # u[:, 0] and u[:, 1] are u1 and u2, split, and conj_u their conjugates
+    # (conjugation flips each zero with the part it stands in for).  take
+    # gathers several times faster than [:, indices], numpy's general path
+    # for an index array after a slice.
+    u = split_factor(ratios).take(indices, axis=1)
+    conj_u = np.conj(u)
     k_a, k_b = planes[..., 0:-2:2, :], planes[..., 1:-2:2, :]
     # z_k.a * u1 - z_k.b * conj(u2) and z_k.a * u2 + z_k.b * conj(u1), for
     # the raw and the image values alike
-    first = planes[..., 2::2, :] - (_product(k_a, u1) - _product(k_b, np.conj(u2)))
-    second = -(planes[..., 3::2, :] - (_product(k_a, u2) + _product(k_b, np.conj(u1))))
+    first = planes[..., 2::2, :] - (split_product(k_a, u[:, 0]) - split_product(k_b, conj_u[:, 1]))
+    second = -(planes[..., 3::2, :] - (split_product(k_a, u[:, 1]) + split_product(k_b, conj_u[:, 0])))
     return first[0], first[1], second[0], second[1]
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y`` as CPython forms a complex product; ``y`` broadcasts over ``x``."""
-    out = np.empty(x.shape, dtype=np.complex128)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def detect_pairs(values: np.ndarray, gamma, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -107,6 +107,12 @@ _CHUNK_SAMPLES = 8 * 42 * 84
 np.empty(1 << 19)
 
 
+# The largest FFT of a deployed OFDM standard (DVB-T2's 32K mode).  A frame
+# is never split across chunks, so a grid far past it fails only when a
+# chunk allocates (2**60 subcarriers asked numpy for 4 EiB).
+_MAX_SUBCARRIERS = 2**15
+
+
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent simulation configuration."""
 
@@ -197,6 +203,9 @@ class SimConfig:
             symbol_period = (n + self.cp_len) * self.sample_period
         except OverflowError as exc:
             raise ConfigError(f"n_subcarriers 2**{n.bit_length() - 1} overflows the symbol period") from exc
+        if n > _MAX_SUBCARRIERS:
+            largest = _MAX_SUBCARRIERS.bit_length() - 1
+            raise ConfigError(f"n_subcarriers 2**{n.bit_length() - 1} exceeds the largest grid, 2**{largest}")
         # each of these is checked by the code that builds or samples it
         try:
             check_psk_order(self.psk_order)

@@ -1,4 +1,4 @@
-"""Gray-coded PSK mapping and the PSK decision rule.
+"""Gray-coded PSK mapping, the PSK decision rule and CPython's complex product.
 
 Convention used throughout the package: PSK phase index ``g`` carries the
 bit pattern whose position in the binary-reflected Gray sequence is ``g``;
@@ -88,3 +88,33 @@ def _half_step_phase(values: np.ndarray, order: int) -> np.ndarray:
 def nearest_psk_index(value: complex, order: int) -> int:
     """Scalar form of ``nearest_psk_indices``, the same rounding in angle."""
     return math.floor(math.atan2(value.imag, value.real) / (2.0 * math.pi / order) + 0.5) % order
+
+
+def split_factor(y: np.ndarray) -> np.ndarray:
+    """``y`` split into the two complex factors ``split_product`` takes, shape (2,) + y.shape.
+
+    The first keeps ``y``'s real part, the second its imaginary part; each
+    one's other part is a zero signed like the part it stands in for.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    parts = np.stack((y, y))
+    np.copysign(0.0, y.imag, out=parts[0].imag)
+    np.copysign(0.0, y.real, out=parts[1].real)
+    return parts
+
+
+def split_product(x: np.ndarray, parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x * y`` as CPython forms a complex product, with ``parts = split_factor(y)``.
+
+    numpy's complex product may fuse a multiply into its add, so it differs
+    from CPython's ``(xr*yr - xi*yi, xr*yi + xi*yr)`` in the last bit.  A
+    factor with one zero part rounds each part of its product once, fused or
+    not, and the zeros' signs make the sum of the two products CPython's
+    form bit for bit, for every finite ``x`` and ``y`` (signed zeros and
+    subnormals too).  Where ``x`` is infinite or NaN, ``inf * 0`` may give
+    NaN where CPython does not.  ``parts`` broadcasts against ``x``, from
+    its second axis on.
+    """
+    out = np.multiply(x, parts[0], out=out)
+    out += x * parts[1]
+    return out

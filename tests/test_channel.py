@@ -17,6 +17,8 @@ from dstbc_ofdm import (
 )
 from dstbc_ofdm.channel import PROFILE_NAMES, _PROFILE_TABLES, _oscillators
 
+import phasor_steps
+
 SAMPLE_PERIOD = 1.0 / 5e6
 
 
@@ -348,21 +350,39 @@ def test_batched_realization_matches_per_frame_processes(name, doppler, n_sym, f
 
 
 def test_batch_equals_successive_single_draws():
+    # byte for byte, so that a chunk of F frames gives what F one-frame
+    # chunks give (the records' chunk-size test sees only flipped
+    # decisions), at one step (2 symbols) and at many
     prof = load_profile("itu-pb", 11.6)
-    rngs_batch = fading_rngs(3)
-    rngs_single = fading_rngs(3)
-    batch = realize_fading(prof, SAMPLE_PERIOD, 8, *rngs_batch, samples_per_symbol=84, frames=4)
-    singles = [
-        realize_fading(prof, SAMPLE_PERIOD, 8, *rngs_single, samples_per_symbol=84, frames=1)
-        for _ in range(4)
-    ]
-    assert np.array_equal(batch, np.concatenate(singles))
-    assert not batch.flags.writeable
-    # both streams end where the four single draws left them
-    for batch_rng, single_rng in zip(rngs_batch, rngs_single):
-        assert batch_rng.random() == single_rng.random()
+    for n_symbols in (2, 8, 42):
+        rngs_batch = fading_rngs(3)
+        rngs_single = fading_rngs(3)
+        batch = realize_fading(prof, SAMPLE_PERIOD, n_symbols, *rngs_batch, samples_per_symbol=84, frames=4)
+        singles = [
+            realize_fading(prof, SAMPLE_PERIOD, n_symbols, *rngs_single, samples_per_symbol=84, frames=1)
+            for _ in range(4)
+        ]
+        assert batch.tobytes() == np.concatenate(singles).tobytes()
+        assert not batch.flags.writeable
+        # both streams end where the four single draws left them
+        for batch_rng, single_rng in zip(rngs_batch, rngs_single):
+            assert batch_rng.random() == single_rng.random()
     with pytest.raises(ValueError):
         realize_fading(prof, SAMPLE_PERIOD, 8, *fading_rngs(0), samples_per_symbol=84, frames=0)
+
+
+@pytest.mark.parametrize("doppler_hz", [0.0, 11.6, 463.0])
+@pytest.mark.parametrize("frames", [1, 5, 34])
+@pytest.mark.parametrize("n_symbols", [1, 2, 3, 8, 42, 1002])
+def test_phasor_steps_match_the_cumprod_oracle(n_symbols, frames, doppler_hz):
+    # one tap for 1002 symbols of 34 frames, whose six-tap phasors would
+    # take 209 MB a side
+    prof = load_profile("flat" if n_symbols * frames > 1002 * 5 else "itu-pb", doppler_hz)
+    args = (prof, SAMPLE_PERIOD, n_symbols)
+    kwargs = dict(samples_per_symbol=84, frames=frames)
+    taps = realize_fading(*args, *fading_rngs(5), **kwargs)
+    expected = phasor_steps.realize_fading(*args, *fading_rngs(5), **kwargs)
+    assert taps.tobytes() == expected.tobytes()
 
 
 def test_overflowing_phase_step_draws_nothing():

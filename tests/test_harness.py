@@ -93,6 +93,9 @@ def test_default_config_is_valid():
         dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0, 4000)),
         # a power of two whose symbol length overflows a float
         dict(n_subcarriers=2**1100),
+        # a power of two past the largest grid, which constructed and whose
+        # first chunk then asked numpy for 4 EiB
+        dict(n_subcarriers=2**60, min_bits=1000),
         # non-finite floats are named, not simulated into a garbage BER or
         # left to fail mid-run
         dict(doppler_hz=math.nan),

@@ -1,11 +1,19 @@
-"""Unit tests for Gray labels, PSK constellations and the PSK decision rule."""
+"""Unit tests for Gray labels, PSK constellations, the PSK decision rule and
+the CPython-form complex product."""
 import math
 
 import numpy as np
 import pytest
 
 from dstbc_ofdm import nearest_psk_indices, psk_constellation
-from dstbc_ofdm.numerics import SUPPORTED_PSK_ORDERS, nearest_psk_index, psk_decisions_with_margin
+from dstbc_ofdm.numerics import (
+    SUPPORTED_PSK_ORDERS,
+    nearest_psk_index,
+    psk_decisions_with_margin,
+    split_factor,
+    split_product,
+)
+from dstbc_ofdm.stbc import INFO_SCALE
 
 from conftest import bits_to_indices, indices_to_bits
 
@@ -190,3 +198,30 @@ def test_margins_equal_their_in_place_form(order, rng):
         margins = psk_decisions_with_margin(values, order)[1]
         assert margins.shape == values.shape
         assert margins.tobytes() == _in_place_margins(values, order).tobytes()
+
+
+def test_split_product_is_cpython_complex_product(rng):
+    # the factors the LMS anchor multiplies by: every scaled PSK ratio point
+    # of every order, and its conjugate
+    ratios = np.concatenate([psk_constellation(order).points * INFO_SCALE for order in SUPPORTED_PSK_ORDERS])
+    factors = np.concatenate([ratios, np.conj(ratios)])
+    # the other operand: random parts, each replaced now and then by a
+    # signed zero, a subnormal, a normal number near underflow or a large
+    # finite magnitude
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.3e-308, -2.3e-308, 1e300, -1e300,
+               1.7e308, -1.7e308]
+    parts = rng.standard_normal((2, 4000))
+    for plane in parts:
+        picked = rng.random(plane.shape) < 0.4
+        plane[picked] = rng.choice(special, picked.sum())
+    x = parts[0] + 0j
+    x.imag = parts[1]
+    expected = np.array([[a * b for b in factors.tolist()] for a in x.tolist()])
+    # contiguous operands, and a strided one broadcast against its factors
+    # (the anchor's layout)
+    whole = split_product(np.repeat(x[:, None], len(factors), axis=1), split_factor(np.tile(factors, (len(x), 1))))
+    wide = np.empty((len(x), 2 * len(factors)), dtype=np.complex128)
+    wide[:, ::2] = x[:, None]
+    strided = split_product(wide[:, ::2], split_factor(factors))
+    for got in (whole, strided):
+        assert got.tobytes() == expected.tobytes()

@@ -18,6 +18,10 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="cp_len must lie"):
         SimConfig(n_subcarriers=64, cp_len=0).validate()
     SimConfig(n_subcarriers=64, cp_len=63).validate()
+    # the largest grid is accepted, the next power of two is not
+    SimConfig(n_subcarriers=2**15).validate()
+    with pytest.raises(ConfigError, match=r"^n_subcarriers 2\*\*16 exceeds the largest grid, 2\*\*15$"):
+        SimConfig(n_subcarriers=2**16)
 
 
 def test_active_subcarriers_default_grid():
