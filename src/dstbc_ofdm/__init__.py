@@ -30,14 +30,7 @@ from .channel import (
     subcarrier_gains,
     tap_grid,
 )
-from .compensator import (
-    build_residuals,
-    compensate_observation,
-    decision_directed_pass,
-    detect_pairs,
-    gamma_true,
-    lms_step,
-)
+from .compensator import gamma_true
 from .harness import (
     BerRecord,
     ConfigError,
@@ -53,7 +46,7 @@ from .numerics import (
     psk_constellation,
 )
 from .ofdm import pair_bins, pair_image
-from .stbc import alamouti_detect, differential_encode, ml_differential_detect_indices
+from .stbc import alamouti_detect, differential_encode
 
 __version__ = "0.1.0"
 
@@ -69,19 +62,13 @@ __all__ = [
     "apply_rx_iqi",
     "ber_closed_form",
     "ber_floor",
-    "build_residuals",
-    "compensate_observation",
-    "decision_directed_pass",
     "derive_iqi_params",
-    "detect_pairs",
     "differential_encode",
     "equivalent_snr",
     "f44_pdf",
     "floor_onset_and_ideal_snr",
     "gamma_true",
-    "lms_step",
     "load_profile",
-    "ml_differential_detect_indices",
     "nearest_psk_indices",
     "pair_bins",
     "pair_image",

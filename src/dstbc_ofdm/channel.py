@@ -134,8 +134,6 @@ class JakesFadingProcess:
         uniforms = rng.random(DEFAULT_OSCILLATORS)
         normals = rng.standard_normal((2, DEFAULT_OSCILLATORS))
         self._rates, self._weights = _oscillators(mean_power, doppler_hz, uniforms, normals)
-        self.mean_power = mean_power
-        self.doppler_hz = doppler_hz
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=float)

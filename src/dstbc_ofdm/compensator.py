@@ -277,17 +277,23 @@ def _residual_planes(planes: np.ndarray, indices: np.ndarray, ratios: np.ndarray
     nothing (NaN or negative), so their observations fall back to
     ``build_residuals``.  Returns ``(xi1, delta1, xi2, delta2)``.
     """
-    # u[:, 0] and u[:, 1] are u1 and u2, split, and conj_u their conjugates
-    # (conjugation flips each zero with the part it stands in for).  take
-    # gathers several times faster than [:, indices], numpy's general path
-    # for an index array after a slice.
-    u = split_factor(ratios).take(indices, axis=1)
-    conj_u = np.conj(u)
+    # the ratios split, and their conjugates (conjugation flips each zero
+    # with the part it stands in for); each product gathers its own u1 or u2,
+    # so at most one gathered factor is alive at a time.  take gathers
+    # several times faster than [:, indices], numpy's general path for an
+    # index array after a slice.
+    parts = split_factor(ratios)
+    conj_parts = np.conj(parts)
+    i1, i2 = indices
     k_a, k_b = planes[..., 0:-2:2, :], planes[..., 1:-2:2, :]
     # z_k.a * u1 - z_k.b * conj(u2) and z_k.a * u2 + z_k.b * conj(u1), for
     # the raw and the image values alike
-    first = planes[..., 2::2, :] - (split_product(k_a, u[:, 0]) - split_product(k_b, conj_u[:, 1]))
-    second = -(planes[..., 3::2, :] - (split_product(k_a, u[:, 1]) + split_product(k_b, conj_u[:, 0])))
+    first = planes[..., 2::2, :] - (
+        split_product(k_a, parts.take(i1, axis=1)) - split_product(k_b, conj_parts.take(i2, axis=1))
+    )
+    second = -(planes[..., 3::2, :] - (
+        split_product(k_a, parts.take(i2, axis=1)) + split_product(k_b, conj_parts.take(i1, axis=1))
+    ))
     return first[0], first[1], second[0], second[1]
 
 

@@ -151,9 +151,10 @@ class SimConfig:
     def validate(self) -> None:
         """Raise ConfigError for any config that would fail later; construction calls it.
 
-        The one fault no check here can see is an ``lms_step_size`` so large
-        that gamma diverges: only the draws reveal it, and the LMS pass then
-        raises ConfigError mid-run.
+        No check here bounds ``lms_step_size``: whether gamma settles depends
+        on the draws.  A step too large for it to settle runs to the end with
+        a BER far above a settled gamma's; only one so large that gamma
+        overflows makes the LMS pass raise ConfigError mid-run.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -176,6 +177,9 @@ class SimConfig:
         n = self.n_subcarriers
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError(f"n_subcarriers must be a power of two >= 8, got {n}")
+        if n > _MAX_SUBCARRIERS:
+            largest = _MAX_SUBCARRIERS.bit_length() - 1
+            raise ConfigError(f"n_subcarriers 2**{n.bit_length() - 1} exceeds the largest grid, 2**{largest}")
         if not 0 < self.cp_len < n:
             raise ConfigError(f"cp_len must lie in (0, {n}), got {self.cp_len}")
         if self.bandwidth_hz <= 0:
@@ -199,23 +203,13 @@ class SimConfig:
                 raise ConfigError("snr_grid_db values must not be NaN")
             if not (value == math.inf or abs(value) <= 1000.0):
                 raise ConfigError(f"snr_db {value:g} out of supported range: finite within 1000 dB, or inf")
-        try:
-            symbol_period = (n + self.cp_len) * self.sample_period
-        except OverflowError as exc:
-            raise ConfigError(f"n_subcarriers 2**{n.bit_length() - 1} overflows the symbol period") from exc
-        if n > _MAX_SUBCARRIERS:
-            largest = _MAX_SUBCARRIERS.bit_length() - 1
-            raise ConfigError(f"n_subcarriers 2**{n.bit_length() - 1} exceeds the largest grid, 2**{largest}")
         # each of these is checked by the code that builds or samples it
         try:
             check_psk_order(self.psk_order)
             profile = self.profile
             spread = tap_grid(profile, self.sample_period)[0][-1]
-            profile.check_phase_step(symbol_period)
+            profile.check_phase_step((n + self.cp_len) * self.sample_period)
             derive_iqi_params(self.iqi_kappa_db, self.iqi_phi_deg)
-        except OverflowError as exc:
-            message = f"iqi_kappa_db {self.iqi_kappa_db:g} dB overflows the imbalance coefficients"
-            raise ConfigError(message) from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if spread > self.cp_len:

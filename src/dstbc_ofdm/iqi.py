@@ -31,14 +31,21 @@ class IqiParams:
 
 
 def derive_iqi_params(kappa_db: float, phi_deg: float) -> IqiParams:
-    """Branch-mismatch coefficients for a gain error in dB and phase error in degrees."""
-    g = 10.0 ** (kappa_db / 20.0)
+    """Branch-mismatch coefficients for a gain error in dB and phase error in degrees.
+
+    Raises ValueError when a coefficient overflows a float or alpha vanishes.
+    """
     phi = math.radians(phi_deg)
-    alpha = 0.5 * (1.0 + g * complex(math.cos(phi), -math.sin(phi)))
-    beta = 0.5 * (1.0 - g * complex(math.cos(phi), math.sin(phi)))
-    if abs(alpha) < 1e-12 * (1.0 + g):
-        raise ValueError(f"degenerate imbalance: alpha is zero for kappa={kappa_db} dB, phi={phi_deg} deg")
-    rho = abs(beta) ** 2 / abs(alpha) ** 2
+    # past about 3089 dB |beta|**2 overflows, past about 6165 dB g itself
+    try:
+        g = 10.0 ** (kappa_db / 20.0)
+        alpha = 0.5 * (1.0 + g * complex(math.cos(phi), -math.sin(phi)))
+        beta = 0.5 * (1.0 - g * complex(math.cos(phi), math.sin(phi)))
+        if abs(alpha) < 1e-12 * (1.0 + g):
+            raise ValueError(f"degenerate imbalance: alpha is zero for kappa={kappa_db} dB, phi={phi_deg} deg")
+        rho = abs(beta) ** 2 / abs(alpha) ** 2
+    except OverflowError as exc:
+        raise ValueError(f"kappa_db {kappa_db:g} dB overflows the imbalance coefficients") from exc
     irr_db = math.inf if rho == 0.0 else -10.0 * math.log10(rho)
     return IqiParams(alpha=alpha, beta=beta, rho=rho, irr_db=irr_db)
 

@@ -126,7 +126,7 @@ def pair_decisions(low, image, gamma, trajectory, order):
     are those of one ``decision_directed_pass`` call; ``detect_pairs``
     decides each observation at the gamma it saw.
     """
-    from dstbc_ofdm import detect_pairs
+    from dstbc_ofdm.compensator import detect_pairs
 
     pairs = low.shape[-1]
     values = np.concatenate([low, np.conj(image)], axis=-1)

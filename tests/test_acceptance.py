@@ -18,7 +18,6 @@ from dstbc_ofdm import (
     SimConfig,
     ber_closed_form,
     ber_floor,
-    build_residuals,
     derive_iqi_params,
     equivalent_snr,
     gamma_true,
@@ -27,6 +26,7 @@ from dstbc_ofdm import (
     run_point_with_trace,
     run_sweep,
 )
+from dstbc_ofdm.compensator import build_residuals
 from dstbc_ofdm.stbc import alamouti_detect, ml_differential_detect_indices
 
 from alamouti import alamouti_encode

@@ -27,7 +27,7 @@ def test_parse_snr_list_and_scalar():
 
 def test_parse_snr_errors():
     # "0:2000:1" parses; SimConfig rejects its 1001 dB point (see below)
-    for bad in ("1:2", "5:1:1", "0:10:-2", "a,b", "", "0:1000:0.01"):
+    for bad in ("1:2", "5:1:1", "0:10:-2", "a,b", "", "0:1000:0.01", "0:inf:5", "nan:1:1", "0:1:inf"):
         with pytest.raises(ConfigError):
             parse_snr_grid(bad)
 
@@ -274,8 +274,10 @@ def test_console_script_runs(package_env):
         # modes are checked by SimConfig alone, as for their INI keys
         ["simulate", "--detection", "foo"],
         ["simulate", "--workers", "abc"],
-        # too large for a float symbol period: named, not an OverflowError
+        # past the largest grid, and too large for a float: named, not an OverflowError
         ["simulate", "--snr", "10", "--n-subcarriers", str(2**1100)],
+        # a finite gain ratio whose |beta|**2 overflows
+        ["simulate", "--kappa-db", "4000", "--snr", "10"],
     ],
 )
 def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
@@ -301,14 +303,16 @@ def test_bad_arguments_exit_two_without_traceback(argv, package_env, tmp_path):
             "error: detection must be one of ('differential', 'coherent'), got 'foo'\n",
         ("simulate", "--workers", "abc"): "error: bad value for '--workers': 'abc'\n",
         ("simulate", "--snr", "10", "--n-subcarriers", str(2**1100)):
-            "error: n_subcarriers 2**1100 overflows the symbol period\n",
+            "error: n_subcarriers 2**1100 exceeds the largest grid, 2**15\n",
+        ("simulate", "--kappa-db", "4000", "--snr", "10"):
+            "error: kappa_db 4000 dB overflows the imbalance coefficients\n",
     }
     if tuple(argv) in exact:
         assert proc.stderr == exact[tuple(argv)]
     if "nan" in argv:
         assert "must be finite" in proc.stderr
     if "7000" in argv:
-        assert "error: iqi_kappa_db 7000 dB overflows" in proc.stderr
+        assert "error: kappa_db 7000 dB overflows the imbalance coefficients\n" in proc.stderr
     if "--lms-step" in argv:
         assert "error: lms_step_size 100 is too large: gamma diverged" in proc.stderr
 

@@ -6,23 +6,41 @@ import pytest
 from dstbc_ofdm import (
     SimConfig,
     alamouti_detect,
-    build_residuals,
-    compensate_observation,
     compensator,
-    decision_directed_pass,
     derive_iqi_params,
-    detect_pairs,
     gamma_true,
     harness,
-    lms_step,
     pair_bins,
     psk_constellation,
     run_point,
+)
+from dstbc_ofdm.compensator import (
+    build_residuals,
+    compensate_observation,
+    decision_directed_pass,
+    detect_pairs,
+    lms_step,
 )
 
 import object_pass
 from alamouti import AlamoutiMatrix
 from conftest import as_planes, indices_to_bits, pair_decisions, pair_planes, synthetic_observation
+
+
+def test_the_lms_kernels_are_imported_from_their_modules_only():
+    import dstbc_ofdm
+    from dstbc_ofdm import stbc
+
+    kernels = {
+        compensator: (
+            "build_residuals", "lms_step", "compensate_observation", "decision_directed_pass", "detect_pairs",
+        ),
+        stbc: ("ml_differential_detect_indices",),
+    }
+    for module, names in kernels.items():
+        for name in names:
+            assert callable(getattr(module, name))
+            assert not hasattr(dstbc_ofdm, name) and name not in dstbc_ofdm.__all__
 
 
 def test_gamma_true_value():

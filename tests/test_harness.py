@@ -91,7 +91,7 @@ def test_default_config_is_valid():
         # NaN tap powers, a garbage BER near 0.5
         dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(-4000.0, -4000.0)),
         dict(channel="custom", custom_delays_ns=(0.0, 400.0), custom_powers_db=(0, 4000)),
-        # a power of two whose symbol length overflows a float
+        # a power of two too large for a float, named by the grid bound
         dict(n_subcarriers=2**1100),
         # a power of two past the largest grid, which constructed and whose
         # first chunk then asked numpy for 4 EiB
@@ -126,6 +126,8 @@ def test_default_config_is_valid():
         # finite values whose fading phase step per OFDM symbol overflows
         dict(doppler_hz=1e308),
         dict(bandwidth_hz=1e-300, doppler_hz=1e10),
+        # a finite gain ratio whose |beta|**2 overflows a float
+        dict(iqi_kappa_db=4000.0),
     ],
 )
 def test_validation_rejects_bad_configs(overrides):

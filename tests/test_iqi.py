@@ -45,6 +45,15 @@ def test_degenerate_branch_rejected():
         derive_iqi_params(0.0, 180.0)
 
 
+@pytest.mark.parametrize("kappa_db", [4000.0, 7000.0])
+def test_overflowing_gain_is_a_value_error(kappa_db):
+    # at 7000 dB 10**(kappa_db/20) overflows a float; at 4000 dB g is finite
+    # but |beta|**2 overflows: both are named here, not a bare OverflowError
+    message = rf"^kappa_db {kappa_db:g} dB overflows the imbalance coefficients$"
+    with pytest.raises(ValueError, match=message):
+        derive_iqi_params(kappa_db, 0.0)
+
+
 def test_irr_decreases_with_phase():
     irrs = [derive_iqi_params(0.0, phi).irr_db for phi in (1.0, 4.0, 8.0, 15.0)]
     assert all(a > b for a, b in zip(irrs[:-1], irrs[1:]))

@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dstbc_ofdm import (
-    alamouti_detect,
-    differential_encode,
-    ml_differential_detect_indices,
-    psk_constellation,
-)
-from dstbc_ofdm.stbc import INFO_SCALE, alamouti_statistics
+from dstbc_ofdm import alamouti_detect, differential_encode, psk_constellation
+from dstbc_ofdm.stbc import INFO_SCALE, alamouti_statistics, ml_differential_detect_indices
 
 import differential_steps
 from alamouti import AlamoutiMatrix, alamouti_encode
