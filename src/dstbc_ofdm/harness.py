@@ -280,10 +280,6 @@ class _GroupEngine:
         n = cfg.n_subcarriers
         self.samples_per_symbol = n + cfg.cp_len
         self.pair_bins = pair_bins(n)
-        # bit_errors[decided * M + sent]: the bits in which two symbol labels
-        # differ; the M x M table is kept flat, as one-axis lookups are faster
-        labels = self.constellation.bits_of_index.tolist()
-        self.bit_errors = np.array([bin(d ^ t).count("1") for d in labels for t in labels])
         self.n_blocks = cfg.blocks_per_frame
         self.n_symbols = 2 * self.n_blocks + (2 if cfg.detection == "differential" else 0)
 
@@ -292,17 +288,19 @@ class _GroupEngine:
     def _draw_indices_and_noise(self, n_frames: int):
         """The symbol indices and the noise of the next ``n_frames`` frames.
 
-        Returns the two symbol indices of every block, each (frame, block,
-        pair bin), and the noise, (frame, symbol, pair bin): complex values
-        whose real and imaginary parts are consecutive standard normal
-        draws.  Each stream is consumed value by value (the bit generator
-        keeps the unused half of a 64-bit word for the next ``integers``
-        call), so one call for F frames equals F one-frame calls.
+        Returns the two symbol indices of every block, each a contiguous
+        (frame, block, pair bin) array, and the noise, (frame, symbol, pair
+        bin): complex values whose real and imaginary parts are consecutive
+        standard normal draws.  Each stream is consumed value by value (the
+        bit generator keeps the unused half of a 64-bit word for the next
+        ``integers`` call), so one call for F frames equals F one-frame calls.
         """
         shape = (n_frames, self.n_blocks, self.pair_bins.shape[0], 2)
         indices = self.index_rng.integers(0, self.cfg.psk_order, size=shape)
         normals = self.noise_rng.standard_normal((n_frames, self.n_symbols) + shape[2:])
-        return indices[..., 0], indices[..., 1], normals.view(np.complex128)[..., 0]
+        # one copy, index-major: each index's plane is contiguous
+        idx1, idx2 = np.moveaxis(indices, -1, 0).copy()
+        return idx1, idx2, normals.view(np.complex128)[..., 0]
 
     def _clean_spectra(self, idx1, idx2, gains) -> np.ndarray:
         """The noiseless spectra at the pair bins, (frame, symbol, pair bin).
@@ -331,8 +329,8 @@ class _GroupEngine:
 
     def _received_spectra(self, clean, noise, sigma: float) -> np.ndarray:
         """One receiver's spectra: ``clean`` plus ``sigma / sqrt(2)`` times
-        ``noise``, through the imbalance; ``clean`` is left as it is for the
-        group's other receivers.
+        ``noise``, through the imbalance.  A noiseless receiver without
+        imbalance gets the group's read-only ``clean`` array itself.
         """
         if sigma > 0.0:
             clean = clean + (sigma * _INV_SQRT2) * noise
@@ -367,11 +365,11 @@ class _GroupEngine:
         """The group's shared part of the next ``n_frames`` frames.
 
         Returns the symbol indices and the noise of
-        ``_draw_indices_and_noise``, the clean spectra and, for the coherent
-        receiver, its channel: the gains at the first symbol of each block,
-        at both antennas, (frame, block, antenna, pair bin).  The taps and
-        the other symbols' gains go out of scope on return, before any
-        receiver runs.
+        ``_draw_indices_and_noise``, the clean spectra, read-only as the
+        receivers share them, and, for the coherent receiver, its channel:
+        the gains at the first symbol of each block, one contiguous (frame,
+        block, pair bin) array per antenna.  The taps and the other symbols'
+        gains go out of scope on return, before any receiver runs.
         """
         cfg = self.cfg
         taps = realize_fading(
@@ -384,9 +382,12 @@ class _GroupEngine:
             frames=n_frames,
         )
         idx1, idx2, noise = self._draw_indices_and_noise(n_frames)
-        gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)[..., self.pair_bins]
+        gains = subcarrier_gains(taps, self.tap_sample_delays, cfg.n_subcarriers)
+        gains = gains.take(self.pair_bins, axis=-1)
         clean = self._clean_spectra(idx1, idx2, gains)
-        ref = gains[:, 0::2].copy() if cfg.detection == "coherent" else None
+        clean.flags.writeable = False
+        # one copy, antenna-major: each antenna's plane is contiguous
+        ref = np.moveaxis(gains[:, 0::2], 2, 0).copy() if cfg.detection == "coherent" else None
         return idx1, idx2, noise, clean, ref
 
     def _chunk_errors(self, n_frames: int) -> list[int]:
@@ -398,19 +399,18 @@ class _GroupEngine:
         """
         cfg = self.cfg
         idx1, idx2, noise, clean, ref = self._front_end(n_frames)
+        bit_errors = self.constellation.bit_errors
         errors = []
         for rx in self.receivers:
             values = self._received_spectra(clean, noise, rx.sigma)
             if ref is not None:
-                det1, det2 = alamouti_detect(
-                    ref[:, :, 0], ref[:, :, 1], values[:, 0::2], values[:, 1::2], cfg.psk_order
-                )
+                det1, det2 = alamouti_detect(*ref, values[:, 0::2], values[:, 1::2], cfg.psk_order)
             else:
                 gamma = self._adapt_gamma(values, rx) if cfg.compensation == "lms" else rx.gamma
                 det1, det2 = detect_pairs(values, gamma, cfg.psk_order)
             errors.append(int(
-                self.bit_errors[det1 * cfg.psk_order + idx1].sum()
-                + self.bit_errors[det2 * cfg.psk_order + idx2].sum()
+                bit_errors[det1 * cfg.psk_order + idx1].sum()
+                + bit_errors[det2 * cfg.psk_order + idx2].sum()
             ))
         return errors
 

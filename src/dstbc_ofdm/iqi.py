@@ -51,8 +51,16 @@ def derive_iqi_params(kappa_db: float, phi_deg: float) -> IqiParams:
 
 
 def apply_rx_iqi(spectra: np.ndarray, params: IqiParams) -> np.ndarray:
-    """Distort spectra in pair order: ``alpha*Y + beta*ofdm.pair_image(Y)``."""
+    """Distort spectra in pair order: ``alpha*Y + beta*ofdm.pair_image(Y)``.
+
+    An ideal receiver (``alpha == 1``, ``beta == 0``, which
+    ``derive_iqi_params(0, 0)`` gives exactly) gets ``spectra`` back as an
+    array, not a copy: the product form equals it in every finite non-zero
+    component.
+    """
     spectra = np.asarray(spectra, dtype=np.complex128)
+    if params.alpha == 1 and params.beta == 0:
+        return spectra
     # named, as in stbc.alamouti_statistics: numpy never multiplies into it
     image = pair_image(spectra)
     return params.alpha * spectra + params.beta * image

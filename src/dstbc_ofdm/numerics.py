@@ -21,12 +21,15 @@ class PskConstellation:
     """Unit-circle M-PSK constellation with Gray bit labelling.
 
     ``points[g]`` is the point at phase ``2*pi*g/M`` and carries the bit
-    pattern ``bits_of_index[g]``.
+    pattern ``bits_of_index[g]``.  ``bit_errors[d * M + t]`` is the number
+    of bits in which the labels of indices ``d`` and ``t`` differ, the M x M
+    table kept flat, as one-axis lookups are faster.
     """
 
     order: int
     points: np.ndarray
     bits_of_index: np.ndarray
+    bit_errors: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
@@ -46,9 +49,11 @@ def psk_constellation(order: int) -> PskConstellation:
     index = np.arange(order)
     points = np.exp(2j * np.pi * index / order)
     bits_of_index = index ^ (index >> 1)
-    for arr in (points, bits_of_index):
+    labels = bits_of_index.tolist()
+    bit_errors = np.array([bin(d ^ t).count("1") for d in labels for t in labels])
+    for arr in (points, bits_of_index, bit_errors):
         arr.flags.writeable = False
-    return PskConstellation(order=order, points=points, bits_of_index=bits_of_index)
+    return PskConstellation(order=order, points=points, bits_of_index=bits_of_index, bit_errors=bit_errors)
 
 
 def nearest_psk_indices(values: np.ndarray, order: int) -> np.ndarray:
@@ -80,9 +85,13 @@ def psk_decisions_with_margin(values: np.ndarray, order: int) -> tuple[np.ndarra
 
 
 def _half_step_phase(values: np.ndarray, order: int) -> np.ndarray:
-    """Phase in PSK steps plus one half, whose floor modulo M is the decision."""
-    # np.angle's own arithmetic, without its per-call checks
-    return np.arctan2(values.imag, values.real) / (2.0 * np.pi / order) + 0.5
+    """Phase in PSK steps plus one half, whose floor modulo M is the decision.
+
+    ``np.angle``'s own arithmetic, without its per-call checks.  ``np.arctan2``
+    takes contiguous copies of the parts (``np.array``, so 0-d inputs stay
+    0-d): the same bytes as on the strided parts, whose loop is slower.
+    """
+    return np.arctan2(np.array(values.imag), np.array(values.real)) / (2.0 * np.pi / order) + 0.5
 
 
 def nearest_psk_index(value: complex, order: int) -> int:

@@ -1,12 +1,13 @@
 """Byte oracle for ``dstbc_ofdm.channel.realize_fading``.
 
-``realize_fading`` steps its oscillator phasors one symbol at a time, each
-step a sum of two products by the parts of the step (``numerics.
-split_product``), on symbol-major planes.  This file keeps the form it
-replaced: one ``np.cumprod`` along the symbols of the (frame, antenna, tap,
-symbol, oscillator) phasors, then the tap sum on that layout.  The two
-must agree bit for bit, since every record downstream is formed from these
-taps; ``tests/test_channel.py`` checks that they do.
+``realize_fading`` forms its oscillator phasors from cosine and sine
+planes and steps them one symbol at a time, each step a sum of two
+products by the parts of the step (``numerics.split_product``), on
+symbol-major planes.  This file keeps the forms it replaced: ``np.exp`` of
+the imaginary angles, one ``np.cumprod`` along the symbols of the (frame,
+antenna, tap, symbol, oscillator) phasors, then the tap sum on that layout.
+The two must agree bit for bit, since every record downstream is formed
+from these taps; ``tests/test_channel.py`` checks that they do.
 """
 from __future__ import annotations
 

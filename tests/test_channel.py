@@ -15,7 +15,7 @@ from dstbc_ofdm import (
     subcarrier_gains,
     tap_grid,
 )
-from dstbc_ofdm.channel import PROFILE_NAMES, _PROFILE_TABLES, _oscillators
+from dstbc_ofdm.channel import PROFILE_NAMES, _PROFILE_TABLES, _oscillators, _unit_phasors
 
 import phasor_steps
 
@@ -383,6 +383,30 @@ def test_phasor_steps_match_the_cumprod_oracle(n_symbols, frames, doppler_hz):
     taps = realize_fading(*args, *fading_rngs(5), **kwargs)
     expected = phasor_steps.realize_fading(*args, *fading_rngs(5), **kwargs)
     assert taps.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3, 1e6, 1e15, 1e100, 1e300])
+def test_sine_cosine_planes_equal_the_complex_exp(scale, rng):
+    # np.exp(1j * x) takes its angle from the product's imaginary part,
+    # 0.0 + x; np.cos and np.sin of x + 0.0 give the same words, the signed
+    # zeros, the smallest subnormals, pi and the largest magnitudes included
+    x = np.concatenate([
+        scale * rng.standard_normal(20000),
+        [0.0, -0.0, 5e-324, -5e-324, np.pi, -np.pi, 1e308, -1e308],
+    ])
+    expected = np.exp(1j * x)
+    planes = np.empty_like(expected)
+    np.cos(x + 0.0, out=planes.real)
+    np.sin(x + 0.0, out=planes.imag)
+    assert planes.tobytes() == expected.tobytes()
+    assert _unit_phasors(x).tobytes() == expected.tobytes()
+    # realize_fading's first midpoints: the angle of 0.5j * T * rate is
+    # (0.5 * T) * rate, and the rates of zero Doppler are signed zeros
+    half = 0.5 * SAMPLE_PERIOD * 84
+    rates = np.concatenate([x, -0.0 * np.sign(x)])
+    out = np.empty(rates.shape, dtype=np.complex128)
+    assert _unit_phasors(half * rates, out=out) is out
+    assert out.tobytes() == np.exp(0.5j * (SAMPLE_PERIOD * 84) * rates).tobytes()
 
 
 def test_overflowing_phase_step_draws_nothing():

@@ -335,16 +335,22 @@ def test_grid_order_does_not_matter():
 )
 @pytest.mark.parametrize(
     "overrides",
-    [dict(), dict(compensation="lms"), dict(detection="coherent")],
-    ids=["off", "lms", "coherent"],
+    [
+        dict(), dict(compensation="lms"), dict(detection="coherent"),
+        dict(iqi_kappa_db=0.0, iqi_phi_deg=0.0, compensation="lms"),
+        dict(iqi_kappa_db=0.0, iqi_phi_deg=0.0, detection="coherent"),
+    ],
+    ids=["off", "lms", "coherent", "ideal_lms", "ideal_coherent"],
 )
 def test_sweep_records_do_not_depend_on_companion_points(overrides, companions):
     # every point sees the same draws, and only its own receiver differs;
-    # nine default frames are two chunks, so gamma crosses a chunk boundary
-    cfg = small_cfg(
-        iqi_kappa_db=2.0, iqi_phi_deg=8.0, min_bits=9 * 7440,
-        snr_grid_db=(20.0,) + companions, **overrides,
-    )
+    # nine default frames are two chunks, so gamma crosses a chunk boundary.
+    # A noiseless receiver without imbalance reads the group's clean spectra
+    # themselves, which no receiver may write.
+    cfg = small_cfg(**{
+        "iqi_kappa_db": 2.0, "iqi_phi_deg": 8.0, "min_bits": 9 * 7440,
+        "snr_grid_db": (20.0,) + companions, **overrides,
+    })
     alone, alone_trace = run_point_with_trace(cfg, 20.0)
     assert run_sweep(dataclasses.replace(cfg, snr_grid_db=(20.0,))) == [alone]
     grid = sorted(cfg.snr_grid_db)
@@ -416,6 +422,17 @@ def test_a_one_mib_temporary_costs_no_page_faults(package_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 100
+
+
+def test_a_noiseless_ideal_receiver_reads_the_shared_clean_spectra():
+    engine = harness._GroupEngine(small_cfg(snr_grid_db=(20.0, math.inf)))
+    _, _, noise, clean, _ = engine._front_end(2)
+    assert not clean.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        clean[0, 0, 0] = 0.0
+    noiseless, noisy = (engine._received_spectra(clean, noise, rx.sigma) for rx in reversed(engine.receivers))
+    assert noiseless is clean
+    assert noisy is not clean and noisy.flags.writeable
 
 
 def test_record_fields():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dstbc_ofdm import apply_rx_iqi, derive_iqi_params, pair_bins
+from dstbc_ofdm.ofdm import pair_image
 
 
 def test_reference_point_two_db_eight_deg():
@@ -73,8 +74,15 @@ def test_apply_matches_widely_linear_form(rng):
 
 def test_apply_ideal_is_identity(rng):
     p = derive_iqi_params(0.0, 0.0)
+    assert (p.alpha, p.beta) == (1.0, 0.0)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     np.testing.assert_array_equal(apply_rx_iqi(y, p), y)
+    # the stage is skipped: the input comes back, and the product form it
+    # skips gives the same bytes on finite non-zero components
+    assert apply_rx_iqi(y, p) is y
+    image = pair_image(y)
+    assert (p.alpha * y + p.beta * image).tobytes() == y.tobytes()
+    assert apply_rx_iqi(y, derive_iqi_params(0.0, 1.0)) is not y
 
 
 def test_apply_preserves_shape(rng):

@@ -47,6 +47,22 @@ def test_constellation_structure(order):
     assert not c.points.flags.writeable
 
 
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_bit_error_table_counts_the_differing_label_bits(order):
+    c = psk_constellation(order)
+    assert c.bit_errors.shape == (order * order,)
+    assert not c.bit_errors.flags.writeable
+    # cached with the constellation: one table per order
+    assert psk_constellation(order).bit_errors is c.bit_errors
+    for decided in range(order):
+        for sent in range(order):
+            expected = bin(int(c.bits_of_index[decided] ^ c.bits_of_index[sent])).count("1")
+            assert c.bit_errors[decided * order + sent] == expected
+    # neighbours on the circle differ in one bit, and a symbol from itself in none
+    assert all(c.bit_errors[g * order + (g + 1) % order] == (order > 1) for g in range(order))
+    assert not c.bit_errors[:: order + 1].any()
+
+
 def test_unsupported_order_rejected():
     for bad in (3, 5, 32, 0, -8):
         with pytest.raises(ValueError):
@@ -157,6 +173,16 @@ def test_decisions_equal_their_mod_oracle(order, rng):
     for actual in (nearest_psk_indices(values, order), indices):
         assert actual.dtype == np.int64
         np.testing.assert_array_equal(actual, expected)
+    # strided views, whose parts the decisions copy before np.arctan2: the
+    # rows of a stacked (2, n) array and every other value of a wider one
+    stacked = np.stack((values, values[::-1]))
+    wide = np.repeat(values, 2)
+    for view, contiguous in ((stacked[0], values), (stacked[1], values[::-1].copy()), (wide[::2], values)):
+        assert not view.imag.flags.c_contiguous
+        view_indices, view_margins = psk_decisions_with_margin(view, order)
+        for actual in (nearest_psk_indices(view, order), view_indices):
+            np.testing.assert_array_equal(actual, _mod_decisions(contiguous, order))
+        assert view_margins.tobytes() == psk_decisions_with_margin(contiguous, order)[1].tobytes()
     # scalars, as the exhaustive-search check passes them, and 0-d arrays;
     # the margin function takes them too, and gives each its array margin
     first = len(values) - len(edges) - len(near_pi)
